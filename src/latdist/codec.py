@@ -11,12 +11,48 @@ Two codecs live here:
 Both orders are codec conventions pinned for determinism; any fixed total
 order would be a valid codec. Indices are arbitrary-precision integers and
 serialize as big-endian byte strings sized by their declared bit width.
+
+The composition codec follows Reznik's enumerative coder for the lattice of
+types (DCC 2011): it moves between neighbouring binomials instead of
+recomputing them, so a rank or unrank costs O(k + total) multiply/divide
+steps on one big integer rather than O(k log total) fresh ``math.comb``
+calls, each of which builds a number of up to ~4000 bits at k=1000.
+
+* ``unrank_composition`` scans the count at each position upward. With r
+  the remaining total and m the parts after this one, the compositions
+  whose count here is v form a block of C(r - v + m - 1, m - 1); the next
+  block is this one times (r - v) // (r - v + m - 1), and the chosen block
+  is the next position's total. The last two free parts are closed form:
+  with two parts after it, a count is the root of a quadratic (``math.isqrt``),
+  and with one, it is what is left of the index.
+* ``rank_composition`` builds the suffix binomials C(s + m, m) from the last
+  position backward. The b steps from C(n, m) to C(n + b, m) for a count b
+  are taken at once, as one multiply and one divide by the falling
+  factorials ``math.perm(n + b, b)`` and ``math.perm(n + b - m, b)``.
+
+Fallback rule. A fresh ``math.comb`` costs about one step while its result
+fits a machine word and about m/8 steps beyond that, so long runs of steps
+go to ``math.comb`` instead:
+
+* ``rank_composition`` jumps only when b <= m // 2 and C(n, m) is wider than
+  a word, and otherwise computes C(n + b, m) afresh;
+* ``unrank_composition`` prices a bisection on ``math.comb`` at
+  cap = (m // 8 + 1) * bit_length(r) steps. It scans only while the mean
+  count r / m is below the cap, and bisects over the rest of the range once
+  a scan reaches the cap.
+
+So a few parts with a large total (ten parts of 100,000) cost O(log total)
+binomials per position instead of a scan over the whole count, a k=1000
+point pays for a ~4000-bit ``math.comb`` only at a count above ~1600, and
+small spaces stay on word-sized ``math.comb``.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator
 
 from .errors import IndexOutOfRange, InvalidSubset, SumMismatch
@@ -24,6 +60,14 @@ from .errors import IndexOutOfRange, InvalidSubset, SumMismatch
 # Fractional distance from an integer below which the log-gamma bit count
 # falls back to exact big-integer arithmetic.
 _BOUNDARY_GUARD = 1e-9
+
+# Binomials below this bound fit a machine word, where math.comb is as cheap
+# as one multiply/divide step.
+_WORD = 1 << 64
+
+# Distinct (k, total) widths kept per bit-count cache; the planner's sweeps
+# over nine coder/channel pairs ask for about 3300.
+_WIDTH_CACHE = 4096
 
 
 @dataclass(frozen=True)
@@ -135,6 +179,7 @@ def log2_comb(n: int, r: int) -> float:
     return (math.lgamma(n + 1) - math.lgamma(r + 1) - math.lgamma(n - r + 1)) / math.log(2)
 
 
+@lru_cache(maxsize=_WIDTH_CACHE)
 def composition_count_bits(k: int, total: int) -> int:
     """Bits needed for a fixed-length index over compositions of ``total`` into ``k`` parts."""
     if k < 1 or total < 1:
@@ -142,6 +187,7 @@ def composition_count_bits(k: int, total: int) -> int:
     return _ceil_log2_comb(total + k - 1, k - 1)
 
 
+@lru_cache(maxsize=_WIDTH_CACHE)
 def subset_count_bits(k: int, size: int) -> int:
     """Bits needed for a fixed-length index over ``size``-subsets of ``{0..k-1}``."""
     if size < 0 or size > k:
@@ -151,53 +197,96 @@ def subset_count_bits(k: int, size: int) -> int:
 
 def rank_composition(pt: LatticePoint) -> LexIndex:
     """Rank of ``pt`` among all compositions of its denominator, ascending lex order."""
-    k = pt.k
-    remaining = pt.denominator
+    # Python ints throughout: a NumPy count would overflow the big products.
+    counts = pt.counts
     rank = 0
-    for i, b in enumerate(pt.counts[:-1]):
-        parts_left = k - i - 1
-        # Compositions with a smaller count at this position, by hockey-stick:
-        # sum_{v<b} C(remaining-v+parts_left-1, parts_left-1)
-        rank += math.comb(remaining + parts_left, parts_left) - math.comb(
-            remaining - b + parts_left, parts_left
-        )
-        remaining -= b
-    return LexIndex(rank, composition_count_bits(k, pt.denominator))
+    suffix = operator.index(counts[-1])  # total of the counts after this position
+    top = 1  # C(suffix + m - 1, m - 1): compositions of suffix into m parts
+    for m, b in enumerate(map(operator.index, reversed(counts[:-1])), 1):
+        # Compositions with a smaller count b' < b here, by hockey-stick:
+        # sum_{b'<b} C(suffix + b - b' + m - 1, m - 1) = C(n + b, m) - C(n, m).
+        n = suffix + m
+        base = top * n // m
+        if not b:
+            top = base
+            continue
+        if b <= m // 2 and base >= _WORD:
+            top = base * math.perm(n + b, b) // math.perm(n + b - m, b)
+        else:
+            top = math.comb(n + b, m)
+        rank += top - base
+        suffix += b
+    return LexIndex(rank, composition_count_bits(len(counts), pt.denominator))
 
 
 def unrank_composition(idx: LexIndex | int, k: int, total: int) -> LatticePoint:
     """Inverse of rank_composition: the unique composition with the given rank."""
     value = idx.value if isinstance(idx, LexIndex) else int(idx)
-    cardinality = composition_count(k, total)
-    if value < 0 or value >= cardinality:
-        raise IndexOutOfRange(f"index {value} outside [0, {cardinality})")
+    top = composition_count(k, total)
+    if value < 0 or value >= top:
+        raise IndexOutOfRange(f"index {value} outside [0, {top})")
     counts = []
-    remaining = total
-    for i in range(k - 1):
-        parts_left = k - i - 1
-        top = math.comb(remaining + parts_left, parts_left)
-
-        def preceding(v: int) -> int:
-            return top - math.comb(remaining - v + parts_left, parts_left)
-
-        # Largest count whose predecessor block is still <= value.
-        lo, hi = 0, remaining
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if preceding(mid) <= value:
-                lo = mid
-            else:
-                hi = mid - 1
-        counts.append(lo)
-        value -= preceding(lo)
-        remaining -= lo
+    remaining = operator.index(total)
+    for m in range(k - 1, 2, -1):
+        # top = C(remaining + m, m); block = C(remaining - v + m - 1, m - 1)
+        # counts the compositions whose count here is v.
+        block = top * m // (remaining + m)
+        v = 0
+        if value >= block:
+            cap = (m // 8 + 1) * remaining.bit_length()
+            if remaining < cap * m:  # mean count below the cap: scan
+                while True:
+                    value -= block
+                    block = block * (remaining - v) // (remaining - v + m - 1)
+                    v += 1
+                    if value < block or v == cap:
+                        break
+            if value >= block:
+                v, value, block = _bisect_count(value, remaining, m, v)
+            remaining -= v
+        counts.append(v)
+        top = block
+    if k > 2:
+        # m = 2: v * (a - v) / 2 compositions, a = 2 * remaining + 3, have a
+        # count below v here. The count is the largest v with that many <= value,
+        # the lower root of a quadratic; isqrt rounds it up by at most one.
+        a = 2 * remaining + 3
+        v = (a - math.isqrt(a * a - 8 * value)) // 2
+        if v * (a - v) > 2 * value:
+            v -= 1
+        value -= v * (a - v) // 2
+        counts.append(v)
+        remaining -= v
+    if k > 1:
+        counts.append(value)
+        remaining -= value
     counts.append(remaining)
     return LatticePoint(tuple(counts), total)
 
 
+def _bisect_count(value: int, remaining: int, m: int, start: int) -> tuple[int, int, int]:
+    """Count at a position whose scan reached ``start`` with ``value`` left.
+
+    Returns the count, the value left after its predecessor blocks and the
+    size of its block, by bisection on fresh binomials.
+    """
+    # Compositions with count >= u here: C(remaining - u + m, m).
+    tail = math.comb(remaining - start + m, m)
+    need = tail - value
+    lo, hi = start, remaining
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if math.comb(remaining - mid + m, m) >= need:
+            lo = mid
+        else:
+            hi = mid - 1
+    rest = math.comb(remaining - lo + m, m)
+    return lo, rest - need, rest * m // (remaining - lo + m)
+
+
 def rank_subset(s: PositionSet) -> LexIndex:
     """Combinatorial-number-system rank of a subset given ascending positions."""
-    value = sum(math.comb(c, j + 1) for j, c in enumerate(s.indices))
+    value = sum(map(math.comb, s.indices, range(1, s.size + 1)))
     return LexIndex(value, subset_count_bits(s.dimension, s.size))
 
 
@@ -210,7 +299,7 @@ def unrank_subset(idx: LexIndex | int, k: int, size: int) -> PositionSet:
     positions = [0] * size
     n = k
     remaining = value
-    for j in range(size, 0, -1):
+    for j in range(size, 1, -1):
         # Largest position whose binomial does not exceed the remainder.
         lo, hi = j - 1, n - 1
         while lo < hi:
@@ -222,6 +311,8 @@ def unrank_subset(idx: LexIndex | int, k: int, size: int) -> PositionSet:
         positions[j - 1] = lo
         remaining -= math.comb(lo, j)
         n = lo
+    if size:
+        positions[0] = remaining  # C(c, 1) = c
     return PositionSet(tuple(positions), k)
 
 

@@ -19,8 +19,9 @@ import numpy as np
 
 from .budget import Scheme, budget_lq, budget_slq, uq_bits_per_entry
 from .codec import (
+    LexIndex,
     composition_count,
-    rank_composition,
+    composition_count_bits,
     unrank_composition,
     unrank_subset,
 )
@@ -200,9 +201,8 @@ def _corrupted(cfg: SimConfig, p: ProbVector, rng: np.random.Generator) -> ProbV
     subset_idx = _uniform_below(rng, math.comb(cfg.k, cfg.k_top))
     lattice_idx = _uniform_below(rng, composition_count(cfg.k_top, ell))
     positions = unrank_subset(subset_idx, cfg.k, cfg.k_top)
-    point = unrank_composition(lattice_idx, cfg.k_top, ell)
-    enc = SLQEncoding(positions, rank_composition(point), ell, cfg.k, cfg.k_top)
-    return slq_decode(enc)
+    lattice_index = LexIndex(lattice_idx, composition_count_bits(cfg.k_top, ell))
+    return slq_decode(SLQEncoding(positions, lattice_index, ell, cfg.k, cfg.k_top))
 
 
 def _quantize(cfg: SimConfig, p: ProbVector) -> ProbVector:

@@ -27,6 +27,45 @@ def enumerate_compositions(k, total):
     ]
 
 
+def bisect_rank_composition(counts, total):
+    """Reference rank: a fresh pair of binomials per position."""
+    k = len(counts)
+    remaining = total
+    rank = 0
+    for i, b in enumerate(counts[:-1]):
+        parts_left = k - i - 1
+        rank += math.comb(remaining + parts_left, parts_left) - math.comb(
+            remaining - b + parts_left, parts_left
+        )
+        remaining -= b
+    return rank
+
+
+def bisect_unrank_composition(value, k, total):
+    """Reference unrank: binary search over fresh binomials at each position."""
+    counts = []
+    remaining = total
+    for i in range(k - 1):
+        parts_left = k - i - 1
+        top = math.comb(remaining + parts_left, parts_left)
+
+        def preceding(v):
+            return top - math.comb(remaining - v + parts_left, parts_left)
+
+        lo, hi = 0, remaining
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            if preceding(mid) <= value:
+                lo = mid
+            else:
+                hi = mid - 1
+        counts.append(lo)
+        value -= preceding(lo)
+        remaining -= lo
+    counts.append(remaining)
+    return tuple(counts)
+
+
 def enumerate_subsets_colex(k, size):
     """Independent oracle: subsets ordered by the combinatorial number system."""
     return sorted(itertools.combinations(range(k), size), key=lambda s: tuple(reversed(s)))
@@ -103,6 +142,52 @@ class TestCompositionRanking:
             pt = unrank_composition(value, k, total)
             assert sum(pt.counts) == total
             assert rank_composition(pt).value == value
+
+
+class TestMatchesBisectionOracle:
+    """The incremental codec agrees with the binary-search codec it replaced."""
+
+    @pytest.mark.parametrize("k", [2, 3, 10, 100, 1000])
+    def test_random_points(self, k):
+        rng = np.random.default_rng(100 + k)
+        samples = 1 if k == 1000 else 20
+        for _ in range(samples):
+            total = int(rng.integers(1, 100_001))
+            value = int(rng.integers(0, 1 << 62)) % composition_count(k, total)
+            pt = unrank_composition(value, k, total)
+            assert pt.counts == bisect_unrank_composition(value, k, total)
+            assert rank_composition(pt).value == value
+            assert bisect_rank_composition(pt.counts, total) == value
+
+    @pytest.mark.parametrize("k", [2, 3, 10, 100, 1000])
+    def test_one_heavy_count(self, k):
+        # Small counts around one large one: the scan meets its cap and bisects.
+        rng = np.random.default_rng(200 + k)
+        for total, heavy in itertools.product((5 * k, 50 * k, 100_000), (0, k // 2)):
+            counts = [int(c) for c in rng.integers(0, 3, size=k)]
+            counts[heavy] += total - sum(counts)
+            pt = LatticePoint(tuple(counts), total)
+            value = rank_composition(pt).value
+            assert value == bisect_rank_composition(pt.counts, total)
+            assert unrank_composition(value, k, total) == pt
+
+    def test_numpy_integers(self):
+        counts = np.array([3, 0, 400, 97] + [0] * 60)
+        pt = LatticePoint(tuple(counts), 500)
+        value = rank_composition(pt).value
+        assert value == bisect_rank_composition(tuple(int(c) for c in counts), 500)
+        assert unrank_composition(value, np.int64(64), np.int64(500)) == pt
+
+    def test_large_roundtrip_k1000_ell5000(self):
+        rng = np.random.default_rng(15)
+        k, total = 1000, 5000
+        cardinality = composition_count(k, total)
+        for _ in range(5):
+            value = int.from_bytes(rng.bytes(500), "big") % cardinality
+            idx = rank_composition(unrank_composition(value, k, total))
+            assert idx.value == value
+            assert idx.bit_width == composition_count_bits(k, total)
+            assert LexIndex.from_bytes(idx.to_bytes(), idx.bit_width) == idx
 
 
 class TestSubsetRanking:

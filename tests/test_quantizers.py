@@ -136,6 +136,18 @@ class TestLattice:
             point = lq_encode(ProbVector(rng.standard_exponential(k), normalize=True), ell)
             assert lq_from_payload(lq_payload(point), k, ell) == point
 
+    def test_payload_bytes_pinned(self):
+        # k=100, ell=500 with one heavy class: these bytes are the wire format.
+        counts = [(37 * i) % 5 for i in range(100)]
+        counts[17] += 500 - sum(counts)
+        point = LatticePoint(tuple(counts), 500)
+        payload = lq_payload(point)
+        assert payload.hex() == (
+            "073245bc941774b94272fdc50debc26e859e49e6d7aa3660"
+            "cb06ee37c44e9b0cd9d5bde408b1a5a8e8cd4f2b15afbe9d"
+        )
+        assert lq_from_payload(payload, 100, 500) == point
+
     def test_degenerate_vertex(self):
         point = LatticePoint((5, 0, 0), 5)
         assert np.array_equal(lq_decode(point).values, [1.0, 0.0, 0.0])
