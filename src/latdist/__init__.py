@@ -48,9 +48,6 @@ from .optimizer import (
     TradeoffPoint,
     lower_convex_hull,
     solve_blocklength,
-    solve_blocklength_awgn,
-    solve_blocklength_fading_csi,
-    solve_blocklength_fading_nocsi,
     sweep_beta_s,
     sweep_beta_t,
 )

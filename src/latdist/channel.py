@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from numbers import Integral
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -59,8 +60,16 @@ class ChannelSpec:
     coherence: int | None = None
 
     def __post_init__(self):
-        if self.gamma0 <= 0 or self.bandwidth0_hz <= 0 or self.bandwidth_hz <= 0:
-            raise DomainError("SNR and bandwidths must be positive")
+        inputs = (self.gamma0, self.bandwidth0_hz, self.bandwidth_hz)
+        # The operational SNR is checked too: finite inputs can overflow it.
+        if not all(0.0 < x < math.inf for x in inputs) or not 0.0 < self.gamma < math.inf:
+            raise DomainError(
+                "SNR and bandwidths must be finite and positive, got "
+                f"gamma0={self.gamma0}, bandwidth0_hz={self.bandwidth0_hz}, "
+                f"bandwidth_hz={self.bandwidth_hz}"
+            )
+        if self.coherence is not None and not isinstance(self.coherence, Integral):
+            raise DomainError(f"coherence interval must be an integer, got {self.coherence!r}")
         if self.family is not ChannelFamily.AWGN:
             if self.coherence is None or self.coherence < 1:
                 raise DomainError("fading channels need a coherence interval >= 1")
@@ -163,33 +172,23 @@ class NoCsiCoefficients(NamedTuple):
     block_dispersion: float  # nats^2 per coherence block
 
 
-def default_snr_correction(coherence: int, gamma: float) -> float:
-    """Vanishing high-SNR correction term, F / (5*gamma)."""
-    return coherence / (5.0 * gamma)
-
-
 @lru_cache(maxsize=None)
-def fading_nocsi_coeffs(
-    gamma: float,
-    coherence: int,
-    correction: Callable[[int, float], float] | None = None,
-) -> NoCsiCoefficients:
+def fading_nocsi_coeffs(gamma: float, coherence: int) -> NoCsiCoefficients:
     """High-SNR information and dispersion per block for the no-CSI model.
 
     block_info = (F-1)log(F*gamma) - log Gamma(F) - (F-1)(1+euler_gamma)
-    plus a pluggable correction that must vanish as gamma grows;
+    + F/(5*gamma), the last term a correction that vanishes as gamma grows;
     block_dispersion = (F-1)^2 * pi^2/6 + (F-1). Only meaningful at high SNR.
     """
     if gamma <= 0:
         raise DomainError(f"SNR must be positive, got {gamma}")
     if coherence <= 2:
         raise DomainError(f"coherence interval must exceed 2, got {coherence}")
-    fix = correction if correction is not None else default_snr_correction
     block_info = (
         (coherence - 1) * math.log(coherence * gamma)
         - math.lgamma(coherence)
         - (coherence - 1) * (1.0 + EULER_GAMMA)
-        + fix(coherence, gamma)
+        + coherence / (5.0 * gamma)
     )
     block_dispersion = (coherence - 1) ** 2 * math.pi**2 / 6.0 + (coherence - 1)
     return NoCsiCoefficients(block_info, block_dispersion)
@@ -206,12 +205,3 @@ def epsilon_fading_nocsi(n: int, gamma: float, j_bits: float, coherence: int) ->
         (n * info - j_bits * coherence * LN_2) / math.sqrt(n * coherence * disp)
     )
 
-
-def epsilon_for(spec: ChannelSpec, n: int, j_bits: float) -> float:
-    """Exact model error probability for a channel spec at blocklength n."""
-    gamma = spec.gamma
-    if spec.family is ChannelFamily.AWGN:
-        return epsilon_awgn(n, gamma, j_bits)
-    if spec.family is ChannelFamily.FADING_CSI:
-        return epsilon_fading_csi(n, gamma, j_bits, spec.coherence)
-    return epsilon_fading_nocsi(n, gamma, j_bits, spec.coherence)

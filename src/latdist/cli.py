@@ -139,12 +139,6 @@ def _budget_fn(cfg: dict) -> BudgetFn:
     )
 
 
-def _echo(cfg: dict) -> dict:
-    # jobs is an execution detail with no effect on results; keeping it out
-    # of the echo keeps outputs byte-identical across --jobs settings.
-    return {k: v for k, v in sorted(cfg.items()) if k not in ("jobs", "output")}
-
-
 def _write(args, text: str):
     out = getattr(args, "output", None)
     if out:
@@ -154,7 +148,7 @@ def _write(args, text: str):
 
 
 def _csv_document(cfg: dict, header: tuple[str, ...], rows: list[tuple]) -> str:
-    lines = [f"# config = {json.dumps(_echo(cfg), sort_keys=True)}"]
+    lines = [f"# config = {json.dumps(cfg, sort_keys=True)}"]
     lines.append(",".join(header))
     for row in rows:
         lines.append(",".join(_fmt(x) for x in row))
@@ -162,7 +156,7 @@ def _csv_document(cfg: dict, header: tuple[str, ...], rows: list[tuple]) -> str:
 
 
 def _json_document(cfg: dict, payload: dict) -> str:
-    return json.dumps({"config": _echo(cfg), **payload}, sort_keys=True) + "\n"
+    return json.dumps({"config": cfg, **payload}, sort_keys=True) + "\n"
 
 
 def _point_row(pt: TradeoffPoint) -> tuple:
@@ -241,7 +235,6 @@ _SWEEP_SCHEMA = {
     "eps_cap": 0.5,
     "refine": False,
     "format": "csv",
-    "jobs": 1,
 }
 
 
@@ -259,7 +252,6 @@ def cmd_tradeoff(args) -> int:
         grid_mode=str(cfg["grid_mode"]),
         eps_cap=float(cfg["eps_cap"]),
         refine=bool(cfg["refine"]),
-        jobs=int(cfg["jobs"]),
     )
     if cfg["format"] == "json":
         _write(
@@ -292,7 +284,6 @@ def cmd_hull(args) -> int:
         grid_mode=str(cfg["grid_mode"]),
         eps_cap=float(cfg["eps_cap"]),
         refine=bool(cfg["refine"]),
-        jobs=int(cfg["jobs"]),
     )
     if cfg["format"] == "json":
         _write(args, _json_document(cfg, {"rows": [_point_obj(pt) for pt in curve.points]}))
@@ -417,7 +408,6 @@ def cmd_simulate(args) -> int:
             "seed": 0,
             "error_model": "uniform",
             "source_tail_mass": None,
-            "jobs": 1,
         },
     )
     scheme = Scheme(cfg["scheme"])
@@ -439,7 +429,7 @@ def cmd_simulate(args) -> int:
             float(cfg["source_tail_mass"]) if cfg["source_tail_mass"] is not None else None
         ),
     )
-    report = simulate_end_to_end(sim_cfg, jobs=int(cfg["jobs"]))
+    report = simulate_end_to_end(sim_cfg)
     _write(args, report.to_json() + "\n")
     return 0
 
@@ -526,7 +516,6 @@ def _add_sweep(sub: argparse.ArgumentParser):
     sub.add_argument("--grid-mode", choices=("uniform", "log"), dest="grid_mode")
     sub.add_argument("--eps-cap", type=float, dest="eps_cap", help="cap on the decoding error target (default 0.5)")
     sub.add_argument("--refine", action="store_true", default=None, help="shrink n by exact integer search")
-    sub.add_argument("--jobs", type=int, help="parallel workers (results are identical)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -581,7 +570,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--error-model", choices=[m.value for m in ErrorModel], dest="error_model")
     p.add_argument("--source-tail-mass", type=float, dest="source_tail_mass",
                    help="tail mass bound for generated sparse inputs (default: delta)")
-    p.add_argument("--jobs", type=int)
     _add_common(p)
     p.set_defaults(handler=cmd_simulate)
 

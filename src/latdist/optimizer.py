@@ -1,17 +1,27 @@
-"""Blocklength solvers and latency sweeps under a total distortion budget.
+"""Blocklength solver and latency sweeps under a total distortion budget.
 
 Splitting a total distortion budget beta_t into quantization distortion
 beta_s and decoding failures fixes the tolerable block error probability at
-(beta_t - beta_s) / (1 - beta_s). Each solver inverts its channel's error
-model in closed form to find a blocklength supporting that error
-probability for the scheme's bit budget, and a sweep over beta_s locates
-the split that minimizes latency n / (2B).
+eps = (beta_t - beta_s) / (1 - beta_s). Every channel family then shares
+one normal approximation, solved in closed form for the blocklength n:
+
+    n * rate - sqrt(n * dispersion) * Q^-1(eps) = payload
+
+Only the coefficients differ (C, V: AWGN capacity and dispersion in bits;
+C_c, V_c: receiver-CSI fading moments in nats; I, V_b: no-CSI information
+and dispersion per coherence block of F channel uses):
+
+    family         rate  dispersion  payload
+    awgn           C     V           J
+    fading-csi     C_c   F * V_c     J * ln 2
+    fading-nocsi   I     F * V_b     J * F * ln 2
+
+A sweep over beta_s locates the split that minimizes latency n / (2B).
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -44,9 +54,14 @@ DEFAULT_GRID_POINTS = 1000
 # so budget splits that land on the cap up to float rounding still solve.
 _CAP_SLACK = 1e-9
 
-
-def _within_cap(eps: float, cap: float) -> bool:
-    return 0.0 < eps <= cap * (1.0 + _CAP_SLACK)
+# The solver runs once per grid point, and on Python 3.11 each enum member
+# lookup such as ChannelFamily.AWGN costs about 0.1 us; it compares against
+# these instead.
+_AWGN, _CSI, _NOCSI = (
+    ChannelFamily.AWGN,
+    ChannelFamily.FADING_CSI,
+    ChannelFamily.FADING_NOCSI,
+)
 
 
 def decoding_error_target(beta_t: float, beta_s: float) -> float:
@@ -77,7 +92,9 @@ def _ceil_n(root: float) -> int:
     return max(1, n)
 
 
-def _refine(n: int, eps_target: float, exact_eps) -> int:
+def _refine(
+    n: int, eps_target: float, exact_eps, gamma: float, j_bits: float, coherence: int | None
+) -> int:
     """Smallest blocklength in [1, n] whose exact error stays within target.
 
     Relies on the error model decreasing in n, which holds for positive
@@ -86,116 +103,33 @@ def _refine(n: int, eps_target: float, exact_eps) -> int:
     lo, hi = 1, n
     while lo < hi:
         mid = (lo + hi) // 2
-        if exact_eps(mid) <= eps_target:
+        if exact_eps(mid, gamma, j_bits, coherence) <= eps_target:
             hi = mid
         else:
             lo = mid + 1
     return lo
 
 
-def solve_blocklength_awgn(
-    beta_t: float,
-    beta_s: float,
-    j_bits: float,
-    gamma: float,
-    *,
-    eps_cap: float = DEFAULT_EPS_CAP,
-    refine: bool = False,
-) -> BlocklengthSolution:
-    """Blocklength meeting the distortion split over an AWGN channel.
+def _epsilon_awgn(n: int, gamma: float, j_bits: float, coherence: None) -> float:
+    """epsilon_awgn with the fading models' signature; AWGN has no coherence."""
+    return epsilon_awgn(n, gamma, j_bits)
 
-    The closed form drops the (1/2)log2(n) bonus term from the error model,
-    so the exact error at the returned n is at most the target. With
-    ``refine`` the integer blocklength is shrunk while that still holds.
+
+def _family_row(spec: ChannelSpec, j_bits: float) -> tuple:
+    """The family's rate, dispersion, payload and exact error model.
+
+    The error model takes (n, gamma, j_bits, coherence) on every family, so
+    that the solver calls it without building a closure per solve.
     """
-    eps = decoding_error_target(beta_t, beta_s)
-    if not _within_cap(eps, eps_cap):
-        raise EpsilonOutOfRange(f"error target {eps} outside (0, {eps_cap}]")
-    if j_bits <= 0:
-        raise DomainError(f"payload must be positive, got {j_bits}")
-    c, v = awgn_coeffs(gamma)
-    r = math.sqrt(v) * q_inv(eps)
-    root = _solve_root(r, c, j_bits)
-    n = _ceil_n(root)
-    if refine:
-        n = _refine(n, eps, lambda m: epsilon_awgn(m, gamma, j_bits))
-    return BlocklengthSolution(n, root * root, eps)
-
-
-def solve_blocklength_fading_csi(
-    beta_t: float,
-    beta_s: float,
-    j_bits: float,
-    gamma: float,
-    coherence: int,
-    *,
-    eps_cap: float = DEFAULT_EPS_CAP,
-    refine: bool = False,
-    awgn_denominator: bool = False,
-) -> BlocklengthSolution:
-    """Blocklength for the receiver-CSI Rayleigh model.
-
-    The quadratic derived from the error model has denominator twice the
-    fading capacity; ``awgn_denominator`` substitutes the AWGN capacity
-    there for comparison runs, with no conservativeness guarantee.
-    """
-    eps = decoding_error_target(beta_t, beta_s)
-    if not _within_cap(eps, eps_cap):
-        raise EpsilonOutOfRange(f"error target {eps} outside (0, {eps_cap}]")
-    if j_bits <= 0:
-        raise DomainError(f"payload must be positive, got {j_bits}")
-    c, v = fading_csi_coeffs(gamma, coherence)
-    r = math.sqrt(coherence * v) * q_inv(eps)
-    payload = j_bits * LN_2
-    if awgn_denominator:
-        awgn_c = awgn_coeffs(gamma).capacity
-        root = (r + math.sqrt(r * r + 4.0 * c * payload)) / (2.0 * awgn_c)
-    else:
-        root = _solve_root(r, c, payload)
-    n = _ceil_n(root)
-    if refine:
-        n = _refine(n, eps, lambda m: epsilon_fading_csi(m, gamma, j_bits, coherence))
-    return BlocklengthSolution(n, root * root, eps)
-
-
-def solve_blocklength_fading_nocsi(
-    beta_t: float,
-    beta_s: float,
-    j_bits: float,
-    gamma: float,
-    coherence: int,
-    *,
-    eps_cap: float = DEFAULT_EPS_CAP,
-    refine: bool = False,
-    awgn_denominator: bool = False,
-) -> BlocklengthSolution:
-    """Blocklength for the no-CSI high-SNR Rayleigh model.
-
-    The error target must lie strictly inside (0, 1/2); the model is not
-    defined at or beyond one half.
-    """
-    eps = decoding_error_target(beta_t, beta_s)
-    if not 0.0 < eps < min(eps_cap, 0.5):
-        raise EpsilonOutOfRange(f"error target {eps} outside (0, {min(eps_cap, 0.5)})")
-    if j_bits <= 0:
-        raise DomainError(f"payload must be positive, got {j_bits}")
-    info, disp = fading_nocsi_coeffs(gamma, coherence)
-    if info <= 0:
-        raise NoFeasibleN(
-            f"block information {info} is not positive at SNR {gamma}; "
-            "the high-SNR model does not apply"
-        )
-    r = math.sqrt(coherence * disp) * q_inv(eps)
-    payload = j_bits * coherence * LN_2
-    if awgn_denominator:
-        awgn_c = awgn_coeffs(gamma).capacity
-        root = (r + math.sqrt(r * r + 4.0 * info * payload)) / (2.0 * awgn_c)
-    else:
-        root = _solve_root(r, info, payload)
-    n = _ceil_n(root)
-    if refine:
-        n = _refine(n, eps, lambda m: epsilon_fading_nocsi(m, gamma, j_bits, coherence))
-    return BlocklengthSolution(n, root * root, eps)
+    gamma, f = spec.gamma, spec.coherence
+    if spec.family is _AWGN:
+        c, v = awgn_coeffs(gamma)
+        return c, v, j_bits, _epsilon_awgn
+    if spec.family is _CSI:
+        c, v = fading_csi_coeffs(gamma, f)
+        return c, f * v, j_bits * LN_2, epsilon_fading_csi
+    info, disp = fading_nocsi_coeffs(gamma, f)
+    return info, f * disp, j_bits * f * LN_2, epsilon_fading_nocsi
 
 
 def solve_blocklength(
@@ -207,19 +141,34 @@ def solve_blocklength(
     eps_cap: float = DEFAULT_EPS_CAP,
     refine: bool = False,
 ) -> BlocklengthSolution:
-    """Family dispatch for the three solvers, using the spec's operational SNR."""
-    gamma = spec.gamma
-    if spec.family is ChannelFamily.AWGN:
-        return solve_blocklength_awgn(
-            beta_t, beta_s, j_bits, gamma, eps_cap=eps_cap, refine=refine
+    """Blocklength meeting the distortion split on the spec's channel.
+
+    The closed form inverts each error model exactly, except that it drops
+    the AWGN model's (1/2)log2(n) bonus term, so the exact error at the
+    returned n is at most the target on every family. With ``refine`` the
+    integer blocklength is shrunk while that still holds. The no-CSI model
+    needs the target strictly inside (0, 1/2); it is not defined at or
+    beyond one half.
+    """
+    eps = decoding_error_target(beta_t, beta_s)
+    if spec.family is _NOCSI:
+        if not 0.0 < eps < min(eps_cap, 0.5):
+            raise EpsilonOutOfRange(f"error target {eps} outside (0, {min(eps_cap, 0.5)})")
+    elif not 0.0 < eps <= eps_cap * (1.0 + _CAP_SLACK):
+        raise EpsilonOutOfRange(f"error target {eps} outside (0, {eps_cap}]")
+    if j_bits <= 0:
+        raise DomainError(f"payload must be positive, got {j_bits}")
+    rate, dispersion, payload, exact_eps = _family_row(spec, j_bits)
+    if rate <= 0:
+        raise NoFeasibleN(
+            f"block information {rate} is not positive at SNR {spec.gamma}; "
+            "the high-SNR model does not apply"
         )
-    if spec.family is ChannelFamily.FADING_CSI:
-        return solve_blocklength_fading_csi(
-            beta_t, beta_s, j_bits, gamma, spec.coherence, eps_cap=eps_cap, refine=refine
-        )
-    return solve_blocklength_fading_nocsi(
-        beta_t, beta_s, j_bits, gamma, spec.coherence, eps_cap=eps_cap, refine=refine
-    )
+    root = _solve_root(math.sqrt(dispersion) * q_inv(eps), rate, payload)
+    n = _ceil_n(root)
+    if refine:
+        n = _refine(n, eps, exact_eps, spec.gamma, j_bits, spec.coherence)
+    return BlocklengthSolution(n, root * root, eps)
 
 
 @dataclass
@@ -301,28 +250,18 @@ def sweep_beta_s(
     grid_mode: str = "uniform",
     eps_cap: float = DEFAULT_EPS_CAP,
     refine: bool = False,
-    jobs: int = 1,
 ) -> TradeoffCurve:
     """Evaluate the budget and solver on every grid point; keep the argmin.
 
     Infeasible points are retained with their flag so curves show the
     feasibility boundary. Raises NoFeasibleN when nothing on the grid is
-    feasible. Results are identical for any ``jobs``.
+    feasible.
     """
     grid = beta_s_grid(beta_t, budget, grid_points, grid_mode)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            points = list(
-                pool.map(
-                    lambda bs: _evaluate_point(spec, budget, beta_t, float(bs), eps_cap, refine),
-                    grid,
-                )
-            )
-    else:
-        points = [
-            _evaluate_point(spec, budget, beta_t, float(bs), eps_cap, refine)
-            for bs in grid
-        ]
+    points = [
+        _evaluate_point(spec, budget, beta_t, float(bs), eps_cap, refine)
+        for bs in grid
+    ]
     feasible = [pt for pt in points if pt.feasible]
     if not feasible:
         raise NoFeasibleN(f"no feasible operating point for beta_t={beta_t}")
@@ -367,7 +306,6 @@ def sweep_beta_t(
     grid_mode: str = "uniform",
     eps_cap: float = DEFAULT_EPS_CAP,
     refine: bool = False,
-    jobs: int = 1,
 ) -> TradeoffCurve:
     """Minimum latency per total budget, with the lower convex hull marked.
 
@@ -393,11 +331,7 @@ def sweep_beta_t(
             )
         return curve.best
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            bests = list(pool.map(best_for, values))
-    else:
-        bests = [best_for(bt) for bt in values]
+    bests = [best_for(bt) for bt in values]
 
     feasible_idx = [i for i, pt in enumerate(bests) if pt.feasible]
     if not feasible_idx:

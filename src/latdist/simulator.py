@@ -10,10 +10,8 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from enum import Enum
-from typing import Callable
 
 import numpy as np
 
@@ -213,48 +211,27 @@ def _quantize(cfg: SimConfig, p: ProbVector) -> ProbVector:
     return slq_decode(slq_encode(p, cfg.k_top, cfg.resolved_ell()))
 
 
-def default_source(cfg: SimConfig) -> Callable[[np.random.Generator], ProbVector]:
-    """Flat simplex draws, or tail-controlled draws for the sparse scheme."""
-    if cfg.scheme is Scheme.SLQ:
-        bound = cfg.source_tail_mass if cfg.source_tail_mass is not None else cfg.delta
-
-        def sparse(rng: np.random.Generator) -> ProbVector:
-            return random_sparse_simplex(cfg.k, cfg.k_top, rng.uniform(0.0, bound), rng)
-
-        return sparse
-    return lambda rng: random_simplex(cfg.k, rng)
-
-
-def simulate_end_to_end(
-    cfg: SimConfig,
-    source: Callable[[np.random.Generator], ProbVector] | None = None,
-    jobs: int = 1,
-) -> SimReport:
+def simulate_end_to_end(cfg: SimConfig) -> SimReport:
     """Run the trials and compare mean distortion with the analytical bound.
 
-    Each trial draws an input, quantizes it, flips a failure coin at the
+    Each trial draws an input (flat simplex draws, or tail-controlled draws
+    for the sparse scheme), quantizes it, flips a failure coin at the
     operating error probability, and measures the total variation to what
     the receiver reconstructs. Trials use counter-derived generator streams
-    keyed by (seed, trial), so the report is bit-identical for any ``jobs``.
+    keyed by (seed, trial), so the report depends on the config alone.
     """
-    if source is None:
-        source = default_source(cfg)
+    tail_bound = cfg.source_tail_mass if cfg.source_tail_mass is not None else cfg.delta
     distortions = np.empty(cfg.trials)
-
-    def run_trial(i: int):
+    for i in range(cfg.trials):
         rng = np.random.default_rng([cfg.seed, i])
-        p = source(rng)
+        if cfg.scheme is Scheme.SLQ:
+            p = random_sparse_simplex(cfg.k, cfg.k_top, rng.uniform(0.0, tail_bound), rng)
+        else:
+            p = random_simplex(cfg.k, rng)
         quantized = _quantize(cfg, p)
         failed = rng.uniform() < cfg.eps_target
         received = _corrupted(cfg, p, rng) if failed else quantized
         distortions[i] = tv_distance(p, received)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            list(pool.map(run_trial, range(cfg.trials)))
-    else:
-        for i in range(cfg.trials):
-            run_trial(i)
 
     mean = float(np.sum(distortions) / cfg.trials)
     if cfg.trials > 1:

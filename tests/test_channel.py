@@ -12,7 +12,6 @@ from latdist.channel import (
     epsilon_awgn,
     epsilon_fading_csi,
     epsilon_fading_nocsi,
-    epsilon_for,
     fading_csi_coeffs,
     fading_nocsi_coeffs,
     linear_to_db,
@@ -153,11 +152,6 @@ class TestFadingNoCsi:
         assert disp == pytest.approx(4 * math.pi**2 / 6 + 2, rel=1e-12)
         assert disp == pytest.approx(8.5797362674, rel=1e-9)
 
-    def test_pluggable_correction(self):
-        base, _ = fading_nocsi_coeffs(100.0, 3)
-        none, _ = fading_nocsi_coeffs(100.0, 3, correction=lambda f, g: 0.0)
-        assert base - none == pytest.approx(3 / 500, rel=1e-9)
-
     def test_coherence_domain(self):
         with pytest.raises(DomainError):
             fading_nocsi_coeffs(100.0, 2)
@@ -221,8 +215,35 @@ class TestChannelSpec:
         with pytest.raises(DomainError):
             ChannelSpec(ChannelFamily.FADING_CSI, 10.0, 1e4, 1e4)
 
-    def test_epsilon_dispatch(self):
-        spec = ChannelSpec(ChannelFamily.FADING_CSI, db_to_linear(1), 1e5, 1e5, coherence=20)
-        assert epsilon_for(spec, 500, 100) == pytest.approx(
-            epsilon_fading_csi(500, db_to_linear(1), 100, 20), rel=1e-12
-        )
+    @pytest.mark.parametrize(
+        "gamma0, b0, b",
+        [
+            (math.nan, 1e4, 1e4),
+            (math.inf, 1e4, 1e4),
+            (0.0, 1e4, 1e4),
+            (10.0, math.nan, 1e4),
+            (10.0, math.inf, 1e4),
+            (10.0, 1e4, math.nan),
+            (10.0, 1e4, math.inf),
+            (10.0, 1e4, 0.0),
+            (10.0, 1e4, -1e4),
+            (1e300, 1e300, 1.0),
+        ],
+        ids=[
+            "nan-snr", "inf-snr", "zero-snr", "nan-b0", "inf-b0", "nan-b", "inf-b",
+            "zero-b", "negative-b", "overflowing-snr",
+        ],
+    )
+    def test_rejects_non_finite_or_non_positive_inputs(self, gamma0, b0, b):
+        with pytest.raises(DomainError, match="finite and positive"):
+            ChannelSpec(ChannelFamily.AWGN, gamma0, b0, b)
+
+    @pytest.mark.parametrize("coherence", [math.nan, math.inf, 20.0, 20.5])
+    def test_rejects_non_integral_coherence(self, coherence):
+        for family in ChannelFamily:
+            with pytest.raises(DomainError, match="must be an integer"):
+                ChannelSpec(family, 10.0, 1e4, 1e4, coherence=coherence)
+
+    def test_accepts_numpy_integer_coherence(self):
+        spec = ChannelSpec(ChannelFamily.FADING_CSI, 10.0, 1e4, 1e4, coherence=np.int64(20))
+        assert spec.coherence == 20

@@ -16,9 +16,7 @@ from latdist.errors import DomainError, EpsilonOutOfRange, NoFeasibleN
 from latdist.optimizer import (
     decoding_error_target,
     lower_convex_hull,
-    solve_blocklength_awgn,
-    solve_blocklength_fading_csi,
-    solve_blocklength_fading_nocsi,
+    solve_blocklength,
     sweep_beta_s,
     sweep_beta_t,
 )
@@ -47,35 +45,39 @@ class TestErrorTarget:
             decoding_error_target(1.2, 0.1)
 
 
+def spec_at(family, gamma, coherence=None):
+    """Spec whose operational SNR is exactly ``gamma``."""
+    return ChannelSpec(family, gamma, 1.0, 1.0, coherence)
+
+
 class TestAwgnSolver:
     def test_half_error_collapses_to_capacity(self):
         # beta split giving error target 1/2 zeroes the dispersion term.
-        sol = solve_blocklength_awgn(0.55, 0.1, 100.0, 1.0)
+        sol = solve_blocklength(spec_at(ChannelFamily.AWGN, 1.0), 0.55, 0.1, 100.0)
         assert sol.n == 200
         assert sol.eps_target == pytest.approx(0.5)
 
     def test_blocklength_grows_without_bound_toward_the_edge(self):
         bf = BudgetFn(Scheme.UQ, 70)
-        gamma = NARROWBAND_SPEC.gamma
         previous = None
         for gap in (1e-3, 1e-6, 1e-9, 1e-12, 1e-15):
             beta_s = 0.05 - gap
-            sol = solve_blocklength_awgn(0.05, beta_s, bf.bits_real(beta_s), gamma)
+            sol = solve_blocklength(NARROWBAND_SPEC, 0.05, beta_s, bf.bits_real(beta_s))
             if previous is not None:
                 assert sol.n > previous
             previous = sol.n
 
     def test_infeasible_at_the_edge_itself(self):
         with pytest.raises(DomainError):
-            solve_blocklength_awgn(0.05, 0.05, 100.0, 1.0)
+            solve_blocklength(spec_at(ChannelFamily.AWGN, 1.0), 0.05, 0.05, 100.0)
 
     def test_eps_above_cap_rejected(self):
         with pytest.raises(EpsilonOutOfRange):
-            solve_blocklength_awgn(0.8, 0.1, 100.0, 1.0)
+            solve_blocklength(spec_at(ChannelFamily.AWGN, 1.0), 0.8, 0.1, 100.0)
 
     def test_wideband_reference_fixture(self):
         bf = BudgetFn(Scheme.UQ, 100)
-        sol = solve_blocklength_awgn(0.05, 0.03, bf.bits_real(0.03), WIDEBAND_SPEC.gamma)
+        sol = solve_blocklength(WIDEBAND_SPEC, 0.05, 0.03, bf.bits_real(0.03))
         assert sol.n == 36869
         assert sol.n_real == pytest.approx(36868.505626352904, rel=1e-9)
         assert epsilon_awgn(sol.n, WIDEBAND_SPEC.gamma, bf.bits_real(0.03)) <= sol.eps_target
@@ -89,45 +91,64 @@ class TestAwgnSolver:
                 continue
             j_bits = rng.uniform(10.0, 5000.0)
             gamma = 10 ** rng.uniform(-1.2, 1.5)
-            sol = solve_blocklength_awgn(beta_t, beta_s, j_bits, gamma)
+            sol = solve_blocklength(spec_at(ChannelFamily.AWGN, gamma), beta_t, beta_s, j_bits)
             assert epsilon_awgn(sol.n, gamma, j_bits) <= sol.eps_target * (1 + 1e-9)
 
-    def test_refine_shrinks_but_stays_conservative(self):
-        rng = np.random.default_rng(32)
-        for _ in range(50):
-            beta_t = rng.uniform(0.02, 0.5)
-            beta_s = rng.uniform(0.0, beta_t * 0.9)
-            if decoding_error_target(beta_t, beta_s) > 0.5:
-                continue
-            j_bits = rng.uniform(20.0, 2000.0)
-            gamma = 10 ** rng.uniform(-1.0, 1.0)
-            plain = solve_blocklength_awgn(beta_t, beta_s, j_bits, gamma)
-            refined = solve_blocklength_awgn(beta_t, beta_s, j_bits, gamma, refine=True)
-            assert 1 <= refined.n <= plain.n
-            assert epsilon_awgn(refined.n, gamma, j_bits) <= plain.eps_target * (1 + 1e-9)
-            if refined.n > 1:
-                assert epsilon_awgn(refined.n - 1, gamma, j_bits) > plain.eps_target
+
+# family -> (seed, log10 SNR range); no-CSI needs high SNR.
+REFINE_DRAWS = {
+    ChannelFamily.AWGN: (32, (-1.0, 1.0)),
+    ChannelFamily.FADING_CSI: (35, (-1.0, 1.5)),
+    ChannelFamily.FADING_NOCSI: (36, (1.0, 2.5)),
+}
+
+
+EXACT_EPSILON = {
+    ChannelFamily.AWGN: lambda n, gamma, j, f: epsilon_awgn(n, gamma, j),
+    ChannelFamily.FADING_CSI: epsilon_fading_csi,
+    ChannelFamily.FADING_NOCSI: epsilon_fading_nocsi,
+}
+
+
+@pytest.mark.parametrize("family", list(ChannelFamily), ids=lambda f: f.value)
+def test_refine_shrinks_but_stays_conservative(family):
+    seed, (lo, hi) = REFINE_DRAWS[family]
+    rng = np.random.default_rng(seed)
+    exact = EXACT_EPSILON[family]
+    for _ in range(50):
+        beta_t = rng.uniform(0.02, 0.5)
+        beta_s = rng.uniform(0.0, beta_t * 0.9)
+        if decoding_error_target(beta_t, beta_s) >= 0.5:
+            continue
+        j_bits = rng.uniform(20.0, 2000.0)
+        gamma = 10 ** rng.uniform(lo, hi)
+        f = None if family is ChannelFamily.AWGN else int(rng.choice([5, 10, 20, 50]))
+        spec = spec_at(family, gamma, f)
+        plain = solve_blocklength(spec, beta_t, beta_s, j_bits)
+        refined = solve_blocklength(spec, beta_t, beta_s, j_bits, refine=True)
+        assert 1 <= refined.n <= plain.n
+        assert exact(refined.n, gamma, j_bits, f) <= plain.eps_target * (1 + 1e-9)
+        if refined.n > 1:
+            assert exact(refined.n - 1, gamma, j_bits, f) > plain.eps_target
 
 
 class TestFadingSolvers:
     def test_csi_half_error_matches_converted_payload(self):
         from latdist.channel import fading_csi_coeffs
 
-        gamma = CSI_SPEC.gamma
-        c, _ = fading_csi_coeffs(gamma, 20)
-        sol = solve_blocklength_fading_csi(0.55, 0.1, 100.0, gamma, 20)
+        c, _ = fading_csi_coeffs(CSI_SPEC.gamma, 20)
+        sol = solve_blocklength(CSI_SPEC, 0.55, 0.1, 100.0)
         assert sol.n == math.ceil(100.0 * math.log(2) / c)
 
     def test_csi_fixture(self):
         bf = BudgetFn(Scheme.SLQ, 100, 16, 1e-5)
-        sol = solve_blocklength_fading_csi(0.05, 0.02, bf.bits_real(0.02), CSI_SPEC.gamma, 20)
+        sol = solve_blocklength(CSI_SPEC, 0.05, 0.02, bf.bits_real(0.02))
         assert sol.n == 228
         assert sol.n_real == pytest.approx(227.19947990137166, rel=1e-9)
 
     def test_csi_monotone_in_payload(self):
-        gamma = CSI_SPEC.gamma
         ns = [
-            solve_blocklength_fading_csi(0.1, 0.02, j, gamma, 20).n
+            solve_blocklength(CSI_SPEC, 0.1, 0.02, j).n
             for j in (50.0, 100.0, 400.0, 1600.0)
         ]
         assert all(a < b for a, b in zip(ns, ns[1:]))
@@ -142,26 +163,34 @@ class TestFadingSolvers:
             j_bits = rng.uniform(10.0, 3000.0)
             gamma = 10 ** rng.uniform(-1.0, 1.5)
             coherence = int(rng.choice([5, 10, 20, 50]))
-            sol = solve_blocklength_fading_csi(beta_t, beta_s, j_bits, gamma, coherence)
+            spec = spec_at(ChannelFamily.FADING_CSI, gamma, coherence)
+            sol = solve_blocklength(spec, beta_t, beta_s, j_bits)
             exact = epsilon_fading_csi(sol.n, gamma, j_bits, coherence)
             assert exact <= sol.eps_target * (1 + 1e-9)
 
     def test_nocsi_excludes_half(self):
         with pytest.raises(EpsilonOutOfRange):
-            solve_blocklength_fading_nocsi(0.55, 0.1, 100.0, NOCSI_SPEC.gamma, 20)
+            solve_blocklength(NOCSI_SPEC, 0.55, 0.1, 100.0)
+        # The bound is strict, with no slack: a target of exactly 1/2, or
+        # exactly the cap, is refused although AWGN accepts both.
+        assert decoding_error_target(0.5, 0.0) == 0.5
+        assert solve_blocklength(WIDEBAND_SPEC, 0.5, 0.0, 100.0).eps_target == 0.5
+        with pytest.raises(EpsilonOutOfRange):
+            solve_blocklength(NOCSI_SPEC, 0.5, 0.0, 100.0)
+        assert solve_blocklength(WIDEBAND_SPEC, 0.25, 0.0, 100.0, eps_cap=0.25).n > 0
+        with pytest.raises(EpsilonOutOfRange):
+            solve_blocklength(NOCSI_SPEC, 0.25, 0.0, 100.0, eps_cap=0.25)
 
     def test_nocsi_fixture(self):
         bf = BudgetFn(Scheme.SLQ, 1000, 70, 1e-5)
-        sol = solve_blocklength_fading_nocsi(
-            0.05, 0.02, bf.bits_real(0.02), NOCSI_SPEC.gamma, 20
-        )
+        sol = solve_blocklength(NOCSI_SPEC, 0.05, 0.02, bf.bits_real(0.02))
         assert sol.n == 157
         assert sol.n_real == pytest.approx(156.87228326554418, rel=1e-9)
 
     def test_nocsi_rejects_low_snr(self):
         # The high-SNR information term goes negative at moderate SNR.
         with pytest.raises(NoFeasibleN):
-            solve_blocklength_fading_nocsi(0.1, 0.02, 100.0, 0.2, 20)
+            solve_blocklength(spec_at(ChannelFamily.FADING_NOCSI, 0.2, 20), 0.1, 0.02, 100.0)
 
     def test_nocsi_conservative_on_random_grid(self):
         rng = np.random.default_rng(34)
@@ -174,18 +203,11 @@ class TestFadingSolvers:
             j_bits = rng.uniform(10.0, 3000.0)
             gamma = 10 ** rng.uniform(1.0, 2.5)
             coherence = int(rng.choice([5, 10, 20, 50]))
-            sol = solve_blocklength_fading_nocsi(beta_t, beta_s, j_bits, gamma, coherence)
+            spec = spec_at(ChannelFamily.FADING_NOCSI, gamma, coherence)
+            sol = solve_blocklength(spec, beta_t, beta_s, j_bits)
             exact = epsilon_fading_nocsi(sol.n, gamma, j_bits, coherence)
             assert exact <= sol.eps_target * (1 + 1e-9)
             done += 1
-
-    def test_alternate_denominator_mode_differs(self):
-        gamma = CSI_SPEC.gamma
-        normal = solve_blocklength_fading_csi(0.1, 0.02, 200.0, gamma, 20)
-        strict = solve_blocklength_fading_csi(
-            0.1, 0.02, 200.0, gamma, 20, awgn_denominator=True
-        )
-        assert strict.n != normal.n
 
 
 class TestSweeps:
@@ -231,14 +253,6 @@ class TestSweeps:
             recombined = (1 - pt.eps_target) * pt.beta_s + pt.eps_target
             assert recombined == pytest.approx(pt.beta_t, abs=1e-12)
             assert pt.beta_s < pt.beta_t
-
-    def test_jobs_do_not_change_results(self):
-        bf = BudgetFn(Scheme.SLQ, 30, 6, 1e-5)
-        serial = sweep_beta_s(0.1, bf, WIDEBAND_SPEC, grid_points=64, jobs=1)
-        parallel = sweep_beta_s(0.1, bf, WIDEBAND_SPEC, grid_points=64, jobs=4)
-        assert [(p.beta_s, p.n, p.latency_s) for p in serial.points] == [
-            (p.beta_s, p.n, p.latency_s) for p in parallel.points
-        ]
 
     def test_grid_modes(self):
         bf = BudgetFn(Scheme.LQ, 10)
