@@ -2,7 +2,9 @@
 
 Each budget has two forms: the real-valued bound, consumed by the latency
 optimizer as a smooth function of the source distortion, and the
-implementable integer number of bits, consumed by the codecs.
+implementable integer number of bits, consumed by the codecs. The real
+bound also takes an array of source distortions, so that the optimizer
+computes it once for a whole grid.
 """
 
 from __future__ import annotations
@@ -11,12 +13,15 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .codec import composition_count_bits, log2_comb, subset_count_bits
 from .errors import BetaNotAboveDelta, DomainError
 
 # Relative slack for snapping float ratios that land a few ulps above an
 # integer before taking the ceiling.
 _CEIL_GUARD = 1e-12
+
 
 
 class Scheme(Enum):
@@ -32,16 +37,65 @@ def _guarded_ceil(x: float) -> int:
     return math.ceil(x)
 
 
-def _check_beta(beta_s: float):
-    if not 0.0 < beta_s < 1.0:
+def _per_element(fn, x: np.ndarray) -> np.ndarray:
+    """fn applied to every element of x, as float64.
+
+    The array forms of the budgets and of the exact error models call
+    math.log2 and math.lgamma this way: numpy's log2 differs from math.log2
+    in the last bit for some inputs, and scipy's gammaln from math.lgamma,
+    so they would not reproduce the scalar formulas bit for bit.
+    """
+    return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+
+def _guarded_ceil_array(x: np.ndarray) -> np.ndarray:
+    """_guarded_ceil per element, as integer-valued floats."""
+    nearest = np.rint(x)
+    snap = np.abs(x - nearest) <= _CEIL_GUARD * np.maximum(1.0, np.abs(x))
+    return np.where(snap, nearest, np.ceil(x))
+
+
+def _holds(cond) -> bool:
+    """A bool, or whether it holds for every element of an array.
+
+    Scalars skip numpy: the simulator resolves its budget once per trial.
+    """
+    return cond if isinstance(cond, bool) else bool(cond.all())
+
+
+def _check_beta(beta_s):
+    if not _holds((0.0 < beta_s) & (beta_s < 1.0)):
         raise DomainError(f"source distortion must be in (0, 1), got {beta_s}")
 
 
+def _check_lq(k: int, beta_s):
+    if k < 1:
+        raise DomainError(f"need k >= 1, got {k}")
+    _check_beta(beta_s)
+
+
+def _check_slq(k: int, k_top: int, delta: float, beta_s):
+    if not 1 <= k_top <= k:
+        raise DomainError(f"need 1 <= k_top <= k, got k_top={k_top}, k={k}")
+    if not 0.0 <= delta < 1.0:
+        raise DomainError(f"tail mass must be in [0, 1), got {delta}")
+    _check_beta(beta_s)
+    if not _holds(beta_s > delta):
+        raise BetaNotAboveDelta(
+            f"source distortion {beta_s} must exceed tail mass {delta}"
+        )
+
+
 def budget_uq(k: int, beta_s: float) -> float:
-    """Bits sufficient for uniform quantization: 2k*log2(k/beta_s)."""
+    """Bits sufficient for uniform quantization: 2k*log2(k/beta_s).
+
+    An array of beta_s gives an array.
+    """
     if k < 2:
         raise DomainError(f"uniform budget needs k >= 2, got {k}")
     _check_beta(beta_s)
+    if isinstance(beta_s, np.ndarray):
+        return 2.0 * k * _per_element(math.log2, k / beta_s)
     return 2.0 * k * math.log2(k / beta_s)
 
 
@@ -68,9 +122,7 @@ def lattice_denominator(parts: int, beta: float) -> int:
 
 def budget_lq(k: int, beta_s: float) -> tuple[int, int]:
     """Lattice denominator and integer bits sufficient for lattice quantization."""
-    if k < 1:
-        raise DomainError(f"need k >= 1, got {k}")
-    _check_beta(beta_s)
+    _check_lq(k, beta_s)
     ell = lattice_denominator(k, beta_s)
     return ell, composition_count_bits(k, ell)
 
@@ -81,18 +133,23 @@ def budget_slq(k: int, k_top: int, delta: float, beta_s: float) -> tuple[int, in
     ``delta`` is the assumed mass of the discarded entries; the scheme is
     only defined for beta_s > delta.
     """
-    if not 1 <= k_top <= k:
-        raise DomainError(f"need 1 <= k_top <= k, got k_top={k_top}, k={k}")
-    if not 0.0 <= delta < 1.0:
-        raise DomainError(f"tail mass must be in [0, 1), got {delta}")
-    _check_beta(beta_s)
-    if beta_s <= delta:
-        raise BetaNotAboveDelta(
-            f"source distortion {beta_s} must exceed tail mass {delta}"
-        )
+    _check_slq(k, k_top, delta, beta_s)
     ell = lattice_denominator(k_top, beta_s - delta)
     bits = subset_count_bits(k, k_top) + composition_count_bits(k_top, ell)
     return ell, bits
+
+
+def _log2_lattice_size(parts: int, beta: np.ndarray) -> np.ndarray:
+    """log2_comb(ell + parts - 1, parts - 1) at ell = lattice_denominator(parts, beta).
+
+    Elementwise over an array of beta. ell is an integer-valued float, and
+    ell + parts and ell + 1 are each rounded once, as math.lgamma rounds the
+    exact integer sums that log2_comb passes it.
+    """
+    ell = np.maximum(1.0, _guarded_ceil_array(parts / (4.0 * beta)))
+    lg_top = _per_element(math.lgamma, ell + parts)
+    lg_ell = _per_element(math.lgamma, ell + 1.0)
+    return (lg_top - math.lgamma(parts) - lg_ell) / math.log(2)
 
 
 @dataclass(frozen=True)
@@ -139,13 +196,21 @@ class BudgetFn:
             return budget_lq(self.k, beta_s)[1]
         return budget_slq(self.k, self.k_top, self.delta, beta_s)[1]
 
-    def bits_real(self, beta_s: float) -> float:
+    def bits_real(self, beta_s):
+        """Smooth bit bound at beta_s; an array of beta_s gives an array.
+
+        A float gets a float, equal to the scheme's scalar formula. The
+        domain checks hold for every element.
+        """
+        bs = np.asarray(beta_s, dtype=float)
         if self.scheme is Scheme.UQ:
-            return budget_uq(self.k, beta_s)
-        if self.scheme is Scheme.LQ:
-            ell, _ = budget_lq(self.k, beta_s)
-            return log2_comb(ell + self.k - 1, self.k - 1)
-        ell, _ = budget_slq(self.k, self.k_top, self.delta, beta_s)
-        return log2_comb(self.k, self.k_top) + log2_comb(
-            ell + self.k_top - 1, self.k_top - 1
-        )
+            bits = budget_uq(self.k, bs)
+        elif self.scheme is Scheme.LQ:
+            _check_lq(self.k, bs)
+            bits = _log2_lattice_size(self.k, bs)
+        else:
+            _check_slq(self.k, self.k_top, self.delta, bs)
+            bits = log2_comb(self.k, self.k_top) + _log2_lattice_size(
+                self.k_top, bs - self.delta
+            )
+        return bits if bs.ndim else float(bits)

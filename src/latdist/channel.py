@@ -36,7 +36,10 @@ class ChannelFamily(Enum):
 
 
 def db_to_linear(db: float) -> float:
-    return 10.0 ** (db / 10.0)
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        raise DomainError(f"{db} dB overflows a linear ratio") from None
 
 
 def linear_to_db(x: float) -> float:
@@ -87,15 +90,17 @@ def operational_snr(spec: ChannelSpec) -> float:
 
 
 def q_func(x: float) -> float:
-    """Complementary CDF of the standard Gaussian."""
-    return float(ndtr(-x))
+    """Complementary CDF of the standard Gaussian; elementwise on an array."""
+    q = ndtr(-x)
+    return q if isinstance(x, np.ndarray) else float(q)
 
 
 def q_inv(p: float) -> float:
-    """Inverse of q_func on (0, 1)."""
-    if not 0.0 < p < 1.0:
+    """Inverse of q_func on (0, 1); elementwise on an array."""
+    if not np.all((0.0 < p) & (p < 1.0)):
         raise DomainError(f"q_inv needs p in (0, 1), got {p}")
-    return float(-ndtri(p))
+    q = -ndtri(p)
+    return q if isinstance(p, np.ndarray) else float(q)
 
 
 class AwgnCoefficients(NamedTuple):

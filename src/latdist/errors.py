@@ -9,6 +9,10 @@ class NegativeEntry(LatdistError, ValueError):
     """A probability entry is negative."""
 
 
+class NonFiniteEntry(LatdistError, ValueError):
+    """A probability vector has a NaN or infinite entry, or a sum that overflows."""
+
+
 class ZeroMass(LatdistError, ValueError):
     """A vector that must be normalized sums to zero."""
 

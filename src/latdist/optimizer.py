@@ -17,35 +17,39 @@ and dispersion per coherence block of F channel uses):
     fading-nocsi   I     F * V_b     J * F * ln 2
 
 A sweep over beta_s locates the split that minimizes latency n / (2B).
+
+The solver works on arrays. A sweep computes the bit budget J for its whole
+beta_s grid in one call, then builds a mask of the points the solver admits
+(the error target inside its range, a positive payload and a positive
+rate) in place of per-point exceptions, and solves every admitted point in
+one numpy pass: Q^-1 of the whole eps column, the root, the guarded ceiling
+and, with ``refine``, a bisection over the array of n in which each point
+keeps its own [lo, hi]. Points outside the mask stay in the curve as
+infeasible. ``solve_blocklength`` runs the same pass on one point, after the
+checks that give each kind of failure its own exception.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .budget import BudgetFn
+from .budget import BudgetFn, _per_element
 from .channel import (
     LN_2,
     ChannelFamily,
     ChannelSpec,
     awgn_coeffs,
-    epsilon_awgn,
-    epsilon_fading_csi,
-    epsilon_fading_nocsi,
     fading_csi_coeffs,
     fading_nocsi_coeffs,
+    q_func,
     q_inv,
 )
-from .errors import (
-    BetaNotAboveDelta,
-    DomainError,
-    EpsilonOutOfRange,
-    NoFeasibleN,
-)
+from .errors import DomainError, EpsilonOutOfRange, NoFeasibleN
 
 DEFAULT_EPS_CAP = 0.5
 DEFAULT_GRID_POINTS = 1000
@@ -54,14 +58,10 @@ DEFAULT_GRID_POINTS = 1000
 # so budget splits that land on the cap up to float rounding still solve.
 _CAP_SLACK = 1e-9
 
-# The solver runs once per grid point, and on Python 3.11 each enum member
-# lookup such as ChannelFamily.AWGN costs about 0.1 us; it compares against
-# these instead.
-_AWGN, _CSI, _NOCSI = (
-    ChannelFamily.AWGN,
-    ChannelFamily.FADING_CSI,
-    ChannelFamily.FADING_NOCSI,
-)
+# The refine adds two blocklengths, and floats count exactly only below
+# 2**53. From here on it bisects over Python ints instead, as the scalar
+# error models see them.
+_FLOAT_INT_LIMIT = 2.0**52
 
 
 def decoding_error_target(beta_t: float, beta_s: float) -> float:
@@ -79,57 +79,103 @@ class BlocklengthSolution(NamedTuple):
     eps_target: float
 
 
-def _solve_root(r: float, rate: float, payload: float) -> float:
-    """Positive root of n*rate - sqrt(n)*r - payload = 0, returned as sqrt(n)."""
-    return (r + math.sqrt(r * r + 4.0 * rate * payload)) / (2.0 * rate)
+class _Row(NamedTuple):
+    """One family's coefficients, in the order the scalar error models use them.
 
-
-def _ceil_n(root: float) -> int:
-    # The guard only absorbs float noise from the root arithmetic (a few
-    # ulps), so exact-integer solutions do not get bumped up a step.
-    n_real = root * root
-    n = math.ceil(n_real - 1e-12 * max(1.0, n_real))
-    return max(1, n)
-
-
-def _refine(
-    n: int, eps_target: float, exact_eps, gamma: float, j_bits: float, coherence: int | None
-) -> int:
-    """Smallest blocklength in [1, n] whose exact error stays within target.
-
-    Relies on the error model decreasing in n, which holds for positive
-    payloads on all three families.
+    Closed form: dispersion = uses * v and payload = J * fold * unit. Exact
+    error: Q((n * rate - payload [+ log2(n) / 2]) / sqrt(n * uses * v)),
+    the bracketed term on AWGN only.
     """
-    lo, hi = 1, n
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if exact_eps(mid, gamma, j_bits, coherence) <= eps_target:
-            hi = mid
-        else:
-            lo = mid + 1
+
+    rate: float
+    uses: int  # channel uses per dispersion term: F on fading, 1 on AWGN
+    v: float
+    fold: int  # F on no-CSI, whose payload counts per coherence block; else 1
+    unit: float  # LN_2 on the fading models, which work in nats; 1.0 on AWGN
+    awgn: bool
+
+    def payload(self, j_bits):
+        return j_bits * self.fold * self.unit
+
+
+def _family_row(spec: ChannelSpec) -> _Row:
+    gamma, f = spec.gamma, spec.coherence
+    if spec.family is ChannelFamily.AWGN:
+        c, v = awgn_coeffs(gamma)
+        return _Row(c, 1, v, 1, 1.0, True)
+    if spec.family is ChannelFamily.FADING_CSI:
+        c, v = fading_csi_coeffs(gamma, f)
+        return _Row(c, f, v, 1, LN_2, False)
+    info, disp = fading_nocsi_coeffs(gamma, f)
+    return _Row(info, f, disp, f, LN_2, False)
+
+
+def _admitted(family: ChannelFamily, eps, eps_cap: float):
+    """Whether the solver takes these error targets; elementwise on arrays.
+
+    The no-CSI model needs the target strictly inside (0, 1/2); it is not
+    defined at or beyond one half.
+    """
+    if family is ChannelFamily.FADING_NOCSI:
+        return (0.0 < eps) & (eps < min(eps_cap, 0.5))
+    return (0.0 < eps) & (eps <= eps_cap * (1.0 + _CAP_SLACK))
+
+
+def _exact_eps(row: _Row, n: np.ndarray, payload: np.ndarray) -> np.ndarray:
+    """The family's exact error model at each blocklength in n.
+
+    Equal bit for bit to the channel module's epsilon_* function of the
+    family, which the refine's minimality is stated against.
+    """
+    margin = np.asarray(n * row.rate, dtype=float) - payload
+    if row.awgn:
+        margin = margin + 0.5 * _per_element(math.log2, n)
+    return q_func(margin / np.sqrt(np.asarray(n * row.uses * row.v, dtype=float)))
+
+
+def _refine(row: _Row, n: np.ndarray, eps: np.ndarray, payload: np.ndarray) -> np.ndarray:
+    """Smallest blocklength in [1, n] whose exact error stays within target, per point.
+
+    A bisection over the whole array: every point keeps its own [lo, hi] and
+    steps as a scalar bisection from [1, n] would. Relies on the error model
+    decreasing in n, which holds for positive payloads on all three families.
+    """
+    hi = n.copy()
+    if not hi.max() < _FLOAT_INT_LIMIT:  # also NaN, which int() refuses as math.ceil does
+        hi = np.array([int(x) for x in hi.tolist()], dtype=object)
+    lo = np.ones_like(hi)
+    live = np.flatnonzero(lo < hi)
+    while live.size:
+        a, b = lo[live], hi[live]
+        mid = (a + b) // 2
+        ok = _exact_eps(row, mid, payload[live]) <= eps[live]
+        hi[live] = np.where(ok, mid, b)
+        lo[live] = np.where(ok, a, mid + 1)
+        live = live[lo[live] < hi[live]]
     return lo
 
 
-def _epsilon_awgn(n: int, gamma: float, j_bits: float, coherence: None) -> float:
-    """epsilon_awgn with the fading models' signature; AWGN has no coherence."""
-    return epsilon_awgn(n, gamma, j_bits)
+def _solve(
+    row: _Row, q: np.ndarray, eps: np.ndarray, j_bits: np.ndarray, refine: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """Blocklengths n and their real roots for admitted points with Q^-1(eps) = q.
 
-
-def _family_row(spec: ChannelSpec, j_bits: float) -> tuple:
-    """The family's rate, dispersion, payload and exact error model.
-
-    The error model takes (n, gamma, j_bits, coherence) on every family, so
-    that the solver calls it without building a closure per solve.
+    n holds integer-valued floats, or Python ints when a refined n is too
+    large for floats to count exactly.
     """
-    gamma, f = spec.gamma, spec.coherence
-    if spec.family is _AWGN:
-        c, v = awgn_coeffs(gamma)
-        return c, v, j_bits, _epsilon_awgn
-    if spec.family is _CSI:
-        c, v = fading_csi_coeffs(gamma, f)
-        return c, f * v, j_bits * LN_2, epsilon_fading_csi
-    info, disp = fading_nocsi_coeffs(gamma, f)
-    return info, f * disp, j_bits * f * LN_2, epsilon_fading_nocsi
+    payload = row.payload(j_bits)
+    # An infinite or NaN n fails when it becomes an int, as math.ceil does.
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = np.sqrt(row.uses * row.v) * q
+        # Positive root of n*rate - sqrt(n)*r - payload = 0, as sqrt(n).
+        root = (r + np.sqrt(r * r + 4.0 * row.rate * payload)) / (2.0 * row.rate)
+        n_real = root * root
+        # The guard only absorbs float noise from the root arithmetic (a few
+        # ulps), so exact-integer solutions do not get bumped up a step.
+        n = np.maximum(1.0, np.ceil(n_real - 1e-12 * np.maximum(1.0, n_real)))
+    if refine:
+        n = _refine(row, n, eps, payload)
+    return n, n_real
 
 
 def solve_blocklength(
@@ -146,29 +192,25 @@ def solve_blocklength(
     The closed form inverts each error model exactly, except that it drops
     the AWGN model's (1/2)log2(n) bonus term, so the exact error at the
     returned n is at most the target on every family. With ``refine`` the
-    integer blocklength is shrunk while that still holds. The no-CSI model
-    needs the target strictly inside (0, 1/2); it is not defined at or
-    beyond one half.
+    integer blocklength is shrunk while that still holds.
     """
     eps = decoding_error_target(beta_t, beta_s)
-    if spec.family is _NOCSI:
-        if not 0.0 < eps < min(eps_cap, 0.5):
+    if not _admitted(spec.family, eps, eps_cap):
+        if spec.family is ChannelFamily.FADING_NOCSI:
             raise EpsilonOutOfRange(f"error target {eps} outside (0, {min(eps_cap, 0.5)})")
-    elif not 0.0 < eps <= eps_cap * (1.0 + _CAP_SLACK):
         raise EpsilonOutOfRange(f"error target {eps} outside (0, {eps_cap}]")
     if j_bits <= 0:
         raise DomainError(f"payload must be positive, got {j_bits}")
-    rate, dispersion, payload, exact_eps = _family_row(spec, j_bits)
-    if rate <= 0:
+    row = _family_row(spec)
+    if row.rate <= 0:
         raise NoFeasibleN(
-            f"block information {rate} is not positive at SNR {spec.gamma}; "
+            f"block information {row.rate} is not positive at SNR {spec.gamma}; "
             "the high-SNR model does not apply"
         )
-    root = _solve_root(math.sqrt(dispersion) * q_inv(eps), rate, payload)
-    n = _ceil_n(root)
-    if refine:
-        n = _refine(n, eps, exact_eps, spec.gamma, j_bits, spec.coherence)
-    return BlocklengthSolution(n, root * root, eps)
+    n, n_real = _solve(
+        row, np.array([q_inv(eps)]), np.array([eps]), np.array([j_bits]), refine
+    )
+    return BlocklengthSolution(int(n[0]), float(n_real[0]), eps)
 
 
 @dataclass
@@ -218,29 +260,6 @@ def beta_s_grid(
     raise DomainError(f"unknown grid mode {grid_mode!r}")
 
 
-def _evaluate_point(
-    spec: ChannelSpec,
-    budget: BudgetFn,
-    beta_t: float,
-    beta_s: float,
-    eps_cap: float,
-    refine: bool,
-) -> TradeoffPoint:
-    try:
-        j_bits = budget.bits_real(beta_s)
-        sol = solve_blocklength(
-            spec, beta_t, beta_s, j_bits, eps_cap=eps_cap, refine=refine
-        )
-    except (EpsilonOutOfRange, NoFeasibleN, BetaNotAboveDelta, DomainError):
-        return TradeoffPoint(
-            beta_t, beta_s, math.nan, math.nan, 0, math.nan, math.inf, feasible=False
-        )
-    latency = sol.n / (2.0 * spec.bandwidth_hz)
-    return TradeoffPoint(
-        beta_t, beta_s, sol.eps_target, j_bits, sol.n, sol.n_real, latency
-    )
-
-
 def sweep_beta_s(
     beta_t: float,
     budget: BudgetFn,
@@ -258,14 +277,53 @@ def sweep_beta_s(
     feasible.
     """
     grid = beta_s_grid(beta_t, budget, grid_points, grid_mode)
-    points = [
-        _evaluate_point(spec, budget, beta_t, float(bs), eps_cap, refine)
-        for bs in grid
-    ]
-    feasible = [pt for pt in points if pt.feasible]
-    if not feasible:
+    size = grid.size
+    eps = np.full(size, math.nan)
+    j_bits = np.full(size, math.nan)
+    # The domains of the budget and of decoding_error_target.
+    ok = (budget.lower_edge < grid) & (grid < 1.0) & (grid < beta_t) & (beta_t <= 1.0)
+    if ok.any():
+        try:
+            j_bits[ok] = budget.bits_real(grid[ok])
+        except DomainError:
+            # The budget has no admissible point at all, such as UQ with k < 2.
+            ok[:] = False
+        eps[ok] = (beta_t - grid[ok]) / (1.0 - grid[ok])
+        # eps < 1 is the domain of Q^-1.
+        ok &= (j_bits > 0.0) & _admitted(spec.family, eps, eps_cap) & (eps < 1.0)
+    n = np.zeros(size)
+    n_real = np.full(size, math.nan)
+    if ok.any():
+        row = _family_row(spec)
+        if row.rate > 0:
+            solved, n_real[ok] = _solve(row, q_inv(eps[ok]), eps[ok], j_bits[ok], refine)
+            n = n.astype(solved.dtype)  # object when the refine counted in Python ints
+            n[ok] = solved
+        else:
+            ok[:] = False
+    if not ok.any():
         raise NoFeasibleN(f"no feasible operating point for beta_t={beta_t}")
-    best = min(feasible, key=lambda pt: (pt.latency_s, pt.beta_s))
+    eps[~ok] = math.nan
+    j_bits[~ok] = math.nan
+    latency = np.where(ok, n / (2.0 * spec.bandwidth_hz), math.inf)
+    # Python ints; int() raises on an infinite or NaN n, as math.ceil does.
+    n_int = n.astype(np.int64).tolist() if n.max() < 2.0**63 else [int(x) for x in n.tolist()]
+    points = list(
+        map(
+            TradeoffPoint,
+            repeat(beta_t, size),
+            grid.tolist(),
+            eps.tolist(),
+            j_bits.tolist(),
+            n_int,
+            n_real.tolist(),
+            latency.tolist(),
+            ok.tolist(),
+        )
+    )
+    # The first point of least latency, ties to the smaller beta_s.
+    fastest = np.flatnonzero(ok & (latency == latency[ok].min()))
+    best = points[fastest[np.argmin(grid[fastest])]]
     return TradeoffCurve(points, best=best)
 
 

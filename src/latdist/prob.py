@@ -16,6 +16,7 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     NegativeEntry,
+    NonFiniteEntry,
     NotNormalized,
     SupportMismatch,
     ZeroMass,
@@ -42,6 +43,10 @@ class ProbVector:
         if np.any(values < 0):
             raise NegativeEntry(f"negative entries in {values!r}")
         total = float(values.sum())
+        # NaN entries pass the sign check and the sum tolerance, so the sum
+        # catches them, with infinities, at no extra pass.
+        if not math.isfinite(total):
+            raise NonFiniteEntry(f"entries must be finite with a finite sum, got {values!r}")
         if total == 0.0:
             raise ZeroMass("entries sum to zero")
         if not normalize and abs(total - 1.0) > SUM_TOLERANCE:

@@ -12,6 +12,7 @@ from latdist.budget import (
     budget_uq_tight,
     uq_bits_per_entry,
 )
+from latdist.codec import log2_comb
 from latdist.errors import BetaNotAboveDelta, DomainError
 
 
@@ -126,3 +127,62 @@ class TestBudgetFn:
         fn = BudgetFn(Scheme.LQ, 20)
         assert fn.ell(0.1) == budget_lq(20, 0.1)[0]
         assert BudgetFn(Scheme.UQ, 20).ell(0.1) is None
+
+
+# Source distortions at which numpy's log2 of 100 / beta_s differs from
+# math.log2 in the last bit (numpy 2.4 on an AVX-512 x86-64 CPU, where numpy
+# has its own log2 kernel). The array budget must call math.log2 per element to match the
+# scalar formula there.
+LOG2_SENSITIVE = [0.5768634782581971, 0.021987443946893337, 0.3482367884655326, 0.450484970265813]
+
+
+def scalar_bits_real(fn, beta_s):
+    """The smooth budget from the scalar formulas, one beta_s at a time."""
+    if fn.scheme is Scheme.UQ:
+        return 2.0 * fn.k * math.log2(fn.k / beta_s)
+    if fn.scheme is Scheme.LQ:
+        ell, _ = budget_lq(fn.k, beta_s)
+        return log2_comb(ell + fn.k - 1, fn.k - 1)
+    ell, _ = budget_slq(fn.k, fn.k_top, fn.delta, beta_s)
+    return log2_comb(fn.k, fn.k_top) + log2_comb(ell + fn.k_top - 1, fn.k_top - 1)
+
+
+class TestArrayBitsReal:
+    FNS = [
+        BudgetFn(Scheme.UQ, 100),
+        BudgetFn(Scheme.LQ, 100),
+        BudgetFn(Scheme.SLQ, 1000, 10, 1e-5),
+        BudgetFn(Scheme.LQ, 1),
+        BudgetFn(Scheme.SLQ, 7, 7, 0.0),
+    ]
+
+    @pytest.mark.parametrize("fn", FNS, ids=["uq", "lq", "slq", "lq-k1", "slq-full"])
+    def test_equals_scalar_formulas_bit_for_bit(self, fn):
+        rng = np.random.default_rng(92)
+        beta_s = np.concatenate([
+            LOG2_SENSITIVE,
+            rng.uniform(fn.lower_edge + 1e-9, 0.999, 4000),
+            np.geomspace(fn.lower_edge + 1e-9, 0.999, 500),
+        ])
+        expected = [scalar_bits_real(fn, b) for b in beta_s.tolist()]
+        got = fn.bits_real(beta_s)
+        assert isinstance(got, np.ndarray) and got.shape == beta_s.shape
+        assert got.tolist() == expected
+        scalars = [fn.bits_real(b) for b in beta_s[:200].tolist()]
+        assert scalars == expected[:200]
+        assert all(type(x) is float for x in scalars)
+
+    def test_keeps_array_shape(self):
+        fn = BudgetFn(Scheme.LQ, 20)
+        grid = np.geomspace(1e-3, 0.5, 12).reshape(3, 4)
+        assert fn.bits_real(grid).tolist() == [[fn.bits_real(b) for b in row] for row in grid.tolist()]
+
+    def test_domain_checks_cover_every_element(self):
+        with pytest.raises(DomainError):
+            BudgetFn(Scheme.UQ, 10).bits_real(np.array([0.1, 1.5]))
+        with pytest.raises(DomainError):
+            BudgetFn(Scheme.LQ, 10).bits_real(np.array([0.1, np.nan]))
+        with pytest.raises(DomainError):
+            BudgetFn(Scheme.UQ, 1).bits_real(np.array([0.1]))
+        with pytest.raises(BetaNotAboveDelta):
+            BudgetFn(Scheme.SLQ, 10, 3, 0.01).bits_real(np.array([0.5, 0.01]))

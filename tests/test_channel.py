@@ -56,6 +56,15 @@ class TestGaussianTail:
         for bad in (0.0, 1.0, -0.1, 1.1):
             with pytest.raises(DomainError):
                 q_inv(bad)
+            with pytest.raises(DomainError):
+                q_inv(np.array([0.3, bad]))
+
+    def test_elementwise_on_arrays(self):
+        p = np.geomspace(1e-300, 0.999, 2000)
+        assert type(q_inv(0.3)) is float and type(q_func(0.3)) is float
+        q = q_inv(p)
+        assert q.tolist() == [q_inv(x) for x in p.tolist()]
+        assert q_func(q).tolist() == [q_func(x) for x in q.tolist()]
 
 
 class TestAwgn:

@@ -158,6 +158,16 @@ class TestHullCommand:
         assert code == 2 and out == ""
         assert "must be finite and positive" in err
 
+    def test_overflowing_snr_is_usage_error(self, capsys):
+        # 4000 dB overflows 10 ** (dB / 10); this used to print a traceback.
+        code, out, err = run(
+            ["hull", "--scheme", "lq", "-k", "10", "--gamma0-db", "4000",
+             "--b-hz", "1e5", "--beta-t", "0.1"],
+            capsys,
+        )
+        assert code == 2 and out == ""
+        assert "4000.0 dB overflows" in err
+
     def test_infeasible_exit_code(self, capsys):
         code, _, err = run(
             [
@@ -304,6 +314,15 @@ class TestStatsCommand:
         doc = json.loads(out)
         assert doc["recommended_k_top"] == 2
         assert doc["config"]["k"] == 3
+
+
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity"])
+    def test_non_finite_row_is_usage_error(self, tmp_path, capsys, bad):
+        path = tmp_path / "vectors.jsonl"
+        path.write_text(f"[0.5, 0.5]\n[{bad}, 1.0]\n")
+        code, out, err = run(["stats", "--input", str(path)], capsys)
+        assert code == 2 and out == ""
+        assert "must be finite" in err
 
 
 class TestConfigFile:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from latdist.channel import (
     epsilon_fading_csi,
     epsilon_fading_nocsi,
 )
+from latdist import optimizer
 from latdist.errors import DomainError, EpsilonOutOfRange, NoFeasibleN
 from latdist.optimizer import (
     decoding_error_target,
@@ -130,6 +132,117 @@ def test_refine_shrinks_but_stays_conservative(family):
         assert exact(refined.n, gamma, j_bits, f) <= plain.eps_target * (1 + 1e-9)
         if refined.n > 1:
             assert exact(refined.n - 1, gamma, j_bits, f) > plain.eps_target
+
+
+# family -> log10 SNR range of the minimality draws. The fading-CSI range
+# reaches down to SNRs where the no-CSI model, with its F/(5*gamma) term,
+# promises far lower errors than the CSI model, so a refine that used the
+# wrong family's model would stop below the minimal n.
+MINIMALITY_SNR = {
+    ChannelFamily.AWGN: (-2.0, 2.0),
+    ChannelFamily.FADING_CSI: (-2.5, 1.5),
+    ChannelFamily.FADING_NOCSI: (1.0, 2.5),
+}
+
+
+@pytest.mark.parametrize("family", list(ChannelFamily), ids=lambda f: f.value)
+def test_refined_sweep_is_minimal_under_the_family_model(family):
+    rng = np.random.default_rng(37)
+    exact = EXACT_EPSILON[family]
+    lo, hi = MINIMALITY_SNR[family]
+    budgets = [BudgetFn(Scheme.UQ, 20), BudgetFn(Scheme.LQ, 100), BudgetFn(Scheme.SLQ, 1000, 10, 1e-5)]
+    checked = 0
+    for draw in range(6):
+        gamma = 10 ** rng.uniform(lo, hi)
+        f = None if family is ChannelFamily.AWGN else int(rng.choice([5, 10, 20, 50]))
+        spec = spec_at(family, gamma, f)
+        beta_t = rng.uniform(0.02, 0.45)
+        curve = sweep_beta_s(beta_t, budgets[draw % 3], spec, grid_points=60, refine=True)
+        for pt in curve.points:
+            if not pt.feasible:
+                continue
+            assert exact(pt.n, gamma, pt.j_bits, f) <= pt.eps_target
+            if pt.n > 1:
+                assert exact(pt.n - 1, gamma, pt.j_bits, f) > pt.eps_target
+            checked += 1
+    assert checked > 300
+
+
+# Blocklengths at which numpy's log2 differs from math.log2 in the last bit
+# (numpy 2.4 on an AVX-512 x86-64 CPU); the AWGN model's log2(n)/2 term
+# must use math.log2 to match epsilon_awgn there.
+LOG2_SENSITIVE_N = [1621, 3242, 6484, 7957, 12968, 2102028]
+
+
+@pytest.mark.parametrize("family", list(ChannelFamily), ids=lambda f: f.value)
+def test_refine_error_model_is_the_public_one(family):
+    gamma, f = (30.0, None) if family is ChannelFamily.AWGN else (30.0, 20)
+    row = optimizer._family_row(spec_at(family, gamma, f))
+    n = np.array(LOG2_SENSITIVE_N + list(range(1, 3000, 7)), dtype=float)
+    # Payloads near capacity leave a small margin, so the last bit of the
+    # AWGN log2 term shows in the error; the rest cover both tails.
+    j_bits = np.concatenate([
+        n[: len(LOG2_SENSITIVE_N)] * row.rate / (row.fold * row.unit),
+        np.linspace(50.0, 5000.0, n.size - len(LOG2_SENSITIVE_N)),
+    ])
+    got = optimizer._exact_eps(row, n, row.payload(j_bits))
+    exact = EXACT_EPSILON[family]
+    expected = [exact(int(m), gamma, j, f) for m, j in zip(n.tolist(), j_bits.tolist())]
+    assert got.tolist() == expected
+
+
+def sweep_digest(curve):
+    h = hashlib.sha256()
+    for pt in curve.points:
+        fields = (pt.n, pt.n_real.hex(), pt.j_bits.hex(), pt.eps_target.hex(), pt.feasible)
+        h.update(repr(fields).encode())
+    h.update(curve.best.beta_s.hex().encode())
+    return h.hexdigest()
+
+
+PIN_SPECS = {"awgn": WIDEBAND_SPEC, "fading-csi": CSI_SPEC, "fading-nocsi": NOCSI_SPEC}
+PIN_CODERS = {
+    "uq": BudgetFn(Scheme.UQ, 100),
+    "lq": BudgetFn(Scheme.LQ, 100),
+    "slq": BudgetFn(Scheme.SLQ, 1000, 10, 1e-5),
+}
+# Digests of two 500-point sweeps (beta_t 0.05, and 0.6 whose small beta_s
+# are infeasible), computed with the per-point solver that the array sweep
+# replaced. The fading families' refine never moves n there.
+PINNED_SWEEPS = {
+    ("awgn", "uq", False): "2d151687692690bc41d0f07d1315aae7",
+    ("awgn", "uq", True): "ca6e779903ad0465276221a43af311a6",
+    ("awgn", "lq", False): "553111ba1a1726a9b3ac17a3fd7962f7",
+    ("awgn", "lq", True): "9d3fa8ad90bea5ed0b0bf9a3889d53e7",
+    ("awgn", "slq", False): "c421c5e8dd404e1c1c9fee5aaca12141",
+    ("awgn", "slq", True): "39cdfd6f6be98639c8f13662807b7d90",
+    ("fading-csi", "uq", False): "80881121a6ec43b22bd2ec9e3dc96dfe",
+    ("fading-csi", "uq", True): "80881121a6ec43b22bd2ec9e3dc96dfe",
+    ("fading-csi", "lq", False): "7aa2739b9b767933f1e4b43ce87522ca",
+    ("fading-csi", "lq", True): "7aa2739b9b767933f1e4b43ce87522ca",
+    ("fading-csi", "slq", False): "87b11d0d5d2ca22e6749aca2393c7081",
+    ("fading-csi", "slq", True): "87b11d0d5d2ca22e6749aca2393c7081",
+    ("fading-nocsi", "uq", False): "8f1f72574987f3dc3a015e8c4f73a9a4",
+    ("fading-nocsi", "uq", True): "8f1f72574987f3dc3a015e8c4f73a9a4",
+    ("fading-nocsi", "lq", False): "e9c4859fb52d14af4bdfdf0ba55c7874",
+    ("fading-nocsi", "lq", True): "e9c4859fb52d14af4bdfdf0ba55c7874",
+    ("fading-nocsi", "slq", False): "c4987de7abc9dbfefa9621e9ae1f8b91",
+    ("fading-nocsi", "slq", True): "c4987de7abc9dbfefa9621e9ae1f8b91",
+}
+
+
+@pytest.mark.parametrize(
+    "family, coder, refine", list(PINNED_SWEEPS), ids=lambda x: str(x).lower()
+)
+def test_sweep_is_pinned(family, coder, refine):
+    digests = [
+        sweep_digest(
+            sweep_beta_s(bt, PIN_CODERS[coder], PIN_SPECS[family], grid_points=500, refine=refine)
+        )
+        for bt in (0.05, 0.6)
+    ]
+    combined = hashlib.sha256("".join(digests).encode()).hexdigest()[:32]
+    assert combined == PINNED_SWEEPS[(family, coder, refine)]
 
 
 class TestFadingSolvers:

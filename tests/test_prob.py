@@ -6,6 +6,7 @@ import pytest
 from latdist.errors import (
     DimensionMismatch,
     NegativeEntry,
+    NonFiniteEntry,
     NotNormalized,
     SupportMismatch,
     ZeroMass,
@@ -41,6 +42,16 @@ class TestConstruction:
             make_prob_vector([1, -0.1])
         with pytest.raises(NegativeEntry):
             make_prob_vector([1, -0.1], normalize=True)
+
+    @pytest.mark.parametrize(
+        "raw", [[math.nan, 1.0], [0.5, math.nan, 0.5], [math.inf, 1.0], [1e308, 1e308]]
+    )
+    @pytest.mark.parametrize("normalize", [False, True])
+    @pytest.mark.filterwarnings("ignore:overflow encountered")  # numpy, on the last sum
+    def test_non_finite_rejected(self, raw, normalize):
+        # [nan, 1] used to pass every check and become [nan, nan].
+        with pytest.raises(NonFiniteEntry):
+            make_prob_vector(raw, normalize=normalize)
 
     def test_zero_mass_rejected(self):
         with pytest.raises(ZeroMass):
