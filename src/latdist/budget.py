@@ -16,12 +16,12 @@ from enum import Enum
 import numpy as np
 
 from .codec import composition_count_bits, log2_comb, subset_count_bits
+from .elementwise import brief, log2, to_int
 from .errors import BetaNotAboveDelta, DomainError
 
 # Relative slack for snapping float ratios that land a few ulps above an
 # integer before taking the ceiling.
 _CEIL_GUARD = 1e-12
-
 
 
 class Scheme(Enum):
@@ -30,79 +30,56 @@ class Scheme(Enum):
     SLQ = "slq"
 
 
-def _guarded_ceil(x: float) -> int:
-    nearest = round(x)
-    if abs(x - nearest) <= _CEIL_GUARD * max(1.0, abs(x)):
-        return int(nearest)
-    return math.ceil(x)
+def _guarded_ceil(x):
+    """Ceiling that snaps values a few ulps above an integer down to it.
 
-
-def _per_element(fn, x: np.ndarray) -> np.ndarray:
-    """fn applied to every element of x, as float64.
-
-    The array forms of the budgets and of the exact error models call
-    math.log2 and math.lgamma this way: numpy's log2 differs from math.log2
-    in the last bit for some inputs, and scipy's gammaln from math.lgamma,
-    so they would not reproduce the scalar formulas bit for bit.
+    Elementwise on an array, giving integers as ``elementwise.to_int`` does.
     """
-    return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
-
-
-def _guarded_ceil_array(x: np.ndarray) -> np.ndarray:
-    """_guarded_ceil per element, as integer-valued floats."""
     nearest = np.rint(x)
     snap = np.abs(x - nearest) <= _CEIL_GUARD * np.maximum(1.0, np.abs(x))
-    return np.where(snap, nearest, np.ceil(x))
+    return to_int(np.where(snap, nearest, np.ceil(x)))
 
 
-def _holds(cond) -> bool:
-    """A bool, or whether it holds for every element of an array.
-
-    Scalars skip numpy: the simulator resolves its budget once per trial.
-    """
-    return cond if isinstance(cond, bool) else bool(cond.all())
+def _check_uq(k: int):
+    if k < 2:
+        raise DomainError(f"uniform budget needs k >= 2, got {k}")
 
 
-def _check_beta(beta_s):
-    if not _holds((0.0 < beta_s) & (beta_s < 1.0)):
-        raise DomainError(f"source distortion must be in (0, 1), got {beta_s}")
-
-
-def _check_lq(k: int, beta_s):
+def _check_lq(k: int):
     if k < 1:
         raise DomainError(f"need k >= 1, got {k}")
-    _check_beta(beta_s)
 
 
-def _check_slq(k: int, k_top: int, delta: float, beta_s):
+def _check_slq(k: int, k_top: int, delta: float):
     if not 1 <= k_top <= k:
         raise DomainError(f"need 1 <= k_top <= k, got k_top={k_top}, k={k}")
     if not 0.0 <= delta < 1.0:
         raise DomainError(f"tail mass must be in [0, 1), got {delta}")
-    _check_beta(beta_s)
-    if not _holds(beta_s > delta):
+
+
+def _check_beta(beta_s, lower: float = 0.0):
+    """Source distortions in (0, 1), and above the tail mass ``lower``."""
+    if not np.all((0.0 < beta_s) & (beta_s < 1.0)):
+        raise DomainError(f"source distortion must be in (0, 1), got {brief(beta_s)}")
+    if not np.all(beta_s > lower):
         raise BetaNotAboveDelta(
-            f"source distortion {beta_s} must exceed tail mass {delta}"
+            f"source distortion {brief(beta_s)} must exceed tail mass {lower}"
         )
 
 
 def budget_uq(k: int, beta_s: float) -> float:
     """Bits sufficient for uniform quantization: 2k*log2(k/beta_s).
 
-    An array of beta_s gives an array.
+    Elementwise over an array of beta_s.
     """
-    if k < 2:
-        raise DomainError(f"uniform budget needs k >= 2, got {k}")
+    _check_uq(k)
     _check_beta(beta_s)
-    if isinstance(beta_s, np.ndarray):
-        return 2.0 * k * _per_element(math.log2, k / beta_s)
-    return 2.0 * k * math.log2(k / beta_s)
+    return 2.0 * k * log2(k / beta_s)
 
 
 def budget_uq_tight(k: int, beta_s: float) -> float:
     """Sharper sufficient uniform budget k*log2(k/(2a)), a = 2*beta_s/(k+1+beta_s)."""
-    if k < 2:
-        raise DomainError(f"uniform budget needs k >= 2, got {k}")
+    _check_uq(k)
     _check_beta(beta_s)
     alpha = 2.0 * beta_s / (k + 1 + beta_s)
     return k * math.log2(k / (2.0 * alpha))
@@ -114,16 +91,30 @@ def uq_bits_per_entry(k: int, beta_s: float) -> int:
 
 
 def lattice_denominator(parts: int, beta: float) -> int:
-    """Denominator ceil(parts / (4*beta)) that keeps lattice distortion under beta."""
-    if beta <= 0:
-        raise DomainError(f"distortion slack must be positive, got {beta}")
-    return max(1, _guarded_ceil(parts / (4.0 * beta)))
+    """Denominator ceil(parts / (4*beta)) that keeps lattice distortion under beta.
+
+    Elementwise over an array of beta.
+    """
+    if np.any(beta <= 0):
+        raise DomainError(f"distortion slack must be positive, got {brief(beta)}")
+    return _guarded_ceil(np.maximum(1.0, parts / (4.0 * beta)))
+
+
+def _lq_ell(k: int, beta_s):
+    _check_lq(k)
+    _check_beta(beta_s)
+    return lattice_denominator(k, beta_s)
+
+
+def _slq_ell(k: int, k_top: int, delta: float, beta_s):
+    _check_slq(k, k_top, delta)
+    _check_beta(beta_s, delta)
+    return lattice_denominator(k_top, beta_s - delta)
 
 
 def budget_lq(k: int, beta_s: float) -> tuple[int, int]:
     """Lattice denominator and integer bits sufficient for lattice quantization."""
-    _check_lq(k, beta_s)
-    ell = lattice_denominator(k, beta_s)
+    ell = _lq_ell(k, beta_s)
     return ell, composition_count_bits(k, ell)
 
 
@@ -133,23 +124,9 @@ def budget_slq(k: int, k_top: int, delta: float, beta_s: float) -> tuple[int, in
     ``delta`` is the assumed mass of the discarded entries; the scheme is
     only defined for beta_s > delta.
     """
-    _check_slq(k, k_top, delta, beta_s)
-    ell = lattice_denominator(k_top, beta_s - delta)
+    ell = _slq_ell(k, k_top, delta, beta_s)
     bits = subset_count_bits(k, k_top) + composition_count_bits(k_top, ell)
     return ell, bits
-
-
-def _log2_lattice_size(parts: int, beta: np.ndarray) -> np.ndarray:
-    """log2_comb(ell + parts - 1, parts - 1) at ell = lattice_denominator(parts, beta).
-
-    Elementwise over an array of beta. ell is an integer-valued float, and
-    ell + parts and ell + 1 are each rounded once, as math.lgamma rounds the
-    exact integer sums that log2_comb passes it.
-    """
-    ell = np.maximum(1.0, _guarded_ceil_array(parts / (4.0 * beta)))
-    lg_top = _per_element(math.lgamma, ell + parts)
-    lg_ell = _per_element(math.lgamma, ell + 1.0)
-    return (lg_top - math.lgamma(parts) - lg_ell) / math.log(2)
 
 
 @dataclass(frozen=True)
@@ -166,15 +143,14 @@ class BudgetFn:
     delta: float = 0.0
 
     def __post_init__(self):
-        if self.scheme is Scheme.SLQ:
+        if self.scheme is Scheme.UQ:
+            _check_uq(self.k)
+        elif self.scheme is Scheme.LQ:
+            _check_lq(self.k)
+        else:
             if self.k_top is None:
                 raise DomainError("sparse scheme needs k_top")
-            if not 1 <= self.k_top <= self.k:
-                raise DomainError(
-                    f"need 1 <= k_top <= k, got k_top={self.k_top}, k={self.k}"
-                )
-            if not 0.0 <= self.delta < 1.0:
-                raise DomainError(f"tail mass must be in [0, 1), got {self.delta}")
+            _check_slq(self.k, self.k_top, self.delta)
 
     @property
     def lower_edge(self) -> float:
@@ -182,12 +158,15 @@ class BudgetFn:
         return self.delta if self.scheme is Scheme.SLQ else 0.0
 
     def ell(self, beta_s: float) -> int | None:
-        """Lattice denominator at this operating point (None for UQ)."""
+        """Lattice denominator at this operating point (None for UQ).
+
+        Elementwise over an array of beta_s.
+        """
         if self.scheme is Scheme.UQ:
             return None
         if self.scheme is Scheme.LQ:
-            return budget_lq(self.k, beta_s)[0]
-        return budget_slq(self.k, self.k_top, self.delta, beta_s)[0]
+            return _lq_ell(self.k, beta_s)
+        return _slq_ell(self.k, self.k_top, self.delta, beta_s)
 
     def bits_int(self, beta_s: float) -> int:
         if self.scheme is Scheme.UQ:
@@ -196,21 +175,12 @@ class BudgetFn:
             return budget_lq(self.k, beta_s)[1]
         return budget_slq(self.k, self.k_top, self.delta, beta_s)[1]
 
-    def bits_real(self, beta_s):
-        """Smooth bit bound at beta_s; an array of beta_s gives an array.
-
-        A float gets a float, equal to the scheme's scalar formula. The
-        domain checks hold for every element.
-        """
-        bs = np.asarray(beta_s, dtype=float)
+    def bits_real(self, beta_s: float) -> float:
+        """Smooth bit bound at beta_s; elementwise over an array of beta_s."""
         if self.scheme is Scheme.UQ:
-            bits = budget_uq(self.k, bs)
-        elif self.scheme is Scheme.LQ:
-            _check_lq(self.k, bs)
-            bits = _log2_lattice_size(self.k, bs)
-        else:
-            _check_slq(self.k, self.k_top, self.delta, bs)
-            bits = log2_comb(self.k, self.k_top) + _log2_lattice_size(
-                self.k_top, bs - self.delta
-            )
-        return bits if bs.ndim else float(bits)
+            return budget_uq(self.k, beta_s)
+        parts = self.k if self.scheme is Scheme.LQ else self.k_top
+        lattice = log2_comb(self.ell(beta_s) + parts - 1, parts - 1)
+        if self.scheme is Scheme.LQ:
+            return lattice
+        return log2_comb(self.k, self.k_top) + lattice

@@ -19,6 +19,7 @@ import numpy as np
 from scipy import integrate
 from scipy.special import ndtr, ndtri
 
+from .elementwise import brief, log2
 from .errors import DomainError, QuadratureFailure
 
 LOG2_E = math.log2(math.e)
@@ -98,7 +99,7 @@ def q_func(x: float) -> float:
 def q_inv(p: float) -> float:
     """Inverse of q_func on (0, 1); elementwise on an array."""
     if not np.all((0.0 < p) & (p < 1.0)):
-        raise DomainError(f"q_inv needs p in (0, 1), got {p}")
+        raise DomainError(f"q_inv needs p in (0, 1), got {brief(p)}")
     q = -ndtri(p)
     return q if isinstance(p, np.ndarray) else float(q)
 
@@ -117,14 +118,33 @@ def awgn_coeffs(gamma: float) -> AwgnCoefficients:
     return AwgnCoefficients(capacity, dispersion)
 
 
+def _check_use(n, j_bits):
+    if np.any(n < 1):
+        raise DomainError(f"blocklength must be >= 1, got {brief(n)}")
+    if np.any(j_bits <= 0):
+        raise DomainError(f"payload must be positive, got {brief(j_bits)}")
+
+
+def _q_ratio(margin, scale):
+    """Q(margin / sqrt(scale)), elementwise.
+
+    Blocklengths too large for floats to count exactly come as Python ints
+    in an object array. Their products turn into floats only here, each
+    rounded once, as in the scalar form.
+    """
+    if isinstance(margin, np.ndarray) and margin.dtype == object:
+        margin, scale = margin.astype(float), scale.astype(float)
+    return q_func(margin / np.sqrt(scale))
+
+
 def epsilon_awgn(n: int, gamma: float, j_bits: float) -> float:
-    """Block error probability for sending j_bits over n AWGN channel uses."""
-    if n < 1:
-        raise DomainError(f"blocklength must be >= 1, got {n}")
-    if j_bits <= 0:
-        raise DomainError(f"payload must be positive, got {j_bits}")
+    """Block error probability for sending j_bits over n AWGN channel uses.
+
+    Elementwise over arrays of n and j_bits.
+    """
+    _check_use(n, j_bits)
     c, v = awgn_coeffs(gamma)
-    return q_func((n * c - j_bits + 0.5 * math.log2(n)) / math.sqrt(n * v))
+    return _q_ratio(n * c - j_bits + 0.5 * log2(n), n * v)
 
 
 def _exp_expectation(f: Callable[[float], float]) -> float:
@@ -163,13 +183,13 @@ def fading_csi_coeffs(gamma: float, coherence: int) -> FadingCsiCoefficients:
 
 
 def epsilon_fading_csi(n: int, gamma: float, j_bits: float, coherence: int) -> float:
-    """Block error probability with receiver CSI over a Rayleigh block-fading link."""
-    if n < 1:
-        raise DomainError(f"blocklength must be >= 1, got {n}")
-    if j_bits <= 0:
-        raise DomainError(f"payload must be positive, got {j_bits}")
+    """Block error probability with receiver CSI over a Rayleigh block-fading link.
+
+    Elementwise over arrays of n and j_bits.
+    """
+    _check_use(n, j_bits)
     c, v = fading_csi_coeffs(gamma, coherence)
-    return q_func((n * c - j_bits * LN_2) / math.sqrt(n * coherence * v))
+    return _q_ratio(n * c - j_bits * LN_2, n * coherence * v)
 
 
 class NoCsiCoefficients(NamedTuple):
@@ -200,13 +220,10 @@ def fading_nocsi_coeffs(gamma: float, coherence: int) -> NoCsiCoefficients:
 
 
 def epsilon_fading_nocsi(n: int, gamma: float, j_bits: float, coherence: int) -> float:
-    """Block error probability without CSI; the model is valid only where it lands in (0, 1/2)."""
-    if n < 1:
-        raise DomainError(f"blocklength must be >= 1, got {n}")
-    if j_bits <= 0:
-        raise DomainError(f"payload must be positive, got {j_bits}")
-    info, disp = fading_nocsi_coeffs(gamma, coherence)
-    return q_func(
-        (n * info - j_bits * coherence * LN_2) / math.sqrt(n * coherence * disp)
-    )
+    """Block error probability without CSI; the model is valid only where it lands in (0, 1/2).
 
+    Elementwise over arrays of n and j_bits.
+    """
+    _check_use(n, j_bits)
+    info, disp = fading_nocsi_coeffs(gamma, coherence)
+    return _q_ratio(n * info - j_bits * coherence * LN_2, n * coherence * disp)

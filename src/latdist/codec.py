@@ -55,6 +55,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
+import numpy as np
+
+from .elementwise import brief, lgamma
 from .errors import IndexOutOfRange, InvalidSubset, SumMismatch
 
 # Fractional distance from an integer below which the log-gamma bit count
@@ -173,10 +176,13 @@ def _ceil_log2_comb(n: int, r: int) -> int:
 
 
 def log2_comb(n: int, r: int) -> float:
-    """Real-valued log2(C(n, r)) from log-gamma, without big integers."""
-    if r < 0 or r > n:
-        raise ValueError(f"C({n}, {r}) undefined")
-    return (math.lgamma(n + 1) - math.lgamma(r + 1) - math.lgamma(n - r + 1)) / math.log(2)
+    """Real-valued log2(C(n, r)) from log-gamma, without big integers.
+
+    Elementwise over an integer array of n.
+    """
+    if r < 0 or np.any(r > n):
+        raise ValueError(f"C({brief(n)}, {r}) undefined")
+    return (lgamma(n + 1) - lgamma(r + 1) - lgamma(n - r + 1)) / math.log(2)
 
 
 @lru_cache(maxsize=_WIDTH_CACHE)

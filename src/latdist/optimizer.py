@@ -18,15 +18,16 @@ and dispersion per coherence block of F channel uses):
 
 A sweep over beta_s locates the split that minimizes latency n / (2B).
 
-The solver works on arrays. A sweep computes the bit budget J for its whole
-beta_s grid in one call, then builds a mask of the points the solver admits
-(the error target inside its range, a positive payload and a positive
-rate) in place of per-point exceptions, and solves every admitted point in
-one numpy pass: Q^-1 of the whole eps column, the root, the guarded ceiling
-and, with ``refine``, a bisection over the array of n in which each point
-keeps its own [lo, hi]. Points outside the mask stay in the curve as
-infeasible. ``solve_blocklength`` runs the same pass on one point, after the
-checks that give each kind of failure its own exception.
+The solver works on arrays. A sweep takes the error target and the bit
+budget J of its whole beta_s grid in one call each, masks the points whose
+target the solver admits and whose payload is positive, in place of
+per-point exceptions, and passes all of them to ``solve_blocklength`` at
+once. The solver then makes one numpy pass: Q^-1 of the whole eps column,
+the root, the guarded ceiling and, with ``refine``, a bisection over the
+array of n in which each point keeps its own [lo, hi] and the family's
+error model from ``channel`` is evaluated on all midpoints at once. Points
+outside the mask stay in the curve as infeasible. Inputs that no grid point
+can satisfy, such as beta_t > 1, raise as they do for a single point.
 """
 
 from __future__ import annotations
@@ -38,17 +39,20 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .budget import BudgetFn, _per_element
+from .budget import BudgetFn
 from .channel import (
     LN_2,
     ChannelFamily,
     ChannelSpec,
     awgn_coeffs,
+    epsilon_awgn,
+    epsilon_fading_csi,
+    epsilon_fading_nocsi,
     fading_csi_coeffs,
     fading_nocsi_coeffs,
-    q_func,
     q_inv,
 )
+from .elementwise import brief, to_int
 from .errors import DomainError, EpsilonOutOfRange, NoFeasibleN
 
 DEFAULT_EPS_CAP = 0.5
@@ -65,10 +69,13 @@ _FLOAT_INT_LIMIT = 2.0**52
 
 
 def decoding_error_target(beta_t: float, beta_s: float) -> float:
-    """Error probability that exhausts the distortion budget: (bt - bs)/(1 - bs)."""
-    if not 0.0 <= beta_s < beta_t <= 1.0:
+    """Error probability that exhausts the distortion budget: (bt - bs)/(1 - bs).
+
+    Elementwise over an array of beta_s.
+    """
+    if not np.all((0.0 <= beta_s) & (beta_s < beta_t) & (beta_t <= 1.0)):
         raise DomainError(
-            f"need 0 <= beta_s < beta_t <= 1, got beta_s={beta_s}, beta_t={beta_t}"
+            f"need 0 <= beta_s < beta_t <= 1, got beta_s={brief(beta_s)}, beta_t={beta_t}"
         )
     return (beta_t - beta_s) / (1.0 - beta_s)
 
@@ -79,61 +86,38 @@ class BlocklengthSolution(NamedTuple):
     eps_target: float
 
 
-class _Row(NamedTuple):
-    """One family's coefficients, in the order the scalar error models use them.
+def _family_row(spec: ChannelSpec, j_bits: float) -> tuple:
+    """The family's rate, dispersion, payload and exact error model.
 
-    Closed form: dispersion = uses * v and payload = J * fold * unit. Exact
-    error: Q((n * rate - payload [+ log2(n) / 2]) / sqrt(n * uses * v)),
-    the bracketed term on AWGN only.
+    The error model takes (n, j_bits) and is the channel module's epsilon_*
+    function of the family, which the refine's minimality is stated against.
     """
-
-    rate: float
-    uses: int  # channel uses per dispersion term: F on fading, 1 on AWGN
-    v: float
-    fold: int  # F on no-CSI, whose payload counts per coherence block; else 1
-    unit: float  # LN_2 on the fading models, which work in nats; 1.0 on AWGN
-    awgn: bool
-
-    def payload(self, j_bits):
-        return j_bits * self.fold * self.unit
-
-
-def _family_row(spec: ChannelSpec) -> _Row:
     gamma, f = spec.gamma, spec.coherence
     if spec.family is ChannelFamily.AWGN:
         c, v = awgn_coeffs(gamma)
-        return _Row(c, 1, v, 1, 1.0, True)
+        return c, v, j_bits, lambda n, j: epsilon_awgn(n, gamma, j)
     if spec.family is ChannelFamily.FADING_CSI:
         c, v = fading_csi_coeffs(gamma, f)
-        return _Row(c, f, v, 1, LN_2, False)
+        return c, f * v, j_bits * LN_2, lambda n, j: epsilon_fading_csi(n, gamma, j, f)
     info, disp = fading_nocsi_coeffs(gamma, f)
-    return _Row(info, f, disp, f, LN_2, False)
+    return (
+        info, f * disp, j_bits * f * LN_2, lambda n, j: epsilon_fading_nocsi(n, gamma, j, f)
+    )
 
 
 def _admitted(family: ChannelFamily, eps, eps_cap: float):
     """Whether the solver takes these error targets; elementwise on arrays.
 
-    The no-CSI model needs the target strictly inside (0, 1/2); it is not
-    defined at or beyond one half.
+    A target must lie below 1, where Q^-1 is finite, and within the cap.
+    The no-CSI model needs it strictly below 1/2; it is not defined at or
+    beyond one half.
     """
     if family is ChannelFamily.FADING_NOCSI:
         return (0.0 < eps) & (eps < min(eps_cap, 0.5))
-    return (0.0 < eps) & (eps <= eps_cap * (1.0 + _CAP_SLACK))
+    return (0.0 < eps) & (eps <= eps_cap * (1.0 + _CAP_SLACK)) & (eps < 1.0)
 
 
-def _exact_eps(row: _Row, n: np.ndarray, payload: np.ndarray) -> np.ndarray:
-    """The family's exact error model at each blocklength in n.
-
-    Equal bit for bit to the channel module's epsilon_* function of the
-    family, which the refine's minimality is stated against.
-    """
-    margin = np.asarray(n * row.rate, dtype=float) - payload
-    if row.awgn:
-        margin = margin + 0.5 * _per_element(math.log2, n)
-    return q_func(margin / np.sqrt(np.asarray(n * row.uses * row.v, dtype=float)))
-
-
-def _refine(row: _Row, n: np.ndarray, eps: np.ndarray, payload: np.ndarray) -> np.ndarray:
+def _refine(exact_eps, n: np.ndarray, eps: np.ndarray, j_bits: np.ndarray) -> np.ndarray:
     """Smallest blocklength in [1, n] whose exact error stays within target, per point.
 
     A bisection over the whole array: every point keeps its own [lo, hi] and
@@ -141,41 +125,19 @@ def _refine(row: _Row, n: np.ndarray, eps: np.ndarray, payload: np.ndarray) -> n
     decreasing in n, which holds for positive payloads on all three families.
     """
     hi = n.copy()
-    if not hi.max() < _FLOAT_INT_LIMIT:  # also NaN, which int() refuses as math.ceil does
+    # Also taken for NaN, which int() refuses as math.ceil does.
+    if not np.max(hi, initial=0.0) < _FLOAT_INT_LIMIT:
         hi = np.array([int(x) for x in hi.tolist()], dtype=object)
     lo = np.ones_like(hi)
     live = np.flatnonzero(lo < hi)
     while live.size:
         a, b = lo[live], hi[live]
         mid = (a + b) // 2
-        ok = _exact_eps(row, mid, payload[live]) <= eps[live]
+        ok = exact_eps(mid, j_bits[live]) <= eps[live]
         hi[live] = np.where(ok, mid, b)
         lo[live] = np.where(ok, a, mid + 1)
         live = live[lo[live] < hi[live]]
     return lo
-
-
-def _solve(
-    row: _Row, q: np.ndarray, eps: np.ndarray, j_bits: np.ndarray, refine: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """Blocklengths n and their real roots for admitted points with Q^-1(eps) = q.
-
-    n holds integer-valued floats, or Python ints when a refined n is too
-    large for floats to count exactly.
-    """
-    payload = row.payload(j_bits)
-    # An infinite or NaN n fails when it becomes an int, as math.ceil does.
-    with np.errstate(over="ignore", invalid="ignore"):
-        r = np.sqrt(row.uses * row.v) * q
-        # Positive root of n*rate - sqrt(n)*r - payload = 0, as sqrt(n).
-        root = (r + np.sqrt(r * r + 4.0 * row.rate * payload)) / (2.0 * row.rate)
-        n_real = root * root
-        # The guard only absorbs float noise from the root arithmetic (a few
-        # ulps), so exact-integer solutions do not get bumped up a step.
-        n = np.maximum(1.0, np.ceil(n_real - 1e-12 * np.maximum(1.0, n_real)))
-    if refine:
-        n = _refine(row, n, eps, payload)
-    return n, n_real
 
 
 def solve_blocklength(
@@ -193,24 +155,40 @@ def solve_blocklength(
     the AWGN model's (1/2)log2(n) bonus term, so the exact error at the
     returned n is at most the target on every family. With ``refine`` the
     integer blocklength is shrunk while that still holds.
+
+    Elementwise over arrays of beta_s and j_bits, in one numpy pass; each
+    check must then hold for every element. n comes back as ints, as
+    ``elementwise.to_int`` gives them.
     """
     eps = decoding_error_target(beta_t, beta_s)
-    if not _admitted(spec.family, eps, eps_cap):
+    if not np.all(_admitted(spec.family, eps, eps_cap)):
         if spec.family is ChannelFamily.FADING_NOCSI:
-            raise EpsilonOutOfRange(f"error target {eps} outside (0, {min(eps_cap, 0.5)})")
-        raise EpsilonOutOfRange(f"error target {eps} outside (0, {eps_cap}]")
-    if j_bits <= 0:
-        raise DomainError(f"payload must be positive, got {j_bits}")
-    row = _family_row(spec)
-    if row.rate <= 0:
+            raise EpsilonOutOfRange(f"error target {brief(eps)} outside (0, {min(eps_cap, 0.5)})")
+        top = f"{eps_cap}]" if eps_cap < 1.0 else "1)"
+        raise EpsilonOutOfRange(f"error target {brief(eps)} outside (0, {top}")
+    if np.any(j_bits <= 0):
+        raise DomainError(f"payload must be positive, got {brief(j_bits)}")
+    rate, dispersion, payload, exact_eps = _family_row(spec, j_bits)
+    if rate <= 0:
         raise NoFeasibleN(
-            f"block information {row.rate} is not positive at SNR {spec.gamma}; "
+            f"block information {rate} is not positive at SNR {spec.gamma}; "
             "the high-SNR model does not apply"
         )
-    n, n_real = _solve(
-        row, np.array([q_inv(eps)]), np.array([eps]), np.array([j_bits]), refine
-    )
-    return BlocklengthSolution(int(n[0]), float(n_real[0]), eps)
+    r = math.sqrt(dispersion) * q_inv(eps)
+    # An infinite or NaN n fails when it becomes an int, as math.ceil does.
+    with np.errstate(over="ignore", invalid="ignore"):
+        # Positive root of n*rate - sqrt(n)*r - payload = 0, as sqrt(n).
+        root = (r + np.sqrt(r * r + 4.0 * rate * payload)) / (2.0 * rate)
+        n_real = root * root
+        # The guard only absorbs float noise from the root arithmetic (a few
+        # ulps), so exact-integer solutions do not get bumped up a step.
+        n = np.maximum(1.0, np.ceil(n_real - 1e-12 * np.maximum(1.0, n_real)))
+    if refine:
+        args = np.broadcast_arrays(*map(np.atleast_1d, (n, eps, j_bits)))
+        n = _refine(exact_eps, *args).reshape(np.shape(n))
+    if not np.ndim(n_real):
+        n_real = float(n_real)
+    return BlocklengthSolution(to_int(n), n_real, eps)
 
 
 @dataclass
@@ -277,45 +255,27 @@ def sweep_beta_s(
     feasible.
     """
     grid = beta_s_grid(beta_t, budget, grid_points, grid_mode)
-    size = grid.size
-    eps = np.full(size, math.nan)
-    j_bits = np.full(size, math.nan)
-    # The domains of the budget and of decoding_error_target.
-    ok = (budget.lower_edge < grid) & (grid < 1.0) & (grid < beta_t) & (beta_t <= 1.0)
-    if ok.any():
-        try:
-            j_bits[ok] = budget.bits_real(grid[ok])
-        except DomainError:
-            # The budget has no admissible point at all, such as UQ with k < 2.
-            ok[:] = False
-        eps[ok] = (beta_t - grid[ok]) / (1.0 - grid[ok])
-        # eps < 1 is the domain of Q^-1.
-        ok &= (j_bits > 0.0) & _admitted(spec.family, eps, eps_cap) & (eps < 1.0)
-    n = np.zeros(size)
-    n_real = np.full(size, math.nan)
-    if ok.any():
-        row = _family_row(spec)
-        if row.rate > 0:
-            solved, n_real[ok] = _solve(row, q_inv(eps[ok]), eps[ok], j_bits[ok], refine)
-            n = n.astype(solved.dtype)  # object when the refine counted in Python ints
-            n[ok] = solved
-        else:
-            ok[:] = False
+    eps = decoding_error_target(beta_t, grid)
+    j_bits = budget.bits_real(grid)
+    ok = _admitted(spec.family, eps, eps_cap) & (j_bits > 0.0)
     if not ok.any():
         raise NoFeasibleN(f"no feasible operating point for beta_t={beta_t}")
+    sol = solve_blocklength(spec, beta_t, grid[ok], j_bits[ok], eps_cap=eps_cap, refine=refine)
+    n = np.zeros(grid.size, dtype=sol.n.dtype)
+    n[ok] = sol.n
+    n_real = np.full(grid.size, math.nan)
+    n_real[ok] = sol.n_real
     eps[~ok] = math.nan
     j_bits[~ok] = math.nan
     latency = np.where(ok, n / (2.0 * spec.bandwidth_hz), math.inf)
-    # Python ints; int() raises on an infinite or NaN n, as math.ceil does.
-    n_int = n.astype(np.int64).tolist() if n.max() < 2.0**63 else [int(x) for x in n.tolist()]
     points = list(
         map(
             TradeoffPoint,
-            repeat(beta_t, size),
+            repeat(beta_t, grid.size),
             grid.tolist(),
             eps.tolist(),
             j_bits.tolist(),
-            n_int,
+            n.tolist(),
             n_real.tolist(),
             latency.tolist(),
             ok.tolist(),

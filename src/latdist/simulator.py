@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -221,6 +221,10 @@ def simulate_end_to_end(cfg: SimConfig) -> SimReport:
     keyed by (seed, trial), so the report depends on the config alone.
     """
     tail_bound = cfg.source_tail_mass if cfg.source_tail_mass is not None else cfg.delta
+    # The coder depends on the config alone: resolve it once, not per trial.
+    coder = replace(
+        cfg, ell=cfg.resolved_ell(), bits_per_entry=cfg.resolved_bits_per_entry()
+    )
     distortions = np.empty(cfg.trials)
     for i in range(cfg.trials):
         rng = np.random.default_rng([cfg.seed, i])
@@ -228,9 +232,9 @@ def simulate_end_to_end(cfg: SimConfig) -> SimReport:
             p = random_sparse_simplex(cfg.k, cfg.k_top, rng.uniform(0.0, tail_bound), rng)
         else:
             p = random_simplex(cfg.k, rng)
-        quantized = _quantize(cfg, p)
+        quantized = _quantize(coder, p)
         failed = rng.uniform() < cfg.eps_target
-        received = _corrupted(cfg, p, rng) if failed else quantized
+        received = _corrupted(coder, p, rng) if failed else quantized
         distortions[i] = tv_distance(p, received)
 
     mean = float(np.sum(distortions) / cfg.trials)

@@ -12,7 +12,6 @@ from latdist.budget import (
     budget_uq_tight,
     uq_bits_per_entry,
 )
-from latdist.codec import log2_comb
 from latdist.errors import BetaNotAboveDelta, DomainError
 
 
@@ -123,6 +122,13 @@ class TestBudgetFn:
         with pytest.raises(DomainError):
             BudgetFn(Scheme.SLQ, 10)
 
+    def test_dimension_checked_at_construction(self):
+        # No source distortion makes these budgets defined.
+        with pytest.raises(DomainError):
+            BudgetFn(Scheme.UQ, 1)
+        with pytest.raises(DomainError):
+            BudgetFn(Scheme.LQ, 0)
+
     def test_ell_consistency(self):
         fn = BudgetFn(Scheme.LQ, 20)
         assert fn.ell(0.1) == budget_lq(20, 0.1)[0]
@@ -138,13 +144,22 @@ LOG2_SENSITIVE = [0.5768634782581971, 0.021987443946893337, 0.3482367884655326, 
 
 def scalar_bits_real(fn, beta_s):
     """The smooth budget from the scalar formulas, one beta_s at a time."""
+
+    def log2_comb(n, r):
+        return (math.lgamma(n + 1) - math.lgamma(r + 1) - math.lgamma(n - r + 1)) / math.log(2)
+
+    def ell(parts, beta):
+        x = parts / (4.0 * beta)
+        nearest = round(x)
+        snapped = abs(x - nearest) <= 1e-12 * max(1.0, abs(x))
+        return max(1, int(nearest) if snapped else math.ceil(x))
+
     if fn.scheme is Scheme.UQ:
         return 2.0 * fn.k * math.log2(fn.k / beta_s)
     if fn.scheme is Scheme.LQ:
-        ell, _ = budget_lq(fn.k, beta_s)
-        return log2_comb(ell + fn.k - 1, fn.k - 1)
-    ell, _ = budget_slq(fn.k, fn.k_top, fn.delta, beta_s)
-    return log2_comb(fn.k, fn.k_top) + log2_comb(ell + fn.k_top - 1, fn.k_top - 1)
+        return log2_comb(ell(fn.k, beta_s) + fn.k - 1, fn.k - 1)
+    lattice = log2_comb(ell(fn.k_top, beta_s - fn.delta) + fn.k_top - 1, fn.k_top - 1)
+    return log2_comb(fn.k, fn.k_top) + lattice
 
 
 class TestArrayBitsReal:
@@ -172,6 +187,14 @@ class TestArrayBitsReal:
         assert scalars == expected[:200]
         assert all(type(x) is float for x in scalars)
 
+    @pytest.mark.parametrize("fn", FNS[:3], ids=["uq", "lq", "slq"])
+    def test_denominators_beyond_int64(self, fn):
+        # ell = k / (4 * beta_s) passes 2**62 here, so the array budget counts
+        # in Python ints, as the scalar formula does.
+        slack = [1e-17, 3e-19, 1e-250, 0.1] if fn.delta == 0 else [2e-21, 5e-20, 1e-18, 0.1]
+        beta_s = fn.delta + np.array(slack)
+        assert fn.bits_real(beta_s).tolist() == [scalar_bits_real(fn, b) for b in beta_s.tolist()]
+
     def test_keeps_array_shape(self):
         fn = BudgetFn(Scheme.LQ, 20)
         grid = np.geomspace(1e-3, 0.5, 12).reshape(3, 4)
@@ -182,7 +205,5 @@ class TestArrayBitsReal:
             BudgetFn(Scheme.UQ, 10).bits_real(np.array([0.1, 1.5]))
         with pytest.raises(DomainError):
             BudgetFn(Scheme.LQ, 10).bits_real(np.array([0.1, np.nan]))
-        with pytest.raises(DomainError):
-            BudgetFn(Scheme.UQ, 1).bits_real(np.array([0.1]))
         with pytest.raises(BetaNotAboveDelta):
             BudgetFn(Scheme.SLQ, 10, 3, 0.01).bits_real(np.array([0.5, 0.01]))

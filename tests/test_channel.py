@@ -67,6 +67,44 @@ class TestGaussianTail:
         assert q_func(q).tolist() == [q_func(x) for x in q.tolist()]
 
 
+# Blocklengths at which numpy's log2 differs from math.log2 in the last bit
+# (numpy 2.4 on an AVX-512 x86-64 CPU); the AWGN model's log2(n)/2 term
+# must use math.log2 per element to match the scalar form there.
+LOG2_SENSITIVE_N = [1621, 3242, 6484, 7957, 12968, 2102028]
+
+
+def error_model(family):
+    """The family's error model at SNR 30 (F = 20) and its payload bits per use."""
+    gamma, f = 30.0, 20
+    if family is ChannelFamily.AWGN:
+        return (lambda n, j: epsilon_awgn(n, gamma, j)), awgn_coeffs(gamma).capacity
+    if family is ChannelFamily.FADING_CSI:
+        per_use = fading_csi_coeffs(gamma, f).capacity / math.log(2)
+        return (lambda n, j: epsilon_fading_csi(n, gamma, j, f)), per_use
+    per_use = fading_nocsi_coeffs(gamma, f).block_info / (f * math.log(2))
+    return (lambda n, j: epsilon_fading_nocsi(n, gamma, j, f)), per_use
+
+
+@pytest.mark.parametrize("family", list(ChannelFamily), ids=lambda f: f.value)
+def test_epsilon_elementwise_on_arrays(family):
+    model, per_use = error_model(family)
+    n = np.array(LOG2_SENSITIVE_N + list(range(1, 3000, 7)), dtype=float)
+    # Payloads near capacity leave a small margin, so the last bit of the
+    # AWGN log2 term shows in the error; the rest cover both tails.
+    k = len(LOG2_SENSITIVE_N)
+    j_bits = np.concatenate([n[:k] * per_use, np.linspace(50.0, 5000.0, n.size - k)])
+    expected = [model(int(m), j) for m, j in zip(n.tolist(), j_bits.tolist())]
+    assert model(n, j_bits).tolist() == expected
+    # Blocklengths past float precision come as Python ints in an object array.
+    big = np.array([2**53 + 1, 3**40, 2**70 + 12345], dtype=object)
+    j_big = np.array([float(m) * per_use for m in big.tolist()])
+    expected = [model(m, j) for m, j in zip(big.tolist(), j_big.tolist())]
+    assert model(big, j_big).tolist() == expected
+    assert type(model(5, 10.0)) is float
+    with pytest.raises(DomainError):
+        model(np.array([3.0, 0.0]), np.array([10.0, 10.0]))
+
+
 class TestAwgn:
     def test_unit_snr(self):
         c, v = awgn_coeffs(1.0)

@@ -114,6 +114,18 @@ class TestTradeoffCommand:
         )
         assert code == 2
 
+    def test_undefined_budget_is_usage_error(self, capsys):
+        # UQ needs k >= 2; this used to report every grid point infeasible (exit 3).
+        code, out, err = run(
+            [
+                "tradeoff", "--scheme", "uq", "-k", "1", "--gamma0-db", "5",
+                "--b-hz", "1e5", "--beta-t", "0.1",
+            ],
+            capsys,
+        )
+        assert code == 2 and out == ""
+        assert "needs k >= 2" in err
+
     def test_json_contains_best_and_latency_seconds(self, capsys):
         code, out, _ = run(
             [

@@ -13,7 +13,6 @@ from latdist.channel import (
     epsilon_fading_csi,
     epsilon_fading_nocsi,
 )
-from latdist import optimizer
 from latdist.errors import DomainError, EpsilonOutOfRange, NoFeasibleN
 from latdist.optimizer import (
     decoding_error_target,
@@ -168,27 +167,53 @@ def test_refined_sweep_is_minimal_under_the_family_model(family):
     assert checked > 300
 
 
-# Blocklengths at which numpy's log2 differs from math.log2 in the last bit
-# (numpy 2.4 on an AVX-512 x86-64 CPU); the AWGN model's log2(n)/2 term
-# must use math.log2 to match epsilon_awgn there.
-LOG2_SENSITIVE_N = [1621, 3242, 6484, 7957, 12968, 2102028]
+SOLVER_SPECS = {
+    ChannelFamily.AWGN: WIDEBAND_SPEC,
+    ChannelFamily.FADING_CSI: CSI_SPEC,
+    ChannelFamily.FADING_NOCSI: NOCSI_SPEC,
+}
 
 
+@pytest.mark.parametrize("refine", [False, True], ids=["closed", "refined"])
 @pytest.mark.parametrize("family", list(ChannelFamily), ids=lambda f: f.value)
-def test_refine_error_model_is_the_public_one(family):
-    gamma, f = (30.0, None) if family is ChannelFamily.AWGN else (30.0, 20)
-    row = optimizer._family_row(spec_at(family, gamma, f))
-    n = np.array(LOG2_SENSITIVE_N + list(range(1, 3000, 7)), dtype=float)
-    # Payloads near capacity leave a small margin, so the last bit of the
-    # AWGN log2 term shows in the error; the rest cover both tails.
-    j_bits = np.concatenate([
-        n[: len(LOG2_SENSITIVE_N)] * row.rate / (row.fold * row.unit),
-        np.linspace(50.0, 5000.0, n.size - len(LOG2_SENSITIVE_N)),
-    ])
-    got = optimizer._exact_eps(row, n, row.payload(j_bits))
-    exact = EXACT_EPSILON[family]
-    expected = [exact(int(m), gamma, j, f) for m, j in zip(n.tolist(), j_bits.tolist())]
-    assert got.tolist() == expected
+def test_array_solve_matches_scalar_solves(family, refine):
+    rng = np.random.default_rng(41)
+    spec = SOLVER_SPECS[family]
+    beta_s = rng.uniform(0.001, 0.09, 300)
+    j_bits = 10 ** rng.uniform(0.0, 5.0, 300)
+    sol = solve_blocklength(spec, 0.1, beta_s, j_bits, refine=refine)
+    one = [
+        solve_blocklength(spec, 0.1, b, j, refine=refine)
+        for b, j in zip(beta_s.tolist(), j_bits.tolist())
+    ]
+    assert sol.n.dtype == np.int64
+    assert sol.n.tolist() == [s.n for s in one]
+    assert sol.n_real.tolist() == [s.n_real for s in one]
+    assert sol.eps_target.tolist() == [s.eps_target for s in one]
+    assert all(type(s.n) is int and type(s.n_real) is float for s in one)
+
+
+def test_array_solve_checks_every_element():
+    spec = SOLVER_SPECS[ChannelFamily.AWGN]
+    with pytest.raises(DomainError):
+        solve_blocklength(spec, 0.1, np.array([0.05, 0.1]), np.array([10.0, 10.0]))
+    with pytest.raises(EpsilonOutOfRange):
+        solve_blocklength(spec, 0.9, np.array([0.8, 0.05]), np.array([10.0, 10.0]))
+    with pytest.raises(DomainError):
+        solve_blocklength(spec, 0.1, np.array([0.05, 0.06]), np.array([10.0, 0.0]))
+
+
+def test_target_of_one_is_out_of_range():
+    # Q^-1(1) is infinite, so a cap of 1 or more still stops below it.
+    with pytest.raises(EpsilonOutOfRange):
+        solve_blocklength(WIDEBAND_SPEC, 1.0, 0.3, 100.0, eps_cap=2.0)
+    with pytest.raises(NoFeasibleN):
+        sweep_beta_s(1.0, BudgetFn(Scheme.LQ, 10), WIDEBAND_SPEC, grid_points=20, eps_cap=2.0)
+
+
+def test_sweep_above_unit_budget_is_domain_error():
+    with pytest.raises(DomainError):
+        sweep_beta_s(1.2, BudgetFn(Scheme.LQ, 10), WIDEBAND_SPEC, grid_points=20)
 
 
 def sweep_digest(curve):
