@@ -74,31 +74,46 @@ LOG2_SENSITIVE_N = [1621, 3242, 6484, 7957, 12968, 2102028]
 
 
 def error_model(family):
-    """The family's error model at SNR 30 (F = 20) and its payload bits per use."""
-    gamma, f = 30.0, 20
+    """The family's error model at SNR 30 (F = 20), the scalar formula it must
+    match, written with math, and the payload bits per channel use."""
+    gamma, f, ln2 = 30.0, 20, math.log(2.0)
     if family is ChannelFamily.AWGN:
-        return (lambda n, j: epsilon_awgn(n, gamma, j)), awgn_coeffs(gamma).capacity
+        c, v = awgn_coeffs(gamma)
+        return (
+            lambda n, j: epsilon_awgn(n, gamma, j),
+            lambda n, j: q_func((n * c - j + 0.5 * math.log2(n)) / math.sqrt(n * v)),
+            c,
+        )
     if family is ChannelFamily.FADING_CSI:
-        per_use = fading_csi_coeffs(gamma, f).capacity / math.log(2)
-        return (lambda n, j: epsilon_fading_csi(n, gamma, j, f)), per_use
-    per_use = fading_nocsi_coeffs(gamma, f).block_info / (f * math.log(2))
-    return (lambda n, j: epsilon_fading_nocsi(n, gamma, j, f)), per_use
+        c, v = fading_csi_coeffs(gamma, f)
+        return (
+            lambda n, j: epsilon_fading_csi(n, gamma, j, f),
+            lambda n, j: q_func((n * c - j * ln2) / math.sqrt(n * f * v)),
+            c / ln2,
+        )
+    info, disp = fading_nocsi_coeffs(gamma, f)
+    return (
+        lambda n, j: epsilon_fading_nocsi(n, gamma, j, f),
+        lambda n, j: q_func((n * info - j * f * ln2) / math.sqrt(n * f * disp)),
+        info / (f * ln2),
+    )
 
 
 @pytest.mark.parametrize("family", list(ChannelFamily), ids=lambda f: f.value)
 def test_epsilon_elementwise_on_arrays(family):
-    model, per_use = error_model(family)
+    model, formula, per_use = error_model(family)
     n = np.array(LOG2_SENSITIVE_N + list(range(1, 3000, 7)), dtype=float)
     # Payloads near capacity leave a small margin, so the last bit of the
     # AWGN log2 term shows in the error; the rest cover both tails.
     k = len(LOG2_SENSITIVE_N)
     j_bits = np.concatenate([n[:k] * per_use, np.linspace(50.0, 5000.0, n.size - k)])
-    expected = [model(int(m), j) for m, j in zip(n.tolist(), j_bits.tolist())]
+    expected = [formula(int(m), j) for m, j in zip(n.tolist(), j_bits.tolist())]
     assert model(n, j_bits).tolist() == expected
+    assert [model(int(m), j) for m, j in zip(n.tolist(), j_bits.tolist())] == expected
     # Blocklengths past float precision come as Python ints in an object array.
     big = np.array([2**53 + 1, 3**40, 2**70 + 12345], dtype=object)
     j_big = np.array([float(m) * per_use for m in big.tolist()])
-    expected = [model(m, j) for m, j in zip(big.tolist(), j_big.tolist())]
+    expected = [formula(m, j) for m, j in zip(big.tolist(), j_big.tolist())]
     assert model(big, j_big).tolist() == expected
     assert type(model(5, 10.0)) is float
     with pytest.raises(DomainError):
