@@ -51,15 +51,7 @@ from .optimizer import (
     sweep_beta_s,
     sweep_beta_t,
 )
-from .prob import (
-    Divergence,
-    DivergenceKind,
-    ProbVector,
-    f_divergence,
-    kl_divergence,
-    make_prob_vector,
-    tv_distance,
-)
+from .prob import ProbVector, tv_distance
 from .quantizers import (
     SLQEncoding,
     UQEncoding,

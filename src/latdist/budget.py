@@ -9,7 +9,6 @@ computes it once for a whole grid.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -75,14 +74,6 @@ def budget_uq(k: int, beta_s: float) -> float:
     _check_uq(k)
     _check_beta(beta_s)
     return 2.0 * k * log2(k / beta_s)
-
-
-def budget_uq_tight(k: int, beta_s: float) -> float:
-    """Sharper sufficient uniform budget k*log2(k/(2a)), a = 2*beta_s/(k+1+beta_s)."""
-    _check_uq(k)
-    _check_beta(beta_s)
-    alpha = 2.0 * beta_s / (k + 1 + beta_s)
-    return k * math.log2(k / (2.0 * alpha))
 
 
 def uq_bits_per_entry(k: int, beta_s: float) -> int:

@@ -13,21 +13,30 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from numbers import Integral
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
-from scipy import integrate
 from scipy.special import ndtr, ndtri
 
-from .elementwise import brief, log2
-from .errors import DomainError, QuadratureFailure
+from .elementwise import brief, log1p, log2
+from .errors import DomainError
 
 LOG2_E = math.log2(math.e)
 LN_2 = math.log(2.0)
 EULER_GAMMA = float(np.euler_gamma)
 
-# Absolute tolerance required of the fading-moment quadratures.
-_QUAD_TOL = 1e-8
+# Exp-sinh rule (Takahasi & Mori, 1974) for E[f(Z)], Z a unit-mean
+# exponential: z = exp(t - e^-t) maps t in R onto (0, inf) with weights
+# h * dz/dt * e^-z that decay double exponentially at both ends. The
+# trapezoidal rule with h = 1/16 on t in [-6, 6] then gives the fading-CSI
+# moments to about 1e-13 relative for SNRs from 1e-3 to 1e3; the outermost
+# weights are near 1e-176, so none underflows.
+_H = 1.0 / 16.0
+_T = [i * _H for i in range(-96, 97)]
+_NODES = np.array([math.exp(t - math.exp(-t)) for t in _T])
+_WEIGHTS = np.array(
+    [_H * z * (1.0 + math.exp(-t)) * math.exp(-z) for t, z in zip(_T, _NODES.tolist())]
+)
 
 
 class ChannelFamily(Enum):
@@ -147,16 +156,6 @@ def epsilon_awgn(n: int, gamma: float, j_bits: float) -> float:
     return _q_ratio(n * c - j_bits + 0.5 * log2(n), n * v)
 
 
-def _exp_expectation(f: Callable[[float], float]) -> float:
-    """E[f(Z)] for Z ~ unit-mean exponential, by adaptive quadrature."""
-    value, err = integrate.quad(
-        lambda z: f(z) * math.exp(-z), 0.0, np.inf, epsabs=1e-11, epsrel=1e-11, limit=200
-    )
-    if err > _QUAD_TOL:
-        raise QuadratureFailure(f"quadrature error {err} above {_QUAD_TOL}")
-    return value
-
-
 class FadingCsiCoefficients(NamedTuple):
     capacity: float  # nats per channel use
     dispersion: float  # nats^2, already includes the coherence terms
@@ -167,16 +166,18 @@ def fading_csi_coeffs(gamma: float, coherence: int) -> FadingCsiCoefficients:
     """Moments of log(1+gamma*Z), Z exponential, for the receiver-CSI model.
 
     capacity = E[log(1+gZ)]; dispersion = var[log(1+gZ)] + 1/F - E[1/(1+gZ)]^2/F.
-    Computed by deterministic quadrature; closed forms via the exponential
-    integral exist and are used as cross-checks in the tests.
+    The three moments are weighted sums over one fixed exp-sinh rule, not an
+    adaptive quadrature. Closed forms via the exponential integral exist and
+    are used as cross-checks in the tests.
     """
     if gamma <= 0:
         raise DomainError(f"SNR must be positive, got {gamma}")
     if coherence < 1:
         raise DomainError(f"coherence interval must be >= 1, got {coherence}")
-    mean = _exp_expectation(lambda z: math.log1p(gamma * z))
-    second = _exp_expectation(lambda z: math.log1p(gamma * z) ** 2)
-    recip = _exp_expectation(lambda z: 1.0 / (1.0 + gamma * z))
+    log = log1p(gamma * _NODES)
+    mean = float((_WEIGHTS * log).sum())
+    second = float((_WEIGHTS * log * log).sum())
+    recip = float((_WEIGHTS / (1.0 + gamma * _NODES)).sum())
     variance = second - mean * mean
     dispersion = variance + (1.0 - recip * recip) / coherence
     return FadingCsiCoefficients(mean, dispersion)

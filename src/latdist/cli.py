@@ -515,7 +515,7 @@ def _add_sweep(sub: argparse.ArgumentParser):
     sub.add_argument("--grid-points", type=int, dest="grid_points", help="beta_s grid size (default 1000)")
     sub.add_argument("--grid-mode", choices=("uniform", "log"), dest="grid_mode")
     sub.add_argument("--eps-cap", type=float, dest="eps_cap", help="cap on the decoding error target (default 0.5)")
-    sub.add_argument("--refine", action="store_true", default=None, help="shrink n by exact integer search")
+    sub.add_argument("--refine", action="store_true", default=None, help="shrink the AWGN n by exact integer search")
 
 
 def build_parser() -> argparse.ArgumentParser:

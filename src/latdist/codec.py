@@ -53,7 +53,6 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
 
 import numpy as np
 
@@ -320,13 +319,3 @@ def unrank_subset(idx: LexIndex | int, k: int, size: int) -> PositionSet:
     if size:
         positions[0] = remaining  # C(c, 1) = c
     return PositionSet(tuple(positions), k)
-
-
-def iter_compositions(k: int, total: int) -> Iterator[tuple[int, ...]]:
-    """All compositions of ``total`` into ``k`` parts in ascending lex order."""
-    if k == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in iter_compositions(k - 1, total - first):
-            yield (first,) + rest

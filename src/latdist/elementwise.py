@@ -1,10 +1,11 @@
 """Scalar math that also takes arrays, bit-identical to the scalar results.
 
-The planner evaluates its formulas on whole grids. numpy's log2 and scipy's
-gammaln do not round like math.log2 and math.lgamma: numpy's log2 can
-differ in the last bit (on some builds, at integers such as 1621), which
-moves blocklengths and the golden hull. So the array forms call the math
-functions once per element.
+The planner evaluates its formulas on whole grids. numpy's log2 and log1p
+and scipy's gammaln do not round like math.log2, math.log1p and
+math.lgamma: numpy's log2 can differ in the last bit (on some builds, at
+integers such as 1621), which moves blocklengths and the golden hull, and
+its log1p can differ from build to build, which would move the fading
+moments. So the array forms call the math functions once per element.
 """
 
 from __future__ import annotations
@@ -28,6 +29,11 @@ def _per_element(fn, x):
 def log2(x):
     """math.log2; elementwise on an array, giving a float array."""
     return _per_element(math.log2, x)
+
+
+def log1p(x):
+    """math.log1p; elementwise on an array, giving a float array."""
+    return _per_element(math.log1p, x)
 
 
 def lgamma(x):

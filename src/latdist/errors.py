@@ -25,10 +25,6 @@ class DimensionMismatch(LatdistError, ValueError):
     """Two vectors that must share a dimension do not."""
 
 
-class SupportMismatch(LatdistError, ValueError):
-    """q has a zero entry where p is positive, so the divergence is undefined."""
-
-
 class SumMismatch(LatdistError, ValueError):
     """Lattice counts do not sum to the declared denominator."""
 
@@ -51,10 +47,6 @@ class BetaNotAboveDelta(DomainError):
 
 class ZeroTopMass(LatdistError, ValueError):
     """All selected top entries are zero, so they cannot be normalized."""
-
-
-class QuadratureFailure(LatdistError, ArithmeticError):
-    """Numerical integration did not reach the requested tolerance."""
 
 
 class EpsilonOutOfRange(DomainError):

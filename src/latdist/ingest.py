@@ -183,8 +183,3 @@ def tail_violation_fraction(ds: VectorDataset, k_top: int, delta: float) -> floa
     hide vectors that break it, so this is reported alongside.
     """
     return float(np.mean(tail_masses(ds, k_top) > delta))
-
-
-def tail_mass_percentile(ds: VectorDataset, k_top: int, percentile: float) -> float:
-    """Upper percentile of per-vector tail masses, for conservative delta choices."""
-    return float(np.percentile(tail_masses(ds, k_top), percentile))

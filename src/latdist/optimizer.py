@@ -23,11 +23,12 @@ budget J of its whole beta_s grid in one call each, masks the points whose
 target the solver admits and whose payload is positive, in place of
 per-point exceptions, and passes all of them to ``solve_blocklength`` at
 once. The solver then makes one numpy pass: Q^-1 of the whole eps column,
-the root, the guarded ceiling and, with ``refine``, a bisection over the
-array of n in which each point keeps its own [lo, hi] and the family's
-error model from ``channel`` is evaluated on all midpoints at once. Points
+the root, the guarded ceiling and, with ``refine`` on AWGN, a bisection over
+the array of n in which each point keeps its own [lo, hi] and the AWGN error
+model from ``channel`` is evaluated on all midpoints at once. Points
 outside the mask stay in the curve as infeasible. Inputs that no grid point
-can satisfy, such as beta_t > 1, raise as they do for a single point.
+can satisfy, such as beta_t > 1, an empty grid or a non-positive eps cap,
+raise as they do for a single point.
 """
 
 from __future__ import annotations
@@ -46,8 +47,6 @@ from .channel import (
     ChannelSpec,
     awgn_coeffs,
     epsilon_awgn,
-    epsilon_fading_csi,
-    epsilon_fading_nocsi,
     fading_csi_coeffs,
     fading_nocsi_coeffs,
     q_inv,
@@ -87,22 +86,15 @@ class BlocklengthSolution(NamedTuple):
 
 
 def _family_row(spec: ChannelSpec, j_bits: float) -> tuple:
-    """The family's rate, dispersion, payload and exact error model.
-
-    The error model takes (n, j_bits) and is the channel module's epsilon_*
-    function of the family, which the refine's minimality is stated against.
-    """
+    """The family's rate, dispersion and payload."""
     gamma, f = spec.gamma, spec.coherence
     if spec.family is ChannelFamily.AWGN:
-        c, v = awgn_coeffs(gamma)
-        return c, v, j_bits, lambda n, j: epsilon_awgn(n, gamma, j)
+        return (*awgn_coeffs(gamma), j_bits)
     if spec.family is ChannelFamily.FADING_CSI:
         c, v = fading_csi_coeffs(gamma, f)
-        return c, f * v, j_bits * LN_2, lambda n, j: epsilon_fading_csi(n, gamma, j, f)
+        return c, f * v, j_bits * LN_2
     info, disp = fading_nocsi_coeffs(gamma, f)
-    return (
-        info, f * disp, j_bits * f * LN_2, lambda n, j: epsilon_fading_nocsi(n, gamma, j, f)
-    )
+    return info, f * disp, j_bits * f * LN_2
 
 
 def _admitted(family: ChannelFamily, eps, eps_cap: float):
@@ -110,19 +102,21 @@ def _admitted(family: ChannelFamily, eps, eps_cap: float):
 
     A target must lie below 1, where Q^-1 is finite, and within the cap.
     The no-CSI model needs it strictly below 1/2; it is not defined at or
-    beyond one half.
+    beyond one half. A cap that admits no target at all is a DomainError.
     """
+    if not eps_cap > 0.0:  # also NaN
+        raise DomainError(f"eps_cap must be positive, got {eps_cap}")
     if family is ChannelFamily.FADING_NOCSI:
         return (0.0 < eps) & (eps < min(eps_cap, 0.5))
     return (0.0 < eps) & (eps <= eps_cap * (1.0 + _CAP_SLACK)) & (eps < 1.0)
 
 
-def _refine(exact_eps, n: np.ndarray, eps: np.ndarray, j_bits: np.ndarray) -> np.ndarray:
-    """Smallest blocklength in [1, n] whose exact error stays within target, per point.
+def _refine(gamma: float, n: np.ndarray, eps: np.ndarray, j_bits: np.ndarray) -> np.ndarray:
+    """Smallest n in [1, n] whose exact AWGN error stays within target, per point.
 
     A bisection over the whole array: every point keeps its own [lo, hi] and
     steps as a scalar bisection from [1, n] would. Relies on the error model
-    decreasing in n, which holds for positive payloads on all three families.
+    decreasing in n, which holds for positive payloads.
     """
     hi = n.copy()
     # Also taken for NaN, which int() refuses as math.ceil does.
@@ -133,7 +127,7 @@ def _refine(exact_eps, n: np.ndarray, eps: np.ndarray, j_bits: np.ndarray) -> np
     while live.size:
         a, b = lo[live], hi[live]
         mid = (a + b) // 2
-        ok = exact_eps(mid, j_bits[live]) <= eps[live]
+        ok = epsilon_awgn(mid, gamma, j_bits[live]) <= eps[live]
         hi[live] = np.where(ok, mid, b)
         lo[live] = np.where(ok, a, mid + 1)
         live = live[lo[live] < hi[live]]
@@ -154,7 +148,10 @@ def solve_blocklength(
     The closed form inverts each error model exactly, except that it drops
     the AWGN model's (1/2)log2(n) bonus term, so the exact error at the
     returned n is at most the target on every family. With ``refine`` the
-    integer blocklength is shrunk while that still holds.
+    AWGN blocklength is shrunk while that still holds. On the fading
+    families the closed-form n is already the smallest such n, because the
+    ceiling's guard (1e-12 relative) is far above float noise, so ``refine``
+    leaves it as it is.
 
     Elementwise over arrays of beta_s and j_bits, in one numpy pass; each
     check must then hold for every element. n comes back as ints, as
@@ -168,7 +165,7 @@ def solve_blocklength(
         raise EpsilonOutOfRange(f"error target {brief(eps)} outside (0, {top}")
     if np.any(j_bits <= 0):
         raise DomainError(f"payload must be positive, got {brief(j_bits)}")
-    rate, dispersion, payload, exact_eps = _family_row(spec, j_bits)
+    rate, dispersion, payload = _family_row(spec, j_bits)
     if rate <= 0:
         raise NoFeasibleN(
             f"block information {rate} is not positive at SNR {spec.gamma}; "
@@ -183,9 +180,9 @@ def solve_blocklength(
         # The guard only absorbs float noise from the root arithmetic (a few
         # ulps), so exact-integer solutions do not get bumped up a step.
         n = np.maximum(1.0, np.ceil(n_real - 1e-12 * np.maximum(1.0, n_real)))
-    if refine:
+    if refine and spec.family is ChannelFamily.AWGN:
         args = np.broadcast_arrays(*map(np.atleast_1d, (n, eps, j_bits)))
-        n = _refine(exact_eps, *args).reshape(np.shape(n))
+        n = _refine(spec.gamma, *args).reshape(np.shape(n))
     if not np.ndim(n_real):
         n_real = float(n_real)
     return BlocklengthSolution(to_int(n), n_real, eps)
@@ -226,6 +223,8 @@ def beta_s_grid(
     grid_mode: str = "uniform",
 ) -> np.ndarray:
     """Source distortion grid on (lower_edge, beta_t), excluding beta_t itself."""
+    if grid_points < 1:
+        raise DomainError(f"the beta_s grid needs at least one point, got {grid_points}")
     lower = budget.lower_edge + 1e-9 if budget.lower_edge > 0 else 1e-6
     if beta_t <= lower:
         raise DomainError(
@@ -329,8 +328,18 @@ def sweep_beta_t(
 
     Budgets whose inner sweep has no feasible point are kept as infeasible
     placeholders; if every budget is infeasible, NoFeasibleN propagates.
+    A budget outside (0, 1], NaN included, an empty grid and a NaN or
+    non-positive eps cap raise DomainError up front, as they do for a single
+    budget, instead of turning into infeasible rows.
     """
-    values = sorted(float(bt) for bt in beta_ts)
+    values = [float(bt) for bt in beta_ts]
+    if not all(0.0 < bt <= 1.0 for bt in values):
+        raise DomainError(f"beta_t must lie in (0, 1], got {values}")
+    if grid_points < 1 or not eps_cap > 0.0:
+        raise DomainError(
+            f"need grid_points >= 1 and eps_cap > 0, got {grid_points} and {eps_cap}"
+        )
+    values.sort()
 
     def best_for(bt: float) -> TradeoffPoint:
         try:

@@ -1,15 +1,13 @@
-"""Probability vectors on the simplex and divergence measures between them.
+"""Probability vectors on the simplex and the total variation between them.
 
 All distortion guarantees elsewhere in the package are stated for total
-variation; KL and generic-f divergences are provided as utilities only.
+variation.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from enum import Enum
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -18,7 +16,6 @@ from .errors import (
     NegativeEntry,
     NonFiniteEntry,
     NotNormalized,
-    SupportMismatch,
     ZeroMass,
 )
 
@@ -86,81 +83,8 @@ class ProbVector:
         return f"ProbVector({self.values.tolist()!r})"
 
 
-def make_prob_vector(raw: Sequence[float], normalize: bool = False) -> ProbVector:
-    """Validate ``raw`` as a probability vector, optionally renormalizing it."""
-    return ProbVector(raw, normalize=normalize)
-
-
 def tv_distance(p: ProbVector, q: ProbVector) -> float:
     """Total variation distance, half the L1 distance. Always in [0, 1]."""
     if p.k != q.k:
         raise DimensionMismatch(f"dimensions differ: {p.k} vs {q.k}")
     return 0.5 * float(np.abs(p.values - q.values).sum())
-
-
-def tv_generator(x: float) -> float:
-    """Generator whose f-divergence equals total variation."""
-    return 0.5 * abs(x - 1.0)
-
-
-def kl_generator(x: float) -> float:
-    """Generator whose f-divergence equals KL divergence in bits."""
-    if x == 0.0:
-        return 0.0
-    return x * math.log2(x)
-
-
-def f_divergence(p: ProbVector, q: ProbVector, generator: Callable[[float], float]) -> float:
-    """Divergence sum(f(p[i]/q[i]) * q[i]) for a convex generator f with f(1)=0.
-
-    Entries where both p and q are zero contribute nothing. A zero q entry
-    under a positive p entry raises SupportMismatch rather than returning
-    infinity.
-    """
-    if p.k != q.k:
-        raise DimensionMismatch(f"dimensions differ: {p.k} vs {q.k}")
-    total = 0.0
-    for pi, qi in zip(p.values, q.values):
-        if qi == 0.0:
-            if pi > 0.0:
-                raise SupportMismatch("q is zero where p is positive")
-            continue
-        total += generator(pi / qi) * qi
-    return total
-
-
-def kl_divergence(p: ProbVector, q: ProbVector) -> float:
-    """KL divergence in bits. Convenience utility, no distortion guarantees."""
-    return f_divergence(p, q, kl_generator)
-
-
-class DivergenceKind(Enum):
-    TOTAL_VARIATION = "total-variation"
-    KULLBACK_LEIBLER = "kullback-leibler"
-    GENERIC_F = "generic-f"
-
-
-@dataclass(frozen=True)
-class Divergence:
-    """A computed divergence value tagged with the measure that produced it."""
-
-    kind: DivergenceKind
-    value: float
-
-    def __post_init__(self):
-        if self.value < 0:
-            raise ValueError(f"divergence cannot be negative: {self.value}")
-        if self.kind is DivergenceKind.TOTAL_VARIATION and self.value > 1 + 1e-12:
-            raise ValueError(f"total variation cannot exceed 1: {self.value}")
-
-    @classmethod
-    def tv(cls, p: ProbVector, q: ProbVector) -> "Divergence":
-        return cls(DivergenceKind.TOTAL_VARIATION, tv_distance(p, q))
-
-    @classmethod
-    def kl(cls, p: ProbVector, q: ProbVector) -> "Divergence":
-        return cls(DivergenceKind.KULLBACK_LEIBLER, kl_divergence(p, q))
-
-    @classmethod
-    def generic(cls, p: ProbVector, q: ProbVector, generator: Callable[[float], float]) -> "Divergence":
-        return cls(DivergenceKind.GENERIC_F, f_divergence(p, q, generator))

@@ -9,7 +9,6 @@ from latdist.budget import (
     budget_lq,
     budget_slq,
     budget_uq,
-    budget_uq_tight,
     uq_bits_per_entry,
 )
 from latdist.errors import BetaNotAboveDelta, DomainError
@@ -27,11 +26,6 @@ class TestUniformBudget:
             budget_uq(10, 0.0)
         with pytest.raises(DomainError):
             budget_uq(1, 0.1)
-
-    def test_tight_variant_never_exceeds_headline(self):
-        for k in (2, 10, 100):
-            for beta in (0.01, 0.1, 0.5, 0.9):
-                assert budget_uq_tight(k, beta) <= budget_uq(k, beta)
 
     def test_bits_per_entry_ceils(self):
         k, beta = 10, 0.05

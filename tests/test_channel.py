@@ -1,9 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import integrate
 from scipy.special import exp1
 
+import latdist
 from latdist.channel import (
     ChannelFamily,
     ChannelSpec,
@@ -152,7 +158,26 @@ class TestAwgn:
             epsilon_awgn(10, 1.0, 0.0)
 
 
+def quad_moment(f):
+    """E[f(Z)] for Z a unit-mean exponential, by adaptive quadrature."""
+    value, _ = integrate.quad(
+        lambda z: f(z) * math.exp(-z), 0.0, math.inf, epsabs=0.0, epsrel=1e-13, limit=500
+    )
+    return value
+
+
 class TestFadingCsi:
+    def test_matches_adaptive_quadrature(self):
+        for gamma in np.geomspace(1e-3, 1e3, 61).tolist():
+            mean = quad_moment(lambda z: math.log1p(gamma * z))
+            second = quad_moment(lambda z: math.log1p(gamma * z) ** 2)
+            recip = quad_moment(lambda z: 1.0 / (1.0 + gamma * z))
+            for coherence in (3, 20, 200):
+                dispersion = second - mean * mean + (1.0 - recip * recip) / coherence
+                c, v = fading_csi_coeffs(gamma, coherence)
+                assert c == pytest.approx(mean, rel=1e-12)
+                assert v == pytest.approx(dispersion, rel=1e-12)
+
     def test_matches_exponential_integral_closed_forms(self):
         for gamma in (0.1, 1.0, 10.0, 100.0):
             closed_mean = math.exp(1 / gamma) * exp1(1 / gamma)
@@ -309,3 +334,9 @@ class TestChannelSpec:
     def test_accepts_numpy_integer_coherence(self):
         spec = ChannelSpec(ChannelFamily.FADING_CSI, 10.0, 1e4, 1e4, coherence=np.int64(20))
         assert spec.coherence == 20
+
+
+def test_import_leaves_out_scipy_integrate():
+    env = {**os.environ, "PYTHONPATH": str(Path(latdist.__file__).resolve().parents[1])}
+    code = "import latdist, sys; assert 'scipy.integrate' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

@@ -126,6 +126,22 @@ class TestTradeoffCommand:
         assert code == 2 and out == ""
         assert "needs k >= 2" in err
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--grid-points", "0"), ("--eps-cap", "nan"), ("--eps-cap", "0"), ("--eps-cap", "-1")],
+    )
+    def test_unusable_sweep_setting_is_usage_error(self, capsys, flag, value):
+        # These used to mark every grid point infeasible (exit 3).
+        code, out, err = run(
+            [
+                "tradeoff", "--scheme", "lq", "-k", "10", "--gamma0-db", "5",
+                "--b-hz", "1e5", "--beta-t", "0.1", flag, value,
+            ],
+            capsys,
+        )
+        assert code == 2 and out == ""
+        assert "error:" in err
+
     def test_json_contains_best_and_latency_seconds(self, capsys):
         code, out, _ = run(
             [
@@ -179,6 +195,28 @@ class TestHullCommand:
         )
         assert code == 2 and out == ""
         assert "4000.0 dB overflows" in err
+
+    @pytest.mark.parametrize(
+        "tail",
+        [
+            ["--beta-t", "0.1,nan"],
+            ["--beta-t", "inf"],
+            ["--beta-t", "0.1,1.2"],
+            ["--beta-t", "0.1", "--grid-points", "0"],
+            ["--beta-t", "0.1", "--eps-cap", "nan"],
+        ],
+        ids=["nan-beta-t", "inf-beta-t", "beta-t-above-one", "empty-grid", "nan-eps-cap"],
+    )
+    def test_unusable_sweep_setting_is_usage_error(self, capsys, tail):
+        # A NaN beta_t used to print the row nan,nan,nan,nan,0,inf,false,false
+        # and a beta_t above 1 an infeasible row, both with exit 0; the other
+        # settings used to exit 3 as infeasible.
+        code, out, err = run(
+            ["hull", "--scheme", "lq", "-k", "10", "--gamma0-db", "5", "--b-hz", "1e5", *tail],
+            capsys,
+        )
+        assert code == 2 and out == ""
+        assert "error:" in err
 
     def test_infeasible_exit_code(self, capsys):
         code, _, err = run(

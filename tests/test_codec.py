@@ -282,17 +282,6 @@ class TestLexIndexSerialization:
             LexIndex.from_bytes(b"\x01", 16)
 
 
-class TestEnumerationHelper:
-    def test_matches_independent_enumeration(self):
-        from latdist.codec import iter_compositions
-
-        for k in range(1, 5):
-            for total in range(1, 7):
-                assert list(iter_compositions(k, total)) == enumerate_compositions(
-                    k, total
-                )
-
-
 class TestExhaustiveBijection:
     """Rank and unrank invert each other on every space small enough to enumerate."""
 

@@ -7,7 +7,6 @@ from latdist.ingest import (
     load_dataset,
     recommend_ktop,
     save_dataset,
-    tail_mass_percentile,
     tail_masses,
     tail_violation_fraction,
     top_mass_curve,
@@ -156,10 +155,6 @@ class TestTailDiagnostics:
         ds = make_dataset([[0.9, 0.05, 0.05], [0.98, 0.01, 0.01]])
         assert tail_violation_fraction(ds, 1, 0.05) == 0.5
         assert tail_violation_fraction(ds, 1, 0.001) == 1.0
-
-    def test_percentile(self):
-        ds = make_dataset([[0.9, 0.05, 0.05], [0.98, 0.01, 0.01]])
-        assert tail_mass_percentile(ds, 1, 100) == pytest.approx(0.1)
 
     def test_tail_masses_match_curve(self):
         rng = np.random.default_rng(64)
