@@ -328,9 +328,10 @@ def sweep_beta_t(
 
     Budgets whose inner sweep has no feasible point are kept as infeasible
     placeholders; if every budget is infeasible, NoFeasibleN propagates.
-    A budget outside (0, 1], NaN included, an empty grid and a NaN or
-    non-positive eps cap raise DomainError up front, as they do for a single
-    budget, instead of turning into infeasible rows.
+    A budget outside (0, 1], NaN included, one at or below the coder's
+    tail floor, an empty grid and a NaN or non-positive eps cap raise
+    DomainError up front, as they do for a single budget, instead of
+    turning into infeasible rows.
     """
     values = [float(bt) for bt in beta_ts]
     if not all(0.0 < bt <= 1.0 for bt in values):
@@ -340,6 +341,8 @@ def sweep_beta_t(
             f"need grid_points >= 1 and eps_cap > 0, got {grid_points} and {eps_cap}"
         )
     values.sort()
+    # The smallest budget is the first to leave no source distortion above the floor.
+    beta_s_grid(values[0], budget, grid_points, grid_mode)
 
     def best_for(bt: float) -> TradeoffPoint:
         try:

@@ -83,8 +83,15 @@ class ProbVector:
         return f"ProbVector({self.values.tolist()!r})"
 
 
-def tv_distance(p: ProbVector, q: ProbVector) -> float:
-    """Total variation distance, half the L1 distance. Always in [0, 1]."""
-    if p.k != q.k:
-        raise DimensionMismatch(f"dimensions differ: {p.k} vs {q.k}")
-    return 0.5 * float(np.abs(p.values - q.values).sum())
+def tv_distance(p: ProbVector | np.ndarray, q: ProbVector | np.ndarray) -> float | np.ndarray:
+    """Total variation distance, half the L1 distance. Always in [0, 1].
+
+    On two ProbVectors it is a float. On matrices whose rows are probability
+    vectors it is an array with one distance per row.
+    """
+    a = p.values if isinstance(p, ProbVector) else p
+    b = q.values if isinstance(q, ProbVector) else q
+    if a.shape[-1] != b.shape[-1]:
+        raise DimensionMismatch(f"dimensions differ: {a.shape[-1]} vs {b.shape[-1]}")
+    distance = 0.5 * np.abs(a - b).sum(axis=-1)
+    return float(distance) if distance.ndim == 0 else distance

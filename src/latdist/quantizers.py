@@ -106,32 +106,38 @@ def round_to_lattice(values: np.ndarray, denominator: int) -> LatticeRounding:
     Initial counts are floor(denominator*value + 1/2). If they oversum, the
     surplus entries with the largest residuals count - denominator*value are
     decremented; if they undersum, those with the smallest residuals are
-    incremented. Residual ties break toward the lower index.
+    incremented. Residual ties break toward the lower index. A matrix is
+    rounded row by row, each row exactly as it would be on its own.
     """
     if denominator < 1:
         raise DomainError(f"denominator must be >= 1, got {denominator}")
     scaled = np.asarray(values, dtype=float) * denominator
-    counts = np.floor(scaled + 0.5).astype(np.int64)
-    residuals = counts - scaled
-    surplus = int(counts.sum()) - denominator
+    rounded = np.floor(scaled + 0.5)
+    counts = rounded.astype(np.int64)
+    residuals = rounded - scaled
+    deficit = denominator - counts.sum(axis=-1)
     initial = counts.copy()
-    if surplus > 0:
-        order = np.lexsort((np.arange(counts.size), -residuals))
-        chosen = order[:surplus]
-        counts[chosen] -= 1
-        # Entries picked for decrement always started positive: a positive
-        # total residual forces at least `surplus` entries above their target.
-        assert (counts >= 0).all(), "lattice rounding drove a count negative"
-    elif surplus < 0:
-        order = np.lexsort((np.arange(counts.size), residuals))
-        counts[order[:-surplus]] += 1
+    if not np.count_nonzero(deficit):
+        return LatticeRounding(counts, initial, residuals)
+    # A stable sort by the residuals, negated where the counts oversum, puts
+    # first the |deficit| entries that move one count toward the target,
+    # ties at the lower index. A matrix is sorted row by row.
+    if counts.ndim == 1:
+        order = (residuals if deficit > 0 else -residuals).argsort(kind="stable")
+        counts[order[: abs(deficit)]] += 1 if deficit > 0 else -1
+    else:
+        step = np.sign(deficit)[:, None]
+        order = (residuals * step).argsort(axis=-1, kind="stable")
+        counts += step * (order.argsort(axis=-1) < np.abs(deficit)[:, None])
+    # Entries picked for decrement always started positive: a positive
+    # total residual forces at least -deficit entries above their target.
+    assert counts.min() >= 0, "lattice rounding drove a count negative"
     return LatticeRounding(counts, initial, residuals)
 
 
 def lq_encode(p: ProbVector, denominator: int) -> LatticePoint:
     """Nearest point on the fixed-denominator lattice, by residual rounding."""
-    rounded = round_to_lattice(p.values, denominator)
-    return LatticePoint(tuple(int(c) for c in rounded.counts), denominator)
+    return lq_encode_steps(p, denominator)[0]
 
 
 def lq_encode_steps(p: ProbVector, denominator: int) -> tuple[LatticePoint, LatticeRounding]:

@@ -4,6 +4,12 @@ Channel decoding is abstracted to a Bernoulli failure at the solved error
 probability; what the receiver reconstructs on a failure is a pluggable
 error model, since the distortion bound only needs failures to cost at
 most total variation 1.
+
+Reproducibility contract: every random number of trial i comes from its own
+generator, ``numpy.random.default_rng([seed, i])``, so a report depends on
+its config alone. Trials are quantized and measured in blocks of rows, and
+the report bytes depend neither on the block size nor on the order of the
+trials within a block.
 """
 
 from __future__ import annotations
@@ -27,13 +33,16 @@ from .errors import DomainError
 from .prob import ProbVector, tv_distance
 from .quantizers import (
     SLQEncoding,
+    UQEncoding,
     lq_decode,
-    lq_encode,
+    round_to_lattice,
     slq_decode,
-    slq_encode,
     uq_decode,
-    uq_encode,
 )
+
+# Trials are quantized, corrupted and measured this many rows at a time, so
+# memory stays O(_BLOCK * k) whatever the number of trials.
+_BLOCK = 256
 
 
 class ErrorModel(Enum):
@@ -106,49 +115,25 @@ class SimReport:
     config: dict
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "empirical_mean_distortion": self.empirical_mean_distortion,
-                "std_error": self.std_error,
-                "bound": self.bound,
-                "violations": self.violations,
-                "within_bound": self.within_bound,
-                "trials": self.trials,
-                "config": self.config,
-            },
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), sort_keys=True)
 
 
-def random_simplex(k: int, rng: np.random.Generator, concentration: float | None = None) -> ProbVector:
-    """Uniform simplex sample from normalized unit exponentials.
-
-    With ``concentration`` c > 1 the draw is a symmetric Dirichlet with
-    parameter 1/c, which piles mass onto few coordinates as c grows;
-    c = 1 recovers the flat distribution.
-    """
+def _simplex_draws(k: int, rng: np.random.Generator) -> np.ndarray:
+    """The unnormalized draws behind random_simplex."""
     if k < 2:
         raise DomainError(f"need k >= 2, got {k}")
-    if concentration is None or concentration == 1.0:
-        draws = rng.standard_exponential(k)
-    else:
-        if concentration <= 0:
-            raise DomainError(f"concentration must be positive, got {concentration}")
-        draws = rng.gamma(1.0 / concentration, size=k)
-        if not draws.any():
-            draws = np.ones(k)
-    return ProbVector(draws, normalize=True)
+    return rng.standard_exponential(k)
 
 
-def random_sparse_simplex(
+def random_simplex(k: int, rng: np.random.Generator) -> ProbVector:
+    """Uniform simplex sample from normalized unit exponentials."""
+    return ProbVector(_simplex_draws(k, rng), normalize=True)
+
+
+def _sparse_simplex_draws(
     k: int, top: int, tail_mass: float, rng: np.random.Generator
-) -> ProbVector:
-    """Simplex sample whose smallest k - top entries carry at most ``tail_mass``.
-
-    The heavy block of ``top`` coordinates is placed at random positions and
-    receives mass 1 - tail_mass spread as a flat Dirichlet; the remainder is
-    spread over the other coordinates the same way.
-    """
+) -> np.ndarray:
+    """The unnormalized draws behind random_sparse_simplex."""
     if not 1 <= top <= k:
         raise DomainError(f"need 1 <= top <= k, got top={top}, k={k}")
     if not 0.0 <= tail_mass < 1.0:
@@ -160,7 +145,19 @@ def random_sparse_simplex(
     if top < k and tail_mass > 0:
         light = rng.standard_exponential(k - top)
         values[positions[top:]] = tail_mass * light / light.sum()
-    return ProbVector(values, normalize=True)
+    return values
+
+
+def random_sparse_simplex(
+    k: int, top: int, tail_mass: float, rng: np.random.Generator
+) -> ProbVector:
+    """Simplex sample whose smallest k - top entries carry at most ``tail_mass``.
+
+    The heavy block of ``top`` coordinates is placed at random positions and
+    receives mass 1 - tail_mass spread as a flat Dirichlet; the remainder is
+    spread over the other coordinates the same way.
+    """
+    return ProbVector(_sparse_simplex_draws(k, top, tail_mass, rng), normalize=True)
 
 
 def _uniform_below(rng: np.random.Generator, bound: int) -> int:
@@ -177,65 +174,86 @@ def _uniform_below(rng: np.random.Generator, bound: int) -> int:
             return value
 
 
-def _farthest_vertex(p: ProbVector) -> ProbVector:
-    values = np.zeros(p.k)
-    values[int(np.argmin(p.values))] = 1.0
-    return ProbVector(values)
+def _garbled(coder: SimConfig, rng: np.random.Generator) -> np.ndarray:
+    """Receiver output for a uniformly random valid payload index."""
+    k, ell = coder.k, coder.ell
+    if coder.scheme is Scheme.UQ:
+        j = coder.bits_per_entry
+        ids = tuple(int(x) for x in rng.integers(0, 1 << j, size=k))
+        return uq_decode(UQEncoding(ids, j)).values
+    if coder.scheme is Scheme.LQ:
+        idx = _uniform_below(rng, composition_count(k, ell))
+        return lq_decode(unrank_composition(idx, k, ell)).values
+    subset_idx = _uniform_below(rng, math.comb(k, coder.k_top))
+    lattice_idx = _uniform_below(rng, composition_count(coder.k_top, ell))
+    positions = unrank_subset(subset_idx, k, coder.k_top)
+    lattice_index = LexIndex(lattice_idx, composition_count_bits(coder.k_top, ell))
+    return slq_decode(SLQEncoding(positions, lattice_index, ell, k, coder.k_top)).values
 
 
-def _corrupted(cfg: SimConfig, p: ProbVector, rng: np.random.Generator) -> ProbVector:
-    """Receiver output when the decoder fails, per the configured error model."""
-    if cfg.error_model is ErrorModel.ADVERSARIAL_VERTEX:
-        return _farthest_vertex(p)
-    if cfg.scheme is Scheme.UQ:
-        j = cfg.resolved_bits_per_entry()
-        ids = tuple(int(x) for x in rng.integers(0, 1 << j, size=cfg.k))
-        mid = (np.array(ids, dtype=float) + 0.5) / (1 << j)
-        return ProbVector(mid, normalize=True)
-    ell = cfg.resolved_ell()
-    if cfg.scheme is Scheme.LQ:
-        idx = _uniform_below(rng, composition_count(cfg.k, ell))
-        return lq_decode(unrank_composition(idx, cfg.k, ell))
-    subset_idx = _uniform_below(rng, math.comb(cfg.k, cfg.k_top))
-    lattice_idx = _uniform_below(rng, composition_count(cfg.k_top, ell))
-    positions = unrank_subset(subset_idx, cfg.k, cfg.k_top)
-    lattice_index = LexIndex(lattice_idx, composition_count_bits(cfg.k_top, ell))
-    return slq_decode(SLQEncoding(positions, lattice_index, ell, cfg.k, cfg.k_top))
-
-
-def _quantize(cfg: SimConfig, p: ProbVector) -> ProbVector:
-    if cfg.scheme is Scheme.UQ:
-        return uq_decode(uq_encode(p, cfg.resolved_bits_per_entry()))
-    if cfg.scheme is Scheme.LQ:
-        return lq_decode(lq_encode(p, cfg.resolved_ell()))
-    return slq_decode(slq_encode(p, cfg.k_top, cfg.resolved_ell()))
+def _decoded(coder: SimConfig, sources: np.ndarray) -> np.ndarray:
+    """Each row quantized and decoded, normalized as the decoders' ProbVector is."""
+    if coder.scheme is Scheme.UQ:
+        levels = 1 << coder.bits_per_entry
+        ids = np.floor(sources * levels).astype(np.int64)
+        np.minimum(ids, levels - 1, out=ids)
+        received = (ids + 0.5) / levels
+    elif coder.scheme is Scheme.LQ:
+        received = round_to_lattice(sources, coder.ell).counts / coder.ell
+    else:
+        # The k_top largest entries, ties toward the lower index, in index order.
+        top = np.sort(np.argsort(-sources, axis=1, kind="stable")[:, : coder.k_top], axis=1)
+        kept = np.take_along_axis(sources, top, axis=1)
+        # Positive: the k_top largest entries of a unit-sum row hold at least k_top/k.
+        mass = kept.sum(axis=1, keepdims=True)
+        counts = round_to_lattice(kept / mass, coder.ell).counts
+        received = np.zeros_like(sources)
+        np.put_along_axis(received, top, counts / coder.ell, axis=1)
+    return received / received.sum(axis=1, keepdims=True)
 
 
 def simulate_end_to_end(cfg: SimConfig) -> SimReport:
     """Run the trials and compare mean distortion with the analytical bound.
 
-    Each trial draws an input (flat simplex draws, or tail-controlled draws
-    for the sparse scheme), quantizes it, flips a failure coin at the
-    operating error probability, and measures the total variation to what
-    the receiver reconstructs. Trials use counter-derived generator streams
-    keyed by (seed, trial), so the report depends on the config alone.
+    Each trial draws, from its own (seed, trial) stream and in this order,
+    an input (flat simplex draws, or tail-controlled draws for the sparse
+    scheme), a failure coin at the operating error probability and, for a
+    failure under the uniform-index model, the payload index the receiver
+    decodes. Quantization, corruption and the total variation to what the
+    receiver reconstructs are then computed on a block of rows at a time.
     """
     tail_bound = cfg.source_tail_mass if cfg.source_tail_mass is not None else cfg.delta
     # The coder depends on the config alone: resolve it once, not per trial.
     coder = replace(
         cfg, ell=cfg.resolved_ell(), bits_per_entry=cfg.resolved_bits_per_entry()
     )
+    garble = cfg.error_model is ErrorModel.UNIFORM_INDEX
     distortions = np.empty(cfg.trials)
-    for i in range(cfg.trials):
-        rng = np.random.default_rng([cfg.seed, i])
-        if cfg.scheme is Scheme.SLQ:
-            p = random_sparse_simplex(cfg.k, cfg.k_top, rng.uniform(0.0, tail_bound), rng)
-        else:
-            p = random_simplex(cfg.k, rng)
-        quantized = _quantize(coder, p)
-        failed = rng.uniform() < cfg.eps_target
-        received = _corrupted(coder, p, rng) if failed else quantized
-        distortions[i] = tv_distance(p, received)
+    for start in range(0, cfg.trials, _BLOCK):
+        block = range(start, min(start + _BLOCK, cfg.trials))
+        sources = np.empty((len(block), cfg.k))
+        failed, garbled = [], []
+        for row, trial in enumerate(block):
+            rng = np.random.default_rng([cfg.seed, trial])
+            if cfg.scheme is Scheme.SLQ:
+                tail = rng.uniform(0.0, tail_bound)
+                sources[row] = _sparse_simplex_draws(cfg.k, cfg.k_top, tail, rng)
+            else:
+                sources[row] = _simplex_draws(cfg.k, rng)
+            # random() draws what uniform() draws, without its argument handling.
+            if rng.random() < cfg.eps_target:
+                failed.append(row)
+                if garble:
+                    garbled.append(_garbled(coder, rng))
+        sources /= sources.sum(axis=1, keepdims=True)
+        received = _decoded(coder, sources)
+        if failed and garble:
+            received[failed] = garbled
+        elif failed:
+            # The vertex farthest in total variation sits at the smallest entry.
+            received[failed] = 0.0
+            received[failed, sources[failed].argmin(axis=1)] = 1.0
+        distortions[start : block.stop] = tv_distance(sources, received)
 
     mean = float(np.sum(distortions) / cfg.trials)
     if cfg.trials > 1:

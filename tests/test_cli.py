@@ -219,16 +219,29 @@ class TestHullCommand:
         assert "error:" in err
 
     def test_infeasible_exit_code(self, capsys):
+        # Every error target on 40 points below these budgets exceeds the cap.
         code, _, err = run(
             [
-                "hull", "--scheme", "slq", "-k", "20", "--k-top", "5",
-                "--delta", "0.5", "--gamma0-db", "5", "--b-hz", "1e5",
-                "--beta-t", "0.05,0.1",
+                "hull", "--scheme", "lq", "-k", "10", "--gamma0-db", "5", "--b-hz", "1e5",
+                "--beta-t", "0.3,0.5", "--grid-points", "40", "--eps-cap", "0.001",
             ],
             capsys,
         )
         assert code == 3
         assert "infeasible" in err
+
+    @pytest.mark.parametrize("command", ["tradeoff", "hull"])
+    def test_budget_at_tail_floor_is_usage_error(self, capsys, command):
+        # hull used to report this beta_t as infeasible (exit 3).
+        code, out, err = run(
+            [
+                command, "--scheme", "slq", "-k", "20", "--k-top", "5", "--delta", "0.5",
+                "--gamma0-db", "5", "--b-hz", "1e5", "--beta-t", "0.1",
+            ],
+            capsys,
+        )
+        assert code == 2 and out == ""
+        assert "no admissible source distortion" in err
 
     def test_output_file(self, tmp_path, capsys):
         out_path = tmp_path / "hull.csv"

@@ -480,14 +480,23 @@ class TestHull:
         assert hull[0] == 0 and hull[-1] == 2
 
     def test_skips_infeasible_budgets(self):
-        # A tail-mass floor of 0.2 leaves no admissible beta_s below it.
-        bf = BudgetFn(Scheme.SLQ, 20, 5, 0.2)
-        curve = sweep_beta_t([0.1, 0.5], bf, WIDEBAND_SPEC, grid_points=40)
+        # On 40 points below beta_t = 0.5 every error target exceeds a cap of
+        # 0.01; below 0.1 the grid's top points stay under it.
+        bf = BudgetFn(Scheme.LQ, 10)
+        curve = sweep_beta_t([0.1, 0.5], bf, WIDEBAND_SPEC, grid_points=40, eps_cap=0.01)
         flags = {pt.beta_t: pt.feasible for pt in curve.points}
-        assert not flags[0.1] and flags[0.5]
+        assert flags[0.1] and not flags[0.5]
         assert all(pt.feasible for pt in curve.hull)
 
     def test_every_budget_infeasible_raises(self):
-        bf = BudgetFn(Scheme.SLQ, 20, 5, 0.2)
+        bf = BudgetFn(Scheme.LQ, 10)
         with pytest.raises(NoFeasibleN):
-            sweep_beta_t([0.05, 0.1], bf, WIDEBAND_SPEC, grid_points=40)
+            sweep_beta_t([0.3, 0.5], bf, WIDEBAND_SPEC, grid_points=40, eps_cap=0.001)
+
+    def test_budget_at_tail_floor_is_domain_error(self):
+        # A tail-mass floor of 0.2 leaves no admissible beta_s below it, as
+        # sweep_beta_s reports for the same budget.
+        bf = BudgetFn(Scheme.SLQ, 20, 5, 0.2)
+        for beta_ts in ([0.1, 0.5], [0.2, 0.5], [0.05, 0.1]):
+            with pytest.raises(DomainError, match="no admissible source distortion"):
+                sweep_beta_t(beta_ts, bf, WIDEBAND_SPEC, grid_points=40)

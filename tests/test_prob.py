@@ -86,6 +86,16 @@ class TestTvDistance:
         with pytest.raises(DimensionMismatch):
             tv_distance(ProbVector([0.5, 0.5]), ProbVector([1, 0, 0]))
 
+    def test_rows_measure_as_vectors(self):
+        rng = np.random.default_rng(2)
+        for k in (2, 9, 300):
+            ps = [random_point(rng, k) for _ in range(40)]
+            qs = [random_point(rng, k) for _ in range(40)]
+            rows = tv_distance(np.array([p.values for p in ps]), np.array([q.values for q in qs]))
+            assert rows.tolist() == [tv_distance(p, q) for p, q in zip(ps, qs)]
+        with pytest.raises(DimensionMismatch):
+            tv_distance(np.zeros((3, 2)), np.zeros((3, 4)))
+
     def test_symmetric_and_bounded(self):
         rng = np.random.default_rng(0)
         for _ in range(500):

@@ -16,6 +16,7 @@ from latdist.quantizers import (
     lq_encode_steps,
     lq_from_payload,
     lq_payload,
+    round_to_lattice,
     slq_decode,
     slq_encode,
     top_positions,
@@ -91,6 +92,33 @@ class TestLattice:
         assert steps.residuals == pytest.approx([0.1, 0.4, 0.5], abs=1e-9)
         assert point.counts == (1, 3, 1)
         assert np.array_equal(lq_decode(point).values, np.array([1, 3, 1]) / 5)
+
+    def test_rows_round_as_vectors(self):
+        # Dyadic rows give exact residual ties: oversum (0.5, 0.5), undersum
+        # (-0.25 four times), and rows already on the lattice of 4.
+        exact = np.array([
+            [0.125, 0.125, 0.75, 0.0],
+            [5 / 16, 5 / 16, 5 / 16, 1 / 16],
+            [0.25, 0.25, 0.5, 0.0],
+            [0.0, 0.0, 0.0, 1.0],
+        ])
+        rng = np.random.default_rng(26)
+        drawn = rng.standard_exponential((300, 4)) ** 3
+        drawn /= drawn.sum(axis=1, keepdims=True)
+        signs = set()
+        for ell, rows in ((4, exact), (3, drawn), (7, drawn), (50, drawn)):
+            whole = round_to_lattice(rows, ell)
+            for row, counts, initial, residuals in zip(rows, *whole):
+                alone = round_to_lattice(row, ell)
+                assert np.array_equal(counts, alone.counts)
+                assert np.array_equal(initial, alone.initial_counts)
+                assert np.array_equal(residuals, alone.residuals)
+                signs.add(int(np.sign(initial.sum() - ell)))
+            assert (whole.counts.sum(axis=1) == ell).all()
+        assert signs == {-1, 0, 1}
+        assert round_to_lattice(exact, 4).counts.tolist() == [
+            [0, 1, 3, 0], [2, 1, 1, 0], [1, 1, 2, 0], [0, 0, 0, 4],
+        ]
 
     def test_lattice_point_is_fixed(self):
         p = ProbVector([0.2, 0.6, 0.2])

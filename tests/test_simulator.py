@@ -1,9 +1,11 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from latdist import simulator
 from latdist.budget import Scheme, budget_lq
 from latdist.errors import DomainError
 from latdist.simulator import (
@@ -13,6 +15,33 @@ from latdist.simulator import (
     random_sparse_simplex,
     simulate_end_to_end,
 )
+
+
+# One run down each decoding path, the last one block plus one trial long.
+# Digests of report.to_json(), computed with the per-trial simulator that the
+# block simulator replaced.
+PINNED_PATHS = {
+    "slq-k100-uniform": (300, dict(
+        error_model=ErrorModel.UNIFORM_INDEX, scheme=Scheme.SLQ, k=100, beta_s=0.05,
+        eps_target=0.25, k_top=5, delta=1e-3,
+    ), "0ceb0f9fc903ed2669a2914da8a805502a3999dafd6848d19bbb11a68e94b374"),
+    "uq-k20-uniform": (300, dict(
+        error_model=ErrorModel.UNIFORM_INDEX, scheme=Scheme.UQ, k=20, beta_s=0.1,
+        eps_target=0.25,
+    ), "bcbde86a53eff213cc9862ec91043b7ad22dbe11590b8b084d0fe07a8e41234f"),
+    "uq-k20-adversarial": (300, dict(
+        error_model=ErrorModel.ADVERSARIAL_VERTEX, scheme=Scheme.UQ, k=20, beta_s=0.1,
+        eps_target=0.25,
+    ), "76a3df1af922c274ebee4d3564f0119b1c2a8f2a727eae64c230bdec07f73e0d"),
+    "lq-k100-adversarial": (300, dict(
+        error_model=ErrorModel.ADVERSARIAL_VERTEX, scheme=Scheme.LQ, k=100, beta_s=0.1,
+        eps_target=0.25,
+    ), "b591d078874705400c65c8620264a229818eb55f310b03a27bb7d7cd97058b6b"),
+    "lq-k8-block-plus-one": (257, dict(
+        error_model=ErrorModel.UNIFORM_INDEX, scheme=Scheme.LQ, k=8, beta_s=0.1,
+        eps_target=0.25,
+    ), "e26e135b00a79585772ce00761e8ef07b00a0cb0bb400716a0c6b51b7efbbc6a"),
+}
 
 
 def lq_config(eps, trials=3000, seed=42, model=ErrorModel.UNIFORM_INDEX):
@@ -39,15 +68,6 @@ class TestRandomSimplex:
         rng = np.random.default_rng(51)
         samples = np.array([random_simplex(2, rng)[0] for _ in range(4000)])
         assert stats.kstest(samples, "uniform").pvalue > 1e-3
-
-    def test_concentration_raises_top_mass(self):
-        top1 = {}
-        for c in (1.0, 4.0, 16.0):
-            rng = np.random.default_rng(52)
-            top1[c] = np.mean(
-                [random_simplex(20, rng, concentration=c).values.max() for _ in range(400)]
-            )
-        assert top1[1.0] < top1[4.0] < top1[16.0]
 
     def test_needs_two_classes(self):
         with pytest.raises(DomainError):
@@ -160,6 +180,40 @@ class TestSimulation:
         report = simulate_end_to_end(lq_config(eps=0.25, trials=500, seed=2024))
         digest = hashlib.sha256(report.to_json().encode()).hexdigest()
         assert digest == "a332d56f4b6e1e92343690e5044f74cb533c51bb2820c685bc93fdd5b78f5052"
+
+    @pytest.mark.parametrize("path", sorted(PINNED_PATHS))
+    def test_report_is_pinned_on_every_path(self, path):
+        trials, extra, digest = PINNED_PATHS[path]
+        if path == "lq-k8-block-plus-one":
+            assert simulator._BLOCK + 1 == trials
+        report = simulate_end_to_end(SimConfig(trials=trials, seed=2024, **extra))
+        assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("block", [1, 7])
+    @pytest.mark.parametrize("path", sorted(PINNED_PATHS))
+    def test_report_does_not_depend_on_block_size(self, monkeypatch, path, block):
+        cfg = SimConfig(trials=40, seed=11, **PINNED_PATHS[path][1])
+        expected = simulate_end_to_end(cfg).to_json()
+        monkeypatch.setattr(simulator, "_BLOCK", block)
+        assert simulate_end_to_end(cfg).to_json() == expected
+
+    def test_memory_does_not_grow_with_trials(self):
+        # Only the distortions (8 bytes a trial) grow with the trial count;
+        # the (block x k) matrices do not.
+        def peak_bytes(trials):
+            cfg = SimConfig(
+                trials=trials, seed=3, error_model=ErrorModel.ADVERSARIAL_VERTEX,
+                scheme=Scheme.LQ, k=1000, beta_s=0.1, eps_target=0.25,
+            )
+            tracemalloc.start()
+            try:
+                simulate_end_to_end(cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small = peak_bytes(512)
+        assert peak_bytes(4 * 512) <= 1.25 * small
 
     def test_same_config_same_report(self):
         cfg = lq_config(eps=0.25, trials=800)
