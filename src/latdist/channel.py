@@ -16,7 +16,6 @@ from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .elementwise import brief, log1p, log2
 from .errors import DomainError
@@ -101,6 +100,9 @@ def operational_snr(spec: ChannelSpec) -> float:
 
 def q_func(x: float) -> float:
     """Complementary CDF of the standard Gaussian; elementwise on an array."""
+    # Imported here, so that commands that never evaluate Q start without scipy.
+    from scipy.special import ndtr
+
     q = ndtr(-x)
     return q if isinstance(x, np.ndarray) else float(q)
 
@@ -109,6 +111,8 @@ def q_inv(p: float) -> float:
     """Inverse of q_func on (0, 1); elementwise on an array."""
     if not np.all((0.0 < p) & (p < 1.0)):
         raise DomainError(f"q_inv needs p in (0, 1), got {brief(p)}")
+    from scipy.special import ndtri
+
     q = -ndtri(p)
     return q if isinstance(p, np.ndarray) else float(q)
 

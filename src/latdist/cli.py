@@ -25,7 +25,7 @@ from .ingest import (
     tail_violation_fraction,
     top_mass_curve,
 )
-from .optimizer import TradeoffPoint, sweep_beta_s, sweep_beta_t
+from .optimizer import sweep_beta_s, sweep_beta_t
 from .quantizers import (
     SLQEncoding,
     UQEncoding,
@@ -159,33 +159,6 @@ def _json_document(cfg: dict, payload: dict) -> str:
     return json.dumps({"config": cfg, **payload}, sort_keys=True) + "\n"
 
 
-def _point_row(pt: TradeoffPoint) -> tuple:
-    return (
-        pt.beta_t,
-        pt.beta_s,
-        pt.j_bits,
-        pt.eps_target,
-        pt.n,
-        pt.latency_ms,
-        pt.feasible,
-        pt.hull_member,
-    )
-
-
-def _point_obj(pt: TradeoffPoint) -> dict:
-    return {
-        "beta_t": pt.beta_t,
-        "beta_s": pt.beta_s,
-        "J_bits": pt.j_bits,
-        "epsilon_target": pt.eps_target,
-        "n": pt.n,
-        "latency_ms": pt.latency_ms,
-        "latency_s": pt.latency_s,
-        "feasible": pt.feasible,
-        "hull_member": pt.hull_member,
-    }
-
-
 def cmd_budget(args) -> int:
     cfg = _resolve(
         args,
@@ -238,14 +211,11 @@ _SWEEP_SCHEMA = {
 }
 
 
-def cmd_tradeoff(args) -> int:
-    cfg = _resolve(args, _SWEEP_SCHEMA)
-    betas = parse_value_list(cfg["beta_t"])
-    if len(betas) != 1:
-        raise UsageError("tradeoff sweeps a single beta_t; give one value")
-    cfg["beta_t"] = betas[0]
-    curve = sweep_beta_s(
-        betas[0],
+def _run_sweep(args, cfg: dict, sweep, beta_t, *, with_best: bool) -> int:
+    """Run ``sweep`` at beta_t on the config's coder and channel; write its rows."""
+    cfg["beta_t"] = beta_t
+    curve = sweep(
+        beta_t,
         _budget_fn(cfg),
         _channel_spec(cfg),
         grid_points=int(cfg["grid_points"]),
@@ -253,21 +223,27 @@ def cmd_tradeoff(args) -> int:
         eps_cap=float(cfg["eps_cap"]),
         refine=bool(cfg["refine"]),
     )
+    columns = (
+        curve.beta_t, curve.beta_s, curve.j_bits, curve.eps_target, curve.n,
+        curve.latency_s * 1e3, curve.feasible, curve.hull_member, curve.latency_s,
+    )
+    # The CSV columns, then latency_s for JSON, as Python scalars.
+    rows = list(zip(*(column.tolist() for column in columns)))
     if cfg["format"] == "json":
-        _write(
-            args,
-            _json_document(
-                cfg,
-                {
-                    "rows": [_point_obj(pt) for pt in curve.points],
-                    "best": _point_obj(curve.best),
-                },
-            ),
-        )
+        objs = [dict(zip(CSV_COLUMNS + ("latency_s",), row)) for row in rows]
+        payload = {"rows": objs, "best": objs[curve.best_index]} if with_best else {"rows": objs}
+        _write(args, _json_document(cfg, payload))
     else:
-        rows = [_point_row(pt) for pt in curve.points]
-        _write(args, _csv_document(cfg, CSV_COLUMNS, rows))
+        _write(args, _csv_document(cfg, CSV_COLUMNS, [row[:-1] for row in rows]))
     return 0
+
+
+def cmd_tradeoff(args) -> int:
+    cfg = _resolve(args, _SWEEP_SCHEMA)
+    betas = parse_value_list(cfg["beta_t"])
+    if len(betas) != 1:
+        raise UsageError("tradeoff sweeps a single beta_t; give one value")
+    return _run_sweep(args, cfg, sweep_beta_s, betas[0], with_best=True)
 
 
 def cmd_hull(args) -> int:
@@ -275,22 +251,7 @@ def cmd_hull(args) -> int:
     betas = parse_value_list(cfg["beta_t"])
     if not betas:
         raise UsageError("empty beta_t list")
-    cfg["beta_t"] = betas
-    curve = sweep_beta_t(
-        betas,
-        _budget_fn(cfg),
-        _channel_spec(cfg),
-        grid_points=int(cfg["grid_points"]),
-        grid_mode=str(cfg["grid_mode"]),
-        eps_cap=float(cfg["eps_cap"]),
-        refine=bool(cfg["refine"]),
-    )
-    if cfg["format"] == "json":
-        _write(args, _json_document(cfg, {"rows": [_point_obj(pt) for pt in curve.points]}))
-    else:
-        rows = [_point_row(pt) for pt in curve.points]
-        _write(args, _csv_document(cfg, CSV_COLUMNS, rows))
-    return 0
+    return _run_sweep(args, cfg, sweep_beta_t, betas, with_best=False)
 
 
 _CODEC_SCHEMA = {

@@ -18,24 +18,29 @@ and dispersion per coherence block of F channel uses):
 
 A sweep over beta_s locates the split that minimizes latency n / (2B).
 
-The solver works on arrays. A sweep takes the error target and the bit
-budget J of its whole beta_s grid in one call each, masks the points whose
-target the solver admits and whose payload is positive, in place of
-per-point exceptions, and passes all of them to ``solve_blocklength`` at
-once. The solver then makes one numpy pass: Q^-1 of the whole eps column,
-the root, the guarded ceiling and, with ``refine`` on AWGN, a bisection over
-the array of n in which each point keeps its own [lo, hi] and the AWGN error
-model from ``channel`` is evaluated on all midpoints at once. Points
-outside the mask stay in the curve as infeasible. Inputs that no grid point
-can satisfy, such as beta_t > 1, an empty grid or a non-positive eps cap,
-raise as they do for a single point.
+The solver works on arrays. ``sweep_beta_s`` lays one beta_s grid below its
+beta_t; ``sweep_beta_t`` lays one grid row below each of its budgets, a 2-D
+(beta_t x beta_s) grid. Either way the error target and the bit budget J of
+the whole grid come from one call each, the points whose target the solver
+admits and whose payload is positive are masked, in place of per-point
+exceptions, and all of them go to ``solve_blocklength`` at once. The solver
+then makes one numpy pass: Q^-1 of the whole eps column, the root, the
+guarded ceiling and, with ``refine`` on AWGN, a bisection over the array of
+n in which each point keeps its own [lo, hi] and the AWGN error model from
+``channel`` is evaluated on all midpoints at once. An argmin per row picks
+each budget's best split. Points outside the mask stay infeasible. Inputs
+that no grid point can satisfy, such as beta_t > 1, an empty grid or a
+non-positive eps cap, raise as they do for a single point.
+
+A ``TradeoffCurve`` holds its points as numpy columns; the per-point
+``TradeoffPoint`` objects are built only when read.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from itertools import repeat
+from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -70,11 +75,12 @@ _FLOAT_INT_LIMIT = 2.0**52
 def decoding_error_target(beta_t: float, beta_s: float) -> float:
     """Error probability that exhausts the distortion budget: (bt - bs)/(1 - bs).
 
-    Elementwise over an array of beta_s.
+    Elementwise over arrays of beta_t and beta_s.
     """
     if not np.all((0.0 <= beta_s) & (beta_s < beta_t) & (beta_t <= 1.0)):
         raise DomainError(
-            f"need 0 <= beta_s < beta_t <= 1, got beta_s={brief(beta_s)}, beta_t={beta_t}"
+            "need 0 <= beta_s < beta_t <= 1, "
+            f"got beta_s={brief(beta_s)}, beta_t={brief(beta_t)}"
         )
     return (beta_t - beta_s) / (1.0 - beta_s)
 
@@ -153,8 +159,8 @@ def solve_blocklength(
     ceiling's guard (1e-12 relative) is far above float noise, so ``refine``
     leaves it as it is.
 
-    Elementwise over arrays of beta_s and j_bits, in one numpy pass; each
-    check must then hold for every element. n comes back as ints, as
+    Elementwise over arrays of beta_t, beta_s and j_bits, in one numpy pass;
+    each check must then hold for every element. n comes back as ints, as
     ``elementwise.to_int`` gives them.
     """
     eps = decoding_error_target(beta_t, beta_s)
@@ -207,13 +213,44 @@ class TradeoffPoint:
         return self.latency_s * 1e3
 
 
-@dataclass
-class TradeoffCurve:
-    """Sweep output: all evaluated points, the best one, and an optional hull."""
+_COLUMNS = tuple(f.name for f in fields(TradeoffPoint))
 
-    points: list[TradeoffPoint]
-    best: TradeoffPoint | None = None
-    hull: list[TradeoffPoint] | None = None
+
+@dataclass(eq=False)
+class TradeoffCurve:
+    """Sweep output: one numpy column per ``TradeoffPoint`` field, one row per point.
+
+    ``best_index`` is the row of least latency and ``hull_index`` the rows on
+    the lower convex hull, if the sweep marks one. ``points`` holds the rows
+    as ``TradeoffPoint`` objects with Python scalar fields, built on first
+    access; ``best`` and ``hull`` are taken from that same list.
+    """
+
+    beta_t: np.ndarray
+    beta_s: np.ndarray
+    eps_target: np.ndarray
+    j_bits: np.ndarray
+    n: np.ndarray
+    n_real: np.ndarray
+    latency_s: np.ndarray
+    feasible: np.ndarray
+    hull_member: np.ndarray
+    best_index: int
+    hull_index: np.ndarray | None = None
+
+    @cached_property
+    def points(self) -> list[TradeoffPoint]:
+        return list(map(TradeoffPoint, *(getattr(self, c).tolist() for c in _COLUMNS)))
+
+    @property
+    def best(self) -> TradeoffPoint:
+        return self.points[self.best_index]
+
+    @property
+    def hull(self) -> list[TradeoffPoint] | None:
+        if self.hull_index is None:
+            return None
+        return [self.points[i] for i in self.hull_index.tolist()]
 
 
 def beta_s_grid(
@@ -222,19 +259,54 @@ def beta_s_grid(
     grid_points: int = DEFAULT_GRID_POINTS,
     grid_mode: str = "uniform",
 ) -> np.ndarray:
-    """Source distortion grid on (lower_edge, beta_t), excluding beta_t itself."""
+    """Source distortion grid on (lower_edge, beta_t), excluding beta_t itself.
+
+    An array of beta_t gives one grid per budget, along the last axis.
+    """
     if grid_points < 1:
         raise DomainError(f"the beta_s grid needs at least one point, got {grid_points}")
     lower = budget.lower_edge + 1e-9 if budget.lower_edge > 0 else 1e-6
-    if beta_t <= lower:
+    if np.any(beta_t <= lower):
         raise DomainError(
-            f"beta_t={beta_t} leaves no admissible source distortion above {lower}"
+            f"beta_t={np.min(beta_t)} leaves no admissible source distortion above {lower}"
         )
     if grid_mode == "uniform":
-        return np.linspace(lower, beta_t, grid_points, endpoint=False)
+        return np.linspace(lower, beta_t, grid_points, endpoint=False, axis=-1)
     if grid_mode == "log":
-        return np.geomspace(lower, beta_t, grid_points, endpoint=False)
+        return np.geomspace(lower, beta_t, grid_points, endpoint=False, axis=-1)
     raise DomainError(f"unknown grid mode {grid_mode!r}")
+
+
+def _solve_grid(beta_t, budget, spec, grid_points, grid_mode, eps_cap, refine):
+    """Every point of the beta_s grids below beta_t, solved in one pass.
+
+    beta_t is one budget or a 1-D array of them, one grid row each. Returns
+    the ``TradeoffPoint`` columns but ``hull_member``, shaped as the grid,
+    and the best point of each row: the first of least latency, ties to the
+    smaller beta_s. Points the solver does not admit stay infeasible.
+    """
+    grid = beta_s_grid(beta_t, budget, grid_points, grid_mode)
+    column = np.expand_dims(beta_t, -1) if np.ndim(beta_t) else beta_t
+    eps = decoding_error_target(column, grid)
+    j_bits = budget.bits_real(grid)
+    ok = _admitted(spec.family, eps, eps_cap) & (j_bits > 0.0)
+    if not ok.any():
+        raise NoFeasibleN(f"no feasible operating point for beta_t={beta_t}")
+    budgets = np.broadcast_to(column, grid.shape)
+    sol = solve_blocklength(
+        spec, budgets[ok], grid[ok], j_bits[ok], eps_cap=eps_cap, refine=refine
+    )
+    n = np.zeros(grid.shape, dtype=sol.n.dtype)
+    n[ok] = sol.n
+    n_real = np.full(grid.shape, math.nan)
+    n_real[ok] = sol.n_real
+    eps[~ok] = math.nan
+    j_bits[~ok] = math.nan
+    latency = np.full(grid.shape, math.inf)
+    latency[ok] = sol.n / (2.0 * spec.bandwidth_hz)
+    fastest = latency == latency.min(axis=-1, keepdims=True)
+    best = np.where(fastest, grid, math.inf).argmin(axis=-1)
+    return (budgets.copy(), grid, eps, j_bits, n, n_real, latency, ok), best
 
 
 def sweep_beta_s(
@@ -253,37 +325,8 @@ def sweep_beta_s(
     feasibility boundary. Raises NoFeasibleN when nothing on the grid is
     feasible.
     """
-    grid = beta_s_grid(beta_t, budget, grid_points, grid_mode)
-    eps = decoding_error_target(beta_t, grid)
-    j_bits = budget.bits_real(grid)
-    ok = _admitted(spec.family, eps, eps_cap) & (j_bits > 0.0)
-    if not ok.any():
-        raise NoFeasibleN(f"no feasible operating point for beta_t={beta_t}")
-    sol = solve_blocklength(spec, beta_t, grid[ok], j_bits[ok], eps_cap=eps_cap, refine=refine)
-    n = np.zeros(grid.size, dtype=sol.n.dtype)
-    n[ok] = sol.n
-    n_real = np.full(grid.size, math.nan)
-    n_real[ok] = sol.n_real
-    eps[~ok] = math.nan
-    j_bits[~ok] = math.nan
-    latency = np.where(ok, n / (2.0 * spec.bandwidth_hz), math.inf)
-    points = list(
-        map(
-            TradeoffPoint,
-            repeat(beta_t, grid.size),
-            grid.tolist(),
-            eps.tolist(),
-            j_bits.tolist(),
-            n.tolist(),
-            n_real.tolist(),
-            latency.tolist(),
-            ok.tolist(),
-        )
-    )
-    # The first point of least latency, ties to the smaller beta_s.
-    fastest = np.flatnonzero(ok & (latency == latency[ok].min()))
-    best = points[fastest[np.argmin(grid[fastest])]]
-    return TradeoffCurve(points, best=best)
+    columns, best = _solve_grid(beta_t, budget, spec, grid_points, grid_mode, eps_cap, refine)
+    return TradeoffCurve(*columns, np.zeros_like(columns[-1]), int(best))
 
 
 def lower_convex_hull(xs: Sequence[float], ys: Sequence[float]) -> list[int]:
@@ -326,56 +369,36 @@ def sweep_beta_t(
 ) -> TradeoffCurve:
     """Minimum latency per total budget, with the lower convex hull marked.
 
-    Budgets whose inner sweep has no feasible point are kept as infeasible
-    placeholders; if every budget is infeasible, NoFeasibleN propagates.
-    A budget outside (0, 1], NaN included, one at or below the coder's
-    tail floor, an empty grid and a NaN or non-positive eps cap raise
-    DomainError up front, as they do for a single budget, instead of
-    turning into infeasible rows.
+    One row per budget, sorted: the best point of the beta_s grid below it,
+    which ``sweep_beta_s`` would give for that budget alone. All rows are
+    solved as one 2-D grid. Budgets with no feasible grid point are kept as
+    infeasible placeholders; if every budget is infeasible, NoFeasibleN
+    propagates.
+
+    No budget, a budget outside (0, 1], NaN included, one at or below the
+    coder's tail floor, an empty grid and a NaN or non-positive eps cap raise
+    DomainError, as they do for a single budget, instead of turning into
+    infeasible rows.
     """
     values = [float(bt) for bt in beta_ts]
-    if not all(0.0 < bt <= 1.0 for bt in values):
+    if not values or not all(0.0 < bt <= 1.0 for bt in values):
         raise DomainError(f"beta_t must lie in (0, 1], got {values}")
-    if grid_points < 1 or not eps_cap > 0.0:
-        raise DomainError(
-            f"need grid_points >= 1 and eps_cap > 0, got {grid_points} and {eps_cap}"
-        )
-    values.sort()
-    # The smallest budget is the first to leave no source distortion above the floor.
-    beta_s_grid(values[0], budget, grid_points, grid_mode)
-
-    def best_for(bt: float) -> TradeoffPoint:
-        try:
-            curve = sweep_beta_s(
-                bt,
-                budget,
-                spec,
-                grid_points=grid_points,
-                grid_mode=grid_mode,
-                eps_cap=eps_cap,
-                refine=refine,
-            )
-        except (NoFeasibleN, DomainError):
-            return TradeoffPoint(
-                bt, math.nan, math.nan, math.nan, 0, math.nan, math.inf, feasible=False
-            )
-        return curve.best
-
-    bests = [best_for(bt) for bt in values]
-
-    feasible_idx = [i for i, pt in enumerate(bests) if pt.feasible]
-    if not feasible_idx:
-        raise NoFeasibleN("no feasible operating point for any requested beta_t")
-    hull_local = lower_convex_hull(
-        [bests[i].beta_t for i in feasible_idx],
-        [bests[i].latency_s for i in feasible_idx],
+    values = np.sort(values)
+    try:
+        columns, best = _solve_grid(values, budget, spec, grid_points, grid_mode, eps_cap, refine)
+    except NoFeasibleN as exc:
+        raise NoFeasibleN("no feasible operating point for any requested beta_t") from exc
+    rows = np.arange(values.size)
+    beta_t, beta_s, eps, j_bits, n, n_real, latency, feasible = (c[rows, best] for c in columns)
+    beta_s[~feasible] = math.nan
+    feasible_rows = np.flatnonzero(feasible)
+    hull = feasible_rows[
+        lower_convex_hull(values[feasible_rows].tolist(), latency[feasible_rows].tolist())
+    ]
+    hull_member = np.zeros(values.size, bool)
+    hull_member[hull] = True
+    # Budgets are sorted, so the first of least latency has the smaller beta_t.
+    best_row = int(np.argmin(latency))
+    return TradeoffCurve(
+        beta_t, beta_s, eps, j_bits, n, n_real, latency, feasible, hull_member, best_row, hull
     )
-    hull_points = []
-    for j in hull_local:
-        pt = bests[feasible_idx[j]]
-        pt.hull_member = True
-        hull_points.append(pt)
-    best = min(
-        (bests[i] for i in feasible_idx), key=lambda pt: (pt.latency_s, pt.beta_t)
-    )
-    return TradeoffCurve(bests, best=best, hull=hull_points)

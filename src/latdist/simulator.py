@@ -74,8 +74,16 @@ class SimConfig:
             raise DomainError(f"need at least one trial, got {self.trials}")
         if not 0.0 <= self.eps_target <= 1.0:
             raise DomainError(f"error probability must be in [0, 1], got {self.eps_target}")
-        if self.scheme is Scheme.SLQ and self.k_top is None:
-            raise DomainError("sparse scheme needs k_top")
+        if self.scheme is Scheme.SLQ:
+            if self.k_top is None:
+                raise DomainError("sparse scheme needs k_top")
+            if not 0.0 <= self.tail_bound < 1.0:  # also NaN
+                raise DomainError(f"source tail mass must be in [0, 1), got {self.tail_bound}")
+
+    @property
+    def tail_bound(self) -> float:
+        """Largest tail mass of a generated sparse input: source_tail_mass, else delta."""
+        return self.source_tail_mass if self.source_tail_mass is not None else self.delta
 
     def resolved_ell(self) -> int | None:
         if self.scheme is Scheme.UQ:
@@ -222,7 +230,6 @@ def simulate_end_to_end(cfg: SimConfig) -> SimReport:
     decodes. Quantization, corruption and the total variation to what the
     receiver reconstructs are then computed on a block of rows at a time.
     """
-    tail_bound = cfg.source_tail_mass if cfg.source_tail_mass is not None else cfg.delta
     # The coder depends on the config alone: resolve it once, not per trial.
     coder = replace(
         cfg, ell=cfg.resolved_ell(), bits_per_entry=cfg.resolved_bits_per_entry()
@@ -236,7 +243,7 @@ def simulate_end_to_end(cfg: SimConfig) -> SimReport:
         for row, trial in enumerate(block):
             rng = np.random.default_rng([cfg.seed, trial])
             if cfg.scheme is Scheme.SLQ:
-                tail = rng.uniform(0.0, tail_bound)
+                tail = rng.uniform(0.0, cfg.tail_bound)
                 sources[row] = _sparse_simplex_draws(cfg.k, cfg.k_top, tail, rng)
             else:
                 sources[row] = _simplex_draws(cfg.k, rng)

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import latdist
 from latdist.cli import main, parse_value_list
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -347,6 +351,22 @@ class TestSimulateCommand:
             main(self.ARGS + ["--jobs", "2"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("tail", ["nan", "2", "-0.1"])
+    def test_unusable_source_tail_mass_is_usage_error(self, capsys, tail):
+        # nan used to end in an OverflowError traceback (exit 1), and 2 passed
+        # (exit 0) whenever no trial happened to draw a tail of 1 or more, as
+        # with this seed.
+        code, out, err = run(
+            [
+                "simulate", "--scheme", "slq", "-k", "10", "--k-top", "3", "--beta-s", "0.1",
+                "--eps-target", "0.2", "--trials", "1", "--seed", "3",
+                "--source-tail-mass", tail,
+            ],
+            capsys,
+        )
+        assert code == 2 and out == ""
+        assert "source tail mass must be in [0, 1)" in err
+
 
 class TestStatsCommand:
     def test_curve_and_recommendation(self, tmp_path, capsys):
@@ -420,3 +440,34 @@ class TestConfigFile:
         code, out, err = run([command, "--config", str(cfg_path)], capsys)
         assert code == 2 and out == ""
         assert "unknown config keys" in err and "jobs" in err
+
+
+SCIPY_PROBE = """
+import sys
+import latdist.cli
+if sys.argv[1:]:
+    assert latdist.cli.main(sys.argv[1:]) == 0
+print("scipy" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, loads_scipy",
+    [
+        ([], False),
+        (["quantize", "--scheme", "lq", "-k", "3", "--beta-s", "0.15"], False),
+        (["tradeoff", "--scheme", "lq", "-k", "3", "--gamma0-db", "5", "--b-hz", "1e5",
+          "--beta-t", "0.1", "--grid-points", "5"], True),
+    ],
+    ids=["import", "quantize", "tradeoff"],
+)
+def test_scipy_is_loaded_only_to_evaluate_q(tmp_path, argv, loads_scipy):
+    # A fresh process: only commands that reach the error models need scipy.
+    if argv[:1] == ["quantize"]:
+        argv = argv + ["--input", str(write_vectors(tmp_path, [[0.18, 0.52, 0.3]]))]
+    env = {**os.environ, "PYTHONPATH": str(Path(latdist.__file__).resolve().parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", SCIPY_PROBE, *argv],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert done.stdout.splitlines()[-1] == str(loads_scipy)

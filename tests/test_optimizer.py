@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 
@@ -13,8 +14,10 @@ from latdist.channel import (
     epsilon_fading_csi,
     epsilon_fading_nocsi,
 )
+from latdist import cli, optimizer
 from latdist.errors import DomainError, EpsilonOutOfRange, NoFeasibleN
 from latdist.optimizer import (
+    TradeoffPoint,
     beta_s_grid,
     decoding_error_target,
     lower_convex_hull,
@@ -236,6 +239,8 @@ def test_empty_grid_and_budget_outside_unit_interval_are_domain_errors():
     for bad in (math.nan, math.inf, 1.2, 0.0, -0.1):
         with pytest.raises(DomainError, match=r"must lie in \(0, 1\]"):
             sweep_beta_t([0.1, bad], budget, WIDEBAND_SPEC, grid_points=20)
+    with pytest.raises(DomainError, match=r"must lie in \(0, 1\], got \[\]"):
+        sweep_beta_t([], budget, WIDEBAND_SPEC, grid_points=20)
 
 
 def sweep_digest(curve):
@@ -500,3 +505,122 @@ class TestHull:
         for beta_ts in ([0.1, 0.5], [0.2, 0.5], [0.05, 0.1]):
             with pytest.raises(DomainError, match="no admissible source distortion"):
                 sweep_beta_t(beta_ts, bf, WIDEBAND_SPEC, grid_points=40)
+
+
+# family -> log10 SNR range of the oracle draws; no-CSI needs high SNR.
+ORACLE_SNR = {
+    ChannelFamily.AWGN: (-1.0, 1.5),
+    ChannelFamily.FADING_CSI: (-1.0, 1.5),
+    ChannelFamily.FADING_NOCSI: (1.0, 2.5),
+}
+
+
+def row_by_row(beta_ts, budget, spec, **kwargs):
+    """The per-budget loop of 1-D sweeps that the 2-D sweep_beta_t replaced.
+
+    Returns the rows, the hull rows and the best row.
+    """
+    rows = []
+    for bt in sorted(beta_ts):
+        try:
+            rows.append(sweep_beta_s(bt, budget, spec, **kwargs).best)
+        except (NoFeasibleN, DomainError):
+            nan = math.nan
+            rows.append(TradeoffPoint(bt, nan, nan, nan, 0, nan, math.inf, feasible=False))
+    feasible = [i for i, pt in enumerate(rows) if pt.feasible]
+    if not feasible:
+        raise NoFeasibleN("no feasible row")
+    hull = lower_convex_hull(
+        [rows[i].beta_t for i in feasible], [rows[i].latency_s for i in feasible]
+    )
+    best = min(feasible, key=lambda i: (rows[i].latency_s, rows[i].beta_t))
+    return rows, [feasible[j] for j in hull], best
+
+
+def test_grid_sweep_matches_one_sweep_per_budget():
+    rng = np.random.default_rng(43)
+    families = list(ChannelFamily)
+    schemes = list(Scheme)
+    outcomes = {"solved": 0, "infeasible rows": 0, "none feasible": 0}
+    for draw in range(90):
+        family = families[draw % 3]
+        lo, hi = ORACLE_SNR[family]
+        f = None if family is ChannelFamily.AWGN else int(rng.choice([5, 10, 20, 50]))
+        spec = spec_at(family, 10 ** rng.uniform(lo, hi), f)
+        scheme = schemes[(draw // 3) % 3]
+        k = int(rng.integers(2, 300))
+        if scheme is Scheme.SLQ:
+            delta = float(rng.choice([0.0, 1e-5, 0.01]))
+            budget = BudgetFn(scheme, k, int(rng.integers(1, k + 1)), delta)
+        else:
+            delta = 0.0
+            budget = BudgetFn(scheme, k)
+        beta_ts = rng.uniform(delta + 0.005, 1.0, int(rng.integers(1, 9))).tolist()
+        kwargs = dict(
+            grid_points=int(rng.integers(1, 120)),
+            grid_mode=["uniform", "log"][draw % 2],
+            eps_cap=float(rng.choice([0.5, 0.05, 0.005])),
+            refine=bool(draw % 4 < 2),
+        )
+        try:
+            rows, hull, best = row_by_row(beta_ts, budget, spec, **kwargs)
+        except NoFeasibleN:
+            with pytest.raises(NoFeasibleN):
+                sweep_beta_t(beta_ts, budget, spec, **kwargs)
+            outcomes["none feasible"] += 1
+            continue
+        curve = sweep_beta_t(beta_ts, budget, spec, **kwargs)
+        assert [repr(dataclasses.astuple(pt)[:-1]) for pt in curve.points] == [
+            repr(dataclasses.astuple(pt)[:-1]) for pt in rows
+        ]
+        assert curve.hull_index.tolist() == hull
+        assert curve.hull_member.tolist() == [i in hull for i in range(len(rows))]
+        assert curve.best_index == best
+        outcomes["solved"] += 1
+        outcomes["infeasible rows"] += not all(pt.feasible for pt in rows)
+    assert min(outcomes.values()) >= 5, outcomes
+
+
+class CountingPoint(TradeoffPoint):
+    made = 0
+
+    def __init__(self, *args, **kwargs):
+        CountingPoint.made += 1
+        super().__init__(*args, **kwargs)
+
+
+@pytest.mark.parametrize("read", ["points", "best"])
+def test_sweeps_build_points_only_when_read(monkeypatch, capsys, read):
+    monkeypatch.setattr(optimizer, "TradeoffPoint", CountingPoint)
+    monkeypatch.setattr(CountingPoint, "made", 0)
+    bf = BudgetFn(Scheme.LQ, 10)
+    one = sweep_beta_s(0.6, bf, WIDEBAND_SPEC, grid_points=50)
+    grid = sweep_beta_t([0.05, 0.1, 0.3], bf, WIDEBAND_SPEC, grid_points=50)
+    for command in ("tradeoff", "hull"):
+        args = [command, "--scheme", "lq", "-k", "10", "--gamma0-db", "5", "--b-hz", "320000"]
+        assert cli.main(args + ["--beta-t", "0.1", "--format", "json"]) == 0
+    capsys.readouterr()
+    assert CountingPoint.made == 0
+    for curve in (one, grid):
+        before = CountingPoint.made
+        getattr(curve, read)
+        getattr(curve, read)
+        curve.hull
+        assert CountingPoint.made - before == len(curve.n)
+        assert curve.best is curve.points[curve.best_index]
+
+
+def test_point_fields_are_python_scalars():
+    bf = BudgetFn(Scheme.LQ, 10)
+    curves = [
+        sweep_beta_s(0.6, bf, WIDEBAND_SPEC, grid_points=50),
+        sweep_beta_t([0.1, 0.5], bf, WIDEBAND_SPEC, grid_points=40, eps_cap=0.01),
+    ]
+    kinds = {
+        "beta_t": float, "beta_s": float, "eps_target": float, "j_bits": float,
+        "n": int, "n_real": float, "latency_s": float, "feasible": bool, "hull_member": bool,
+    }
+    for curve in curves:
+        assert not all(pt.feasible for pt in curve.points)
+        for pt in curve.points:
+            assert {name: type(getattr(pt, name)) for name in kinds} == kinds
