@@ -177,11 +177,16 @@ def _ceil_log2_comb(n: int, r: int) -> int:
 def log2_comb(n: int, r: int) -> float:
     """Real-valued log2(C(n, r)) from log-gamma, without big integers.
 
-    Elementwise over an integer array of n.
+    Elementwise over an integer array of n, evaluated once per distinct n:
+    on a budget grid n is a lattice size, and sizes repeat.
     """
     if r < 0 or np.any(r > n):
         raise ValueError(f"C({brief(n)}, {r}) undefined")
-    return (lgamma(n + 1) - lgamma(r + 1) - lgamma(n - r + 1)) / math.log(2)
+    distinct, where = n, None
+    if isinstance(n, np.ndarray):
+        distinct, where = np.unique(n, return_inverse=True)
+    bits = (lgamma(distinct + 1) - lgamma(r + 1) - lgamma(distinct - r + 1)) / math.log(2)
+    return bits if where is None else bits[where].reshape(n.shape)
 
 
 @lru_cache(maxsize=_WIDTH_CACHE)

@@ -5,9 +5,9 @@ and scipy's gammaln do not round like math.log2, math.log1p and
 math.lgamma: numpy's log2 can differ in the last bit (on some builds, at
 integers such as 1621), which moves blocklengths and the golden hull, and
 its log1p can differ from build to build, which would move the fading
-moments. So the array forms call the math functions once per element, and
-lgamma, whose arguments on a grid are lattice sizes that repeat, once per
-distinct element.
+moments. So the array forms call the math functions once per element.
+Callers whose arguments repeat deduplicate them first: ``codec.log2_comb``
+evaluates its log-gamma terms once per distinct lattice size.
 """
 
 from __future__ import annotations
@@ -39,11 +39,8 @@ def log1p(x):
 
 
 def lgamma(x):
-    """math.lgamma; elementwise on an array, called once per distinct value."""
-    if not isinstance(x, np.ndarray):
-        return math.lgamma(x)
-    distinct, where = np.unique(x, return_inverse=True)
-    return _per_element(math.lgamma, distinct)[where].reshape(x.shape)
+    """math.lgamma; elementwise on an array, giving a float array."""
+    return _per_element(math.lgamma, x)
 
 
 def brief(x):

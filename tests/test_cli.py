@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -17,6 +18,14 @@ def run(args, capsys):
     code = main(args)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def exit_code(argv):
+    """main's exit code, also when argparse exits."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 def write_vectors(tmp_path, rows):
@@ -78,6 +87,12 @@ class TestBudgetCommand:
             main(["tradeoff", "--scheme", "vector-banana", "-k", "10",
                   "--gamma0-db", "5", "--b-hz", "1e5", "--beta-t", "0.05"])
         assert exc.value.code == 2
+
+    def test_scheme_flag_rejected(self, capsys):
+        # budget prices all three coders; the flag used to be accepted and ignored.
+        argv = ["budget", "--scheme", "uq", "-k", "50", "--k-top", "5", "--beta-s", "0.05"]
+        assert exit_code(argv) == 2
+        assert capsys.readouterr().out == ""
 
     def test_json_format(self, capsys):
         code, out, _ = run(
@@ -351,6 +366,11 @@ class TestSimulateCommand:
             main(self.ARGS + ["--jobs", "2"])
         assert exc.value.code == 2
 
+    def test_format_flag_rejected(self, capsys):
+        # The report is always JSON; --format csv used to be accepted and ignored.
+        assert exit_code(self.ARGS + ["--format", "csv"]) == 2
+        assert capsys.readouterr().out == ""
+
     @pytest.mark.parametrize("tail", ["nan", "2", "-0.1"])
     def test_unusable_source_tail_mass_is_usage_error(self, capsys, tail):
         # nan used to end in an OverflowError traceback (exit 1), and 2 passed
@@ -440,6 +460,136 @@ class TestConfigFile:
         code, out, err = run([command, "--config", str(cfg_path)], capsys)
         assert code == 2 and out == ""
         assert "unknown config keys" in err and "jobs" in err
+
+    TRADEOFF = {"scheme": "lq", "k": 10, "gamma0_db": 5, "b_hz": 1e5, "beta_t": 0.1,
+                "grid_points": 20}
+
+    @pytest.mark.parametrize(
+        "entry",
+        [{"refine": "false"}, {"k": 10.9}, {"grid_points": 20.5},
+         {"channel": "fading-csi", "coherence": 20.7}],
+        ids=["refine-string", "fractional-k", "fractional-grid-points", "fractional-coherence"],
+    )
+    def test_value_the_flag_refuses_is_usage_error(self, tmp_path, capsys, entry):
+        # These used to skip the flag parsers: "false" ran the refine, since
+        # bool("false") is True, and the fractions ran truncated while the
+        # echo showed them unparsed.
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({**self.TRADEOFF, **entry}))
+        assert exit_code(["tradeoff", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("content", ["5", "[]", '"x"'], ids=["number", "list", "string"])
+    def test_file_must_hold_an_object(self, tmp_path, capsys, content):
+        # 5 used to raise a TypeError, [] was ignored, and "x" was read as a key.
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(content)
+        code, out, err = run(
+            ["budget", "-k", "50", "--k-top", "5", "--beta-s", "0.05", "--config", str(cfg_path)],
+            capsys,
+        )
+        assert code == 2 and out == ""
+        assert "config file must hold a JSON object" in err
+
+
+# The README example of each subcommand, run in a directory holding these files.
+VECTORS = "[0.18, 0.52, 0.3]\n[0.7, 0.2, 0.1]\n[0.05, 0.05, 0.9]\n"
+PAYLOADS = "payload_hex\n05\n0d\n02\n"
+SLQ_PLAN = ["--scheme", "slq", "-k", "100", "--k-top", "5", "--gamma0-db", "5", "--b-hz", "320000"]
+README_RUNS = {
+    "budget": ["budget", "-k", "50", "--k-top", "5", "--beta-s", "log:0.001:0.5:50"],
+    "tradeoff": ["tradeoff", *SLQ_PLAN, "--beta-t", "0.05"],
+    "hull": ["hull", *SLQ_PLAN, "--beta-t", "lin:0.02:0.5:25"],
+    "quantize": ["quantize", "--scheme", "lq", "-k", "3", "--beta-s", "0.15",
+                 "--input", "vectors.jsonl"],
+    "dequantize": ["dequantize", "--scheme", "lq", "-k", "3", "--ell", "5",
+                   "--input", "payloads.csv"],
+    "simulate": ["simulate", "--scheme", "lq", "-k", "8", "--beta-s", "0.1",
+                 "--eps-target", "0.2", "--trials", "100000", "--seed", "42"],
+    "stats": ["stats", "--input", "vectors.jsonl", "--delta-target", "0.01"],
+}
+
+# sha256 of each run's stdout; simulate writes JSON only.
+PINNED_SHA256 = {
+    "budget-csv": "8469ff4477558f23fe8d79bb6c919a7ecfe50a004223c1171f05698ad33b1f3f",
+    "budget-json": "a26aab00a7d9e9daa99330c2f0104deea1f18e461660557557e6947017375990",
+    "tradeoff-csv": "0485565ef7fac32e228fb6021258714b4ca8f582a51c2f6a550b4f04ed906428",
+    "tradeoff-json": "f91f29c00cab08e5494beb55597a5a623c4626effa86d9ed1292ece098430212",
+    "hull-csv": "eb6994be058543814ff11f75bed297fef174d351bdb8e14b5cd456cd8fa10279",
+    "hull-json": "1e61b75ad12715fc7a3083909e417da031e8e62db50a15237b3ac1d054841981",
+    "quantize-csv": "88708c0d575dfd8e68e4eca6a7be5151828cd1f16d731e9a5e43a6b82136b676",
+    "quantize-json": "5895aeb7dda594ab63593cb20e15d546b7b9bafd0f08dade634e306428f4f4c5",
+    "dequantize-csv": "c4386483ac08537bbdbe8ae3c2d604b97b0c7c737b59fbdde062c0e468daf044",
+    "dequantize-json": "0ad02e0abf8cb0323cce95e0e3c9eb9a8c770cb5dfd53190c3fb19fb2833f6fb",
+    "simulate": "b8bc4b42de50fb08b21d5e96fc5a12808aa0e2dc235f565b48d7b6ee65ee2947",
+    "stats-csv": "22df94431aff88142e996f0c81a0f0c686bb45a10b7af19df27c7efd4576b08f",
+    "stats-json": "a58500f536d9d3afd806498ff72ec8aa7926ac3fbc87c3d90b4030cc36e8df65",
+}
+
+
+@pytest.fixture
+def readme_dir(tmp_path, monkeypatch):
+    (tmp_path / "vectors.jsonl").write_text(VECTORS)
+    (tmp_path / "payloads.csv").write_text(PAYLOADS)
+    monkeypatch.chdir(tmp_path)
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_SHA256))
+def test_reference_outputs_are_pinned(readme_dir, capsys, case):
+    command, _, fmt = case.partition("-")
+    argv = README_RUNS[command] + (["--format", fmt] if fmt else [])
+    code, out, err = run(argv, capsys)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_SHA256[case]
+
+
+# The same options as flags and as a config file. Between them they use
+# every conversion: a bare switch for true, nothing for false and null, a
+# comma list for a list, and the value's text for the rest.
+PARITY = [
+    ("budget", ["-k", "50", "--k-top", "5", "--delta", "0.001", "--beta-s", "0.05,0.1"],
+     {"k": 50, "k_top": 5, "delta": 0.001, "beta_s": [0.05, 0.1]}),
+    ("tradeoff", ["--scheme", "lq", "-k", "10", "--gamma0-db", "5", "--b-hz", "100000",
+                  "--beta-t", "0.1", "--grid-points", "50", "--refine"],
+     {"scheme": "lq", "k": 10, "gamma0_db": 5, "b_hz": 100000, "beta_t": 0.1,
+      "grid_points": 50, "refine": True}),
+    ("hull", ["--scheme", "slq", "-k", "20", "--k-top", "4", "--channel", "fading-csi",
+              "--coherence", "20", "--gamma0-db", "10", "--b-hz", "320000",
+              "--beta-t", "0.05,0.1", "--grid-points", "40", "--grid-mode", "log",
+              "--format", "json"],
+     {"scheme": "slq", "k": 20, "k_top": 4, "channel": "fading-csi", "coherence": 20,
+      "gamma0_db": 10, "b_hz": 320000, "beta_t": [0.05, 0.1], "grid_points": 40,
+      "grid_mode": "log", "format": "json", "refine": False}),
+    ("quantize", ["--scheme", "lq", "-k", "3", "--beta-s", "0.15", "--input", "vectors.jsonl"],
+     {"scheme": "lq", "k": 3, "k_top": None, "beta_s": 0.15, "input": "vectors.jsonl"}),
+    ("dequantize", ["--scheme", "lq", "-k", "3", "--ell", "5", "--input", "payloads.csv",
+                    "--format", "json"],
+     {"scheme": "lq", "k": 3, "ell": 5, "input": "payloads.csv", "format": "json"}),
+    ("simulate", ["--scheme", "slq", "-k", "10", "--k-top", "3", "--beta-s", "0.1",
+                  "--eps-target", "0.2", "--trials", "50", "--seed", "3",
+                  "--error-model", "adversarial", "--source-tail-mass", "0"],
+     {"scheme": "slq", "k": 10, "k_top": 3, "beta_s": 0.1, "eps_target": 0.2, "trials": 50,
+      "seed": 3, "error_model": "adversarial", "source_tail_mass": 0}),
+    ("stats", ["--input", "vectors.jsonl", "--delta-target", "0.05", "--k-top", "2"],
+     {"input": "vectors.jsonl", "delta_target": 0.05, "k_top": 2}),
+]
+
+
+@pytest.mark.parametrize("command, flags, cfg", PARITY, ids=[c[0] for c in PARITY])
+def test_config_file_matches_flags(readme_dir, capsys, command, flags, cfg):
+    # A file value used to echo unparsed: "gamma0_db": 5 as 5, not 5.0.
+    Path("run.json").write_text(json.dumps(cfg))
+    by_flags = run([command, *flags], capsys)
+    by_file = run([command, "--config", "run.json"], capsys)
+    assert by_flags[0] == 0 and by_flags == by_file
+
+
+@pytest.mark.parametrize("command", sorted(README_RUNS))
+def test_help_exits_zero(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: latdist {command}")
 
 
 SCIPY_PROBE = """

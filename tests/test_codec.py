@@ -255,6 +255,15 @@ class TestBitWidths:
             math.log2(math.comb(299, 49)), rel=1e-12
         )
 
+    def test_log2_comb_on_repeated_values_equals_scalar(self):
+        # Arrays are evaluated once per distinct n, then spread back.
+        ints = np.random.default_rng(48).integers(10, 60, size=(4, 200))
+        big = np.array([2**62, 2**70, 2**62, 11], dtype=object)
+        for n in (ints, big):
+            got = log2_comb(n, 7)
+            assert got.shape == n.shape
+            assert got.ravel().tolist() == [log2_comb(v, 7) for v in n.ravel().tolist()]
+
 
 class TestLexIndexSerialization:
     def test_big_endian_layout(self):
