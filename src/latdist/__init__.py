@@ -40,7 +40,6 @@ from .ingest import (
     VectorDataset,
     load_dataset,
     recommend_ktop,
-    save_dataset,
     top_mass_curve,
 )
 from .optimizer import (

@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 usage error, 3 infeasible.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -135,9 +136,7 @@ def _channel_spec(cfg: dict) -> ChannelSpec:
 
 
 def _budget_fn(cfg: dict) -> BudgetFn:
-    scheme = Scheme(cfg["scheme"])
-    delta = cfg["delta"] if scheme is Scheme.SLQ else 0.0
-    return BudgetFn(scheme, cfg["k"], cfg["k_top"], delta)
+    return BudgetFn(Scheme(cfg["scheme"]), cfg["k"], cfg["k_top"], cfg["delta"])
 
 
 def _write(output, text: str):
@@ -236,10 +235,8 @@ def _resolve_coder_params(cfg: dict) -> None:
         raise UsageError("lattice coders need --ell or --beta-s")
     if scheme is Scheme.SLQ and cfg["k_top"] is None:
         raise UsageError("sparse coder needs --k-top")
-    if cfg["ell"] is None and scheme is Scheme.LQ:
-        cfg["ell"] = budget_lq(cfg["k"], cfg["beta_s"])[0]
-    elif cfg["ell"] is None:
-        cfg["ell"] = budget_slq(cfg["k"], cfg["k_top"], cfg["delta"], cfg["beta_s"])[0]
+    if cfg["ell"] is None:
+        cfg["ell"] = _budget_fn(cfg).ell(cfg["beta_s"])
 
 
 def cmd_quantize(cfg: dict, output) -> int:
@@ -391,22 +388,24 @@ def build_parser() -> argparse.ArgumentParser:
         "over noisy channels under a total variation budget.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # No prefix matching, so that a partial flag such as --k cannot land on --k-top.
+    add = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    p = sub.add_parser("budget", help="bit budgets of all three coders over a beta_s grid")
+    p = add("budget", help="bit budgets of all three coders over a beta_s grid")
     _add_coder(p, scheme=False)
     p.add_argument("--beta-s", default="log:0.001:0.5:50",
                    help="beta_s grid (default log:0.001:0.5:50)")
     _add_common(p)
     p.set_defaults(handler=cmd_budget, k_top=_REQUIRED)
 
-    p = sub.add_parser("tradeoff", help="latency vs source distortion at one total budget")
+    p = add("tradeoff", help="latency vs source distortion at one total budget")
     _add_coder(p)
     _add_channel(p)
     _add_sweep(p)
     _add_common(p)
     p.set_defaults(handler=cmd_tradeoff)
 
-    p = sub.add_parser("hull", help="minimum latency per total budget with its lower convex hull")
+    p = add("hull", help="minimum latency per total budget with its lower convex hull")
     _add_coder(p)
     _add_channel(p)
     _add_sweep(p)
@@ -414,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_hull)
 
     for name, handler in (("quantize", cmd_quantize), ("dequantize", cmd_dequantize)):
-        p = sub.add_parser(
+        p = add(
             name,
             help=f"{name} vectors; coder parameters come from flags or --beta-s budgets",
         )
@@ -427,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
         _add_common(p)
         p.set_defaults(handler=handler)
 
-    p = sub.add_parser("simulate", help="Monte Carlo check of the end-to-end distortion bound")
+    p = add("simulate", help="Monte Carlo check of the end-to-end distortion bound")
     _add_coder(p)
     p.add_argument("--beta-s", type=float, default=_REQUIRED, help="design source distortion")
     p.add_argument("--eps-target", type=float, default=_REQUIRED, help="decoding error probability")
@@ -441,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, formats=False)
     p.set_defaults(handler=cmd_simulate)
 
-    p = sub.add_parser("stats", help="top-mass curve of a dataset and a recommended k_top")
+    p = add("stats", help="top-mass curve of a dataset and a recommended k_top")
     p.add_argument("--input", default=_REQUIRED, help="dataset path (jsonl or delimited rows)")
     p.add_argument("--delta-target", type=float, default=0.01,
                    help="average tail mass to stay under (default 0.01)")
@@ -461,7 +460,11 @@ def main(argv=None) -> int:
             # The file's flags go right after the command, so explicit flags win.
             at = argv.index(args.command) + 1
             flags = _config_flags(args.config, _options(args))
-            args = parser.parse_args(argv[:at] + flags + argv[at:])
+            try:
+                args = parser.parse_args(argv[:at] + flags + argv[at:])
+            except SystemExit:  # the explicit flags parsed alone: the file's value is refused
+                print(f"error: the value comes from config file {args.config}", file=sys.stderr)
+                raise
         cfg = _options(args)
         missing = [key for key, value in cfg.items() if value is _REQUIRED]
         if missing:

@@ -67,8 +67,8 @@ _BOUNDARY_GUARD = 1e-9
 # as one multiply/divide step.
 _WORD = 1 << 64
 
-# Distinct (k, total) widths kept per bit-count cache; the planner's sweeps
-# over nine coder/channel pairs ask for about 3300.
+# Distinct (k, total) widths kept per bit-count cache. The planner never asks; the
+# integer budgets, rank/unrank and payload readers ask for the same few again and again.
 _WIDTH_CACHE = 4096
 
 

@@ -45,10 +45,6 @@ class BetaNotAboveDelta(DomainError):
     """Sparse budgets require the source distortion to exceed the tail mass."""
 
 
-class ZeroTopMass(LatdistError, ValueError):
-    """All selected top entries are zero, so they cannot be normalized."""
-
-
 class EpsilonOutOfRange(DomainError):
     """The implied decoding error probability is outside the solvable range."""
 

@@ -71,11 +71,12 @@ def _parse_delimited(lines: list[str], path: str) -> list[list[float]]:
     return rows
 
 
-def load_dataset(path: str | Path, fmt: str | None = None, label: str | None = None) -> VectorDataset:
+def load_dataset(path: str | Path) -> VectorDataset:
     """Read one probability vector per line; rows are validated and renormalized.
 
-    ``fmt`` is "jsonl" or "delimited"; by default it is inferred from the
-    extension, falling back to sniffing the first character.
+    A .jsonl or .json file holds JSON arrays and a .csv, .txt or .tsv file
+    delimited rows; any other file is JSON when its first data line starts
+    with "[". The dataset is labelled with the file name.
     """
     path = Path(path)
     text = path.read_text()
@@ -83,37 +84,14 @@ def load_dataset(path: str | Path, fmt: str | None = None, label: str | None = N
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines:
         raise ParseError(f"{path}: no data rows")
-    if fmt is None:
-        if path.suffix in (".jsonl", ".json"):
-            fmt = "jsonl"
-        elif path.suffix in (".csv", ".txt", ".tsv"):
-            fmt = "delimited"
-        else:
-            fmt = "jsonl" if lines[0].startswith("[") else "delimited"
-    if fmt == "jsonl":
-        rows = _parse_jsonl(lines, str(path))
-    elif fmt == "delimited":
-        rows = _parse_delimited(lines, str(path))
-    else:
-        raise ParseError(f"unknown dataset format {fmt!r}")
+    delimited = path.suffix in (".csv", ".txt", ".tsv")
+    jsonl = path.suffix in (".jsonl", ".json") or (not delimited and lines[0].startswith("["))
+    rows = (_parse_jsonl if jsonl else _parse_delimited)(lines, str(path))
     width = len(rows[0])
     if any(len(r) != width for r in rows):
         raise RaggedRows(f"{path}: rows have differing lengths")
     vectors = tuple(ProbVector(r, normalize=True) for r in rows)
-    return VectorDataset(vectors, label if label is not None else path.name)
-
-
-def save_dataset(ds: VectorDataset, path: str | Path, fmt: str = "jsonl"):
-    """Write the dataset back out, one vector per line."""
-    path = Path(path)
-    with path.open("w") as fh:
-        for v in ds.vectors:
-            if fmt == "jsonl":
-                fh.write(json.dumps(v.values.tolist()) + "\n")
-            elif fmt == "delimited":
-                fh.write(",".join(repr(float(x)) for x in v.values) + "\n")
-            else:
-                raise ParseError(f"unknown dataset format {fmt!r}")
+    return VectorDataset(vectors, path.name)
 
 
 class TopMassCurve(NamedTuple):
@@ -122,13 +100,6 @@ class TopMassCurve(NamedTuple):
     k_top_values: tuple[int, ...]
     avg_top_mass: np.ndarray
     delta_avg: np.ndarray
-
-    def to_text(self) -> str:
-        lines = [
-            f"{kt}\t{repr(float(d))}"
-            for kt, d in zip(self.k_top_values, self.delta_avg)
-        ]
-        return "\n".join(lines) + "\n"
 
 
 def top_mass_curve(ds: VectorDataset, k_top_values: Sequence[int] | None = None) -> TopMassCurve:

@@ -2,6 +2,8 @@
 
 Each scheme is an encode/decode pair. Encoders are deterministic: all ties
 (rounding residuals, top-k selection) break toward the lower index.
+Each quantization rule is stated once and works row by row, so the coders
+apply it to one vector and the simulator to a block of trials.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .codec import (
     unrank_composition,
     unrank_subset,
 )
-from .errors import DimensionMismatch, DomainError, ZeroTopMass
+from .errors import DimensionMismatch, DomainError
 from .prob import ProbVector
 
 
@@ -72,24 +74,29 @@ class UQEncoding:
         return cls(ids, bits_per_entry)
 
 
-def uq_encode(p: ProbVector, bits_per_entry: int) -> UQEncoding:
-    """Map each entry to its bin id among 2**bits_per_entry equal-width bins on [0, 1].
-
-    Bins are half-open; the value 1.0 goes to the top bin.
-    """
+def uq_bins(values: np.ndarray, bits_per_entry: int) -> np.ndarray:
+    """Per-entry ids of 2**bits_per_entry half-open bins on [0, 1]; 1.0 is in the top bin."""
     if bits_per_entry < 1:
         raise DomainError(f"bits_per_entry must be >= 1, got {bits_per_entry}")
     levels = 1 << bits_per_entry
-    ids = np.floor(p.values * levels).astype(np.int64)
+    ids = np.floor(values * levels).astype(np.int64)
     np.minimum(ids, levels - 1, out=ids)
-    return UQEncoding(tuple(int(r) for r in ids), bits_per_entry)
+    return ids
+
+
+def uq_midpoints(ids, bits_per_entry: int) -> np.ndarray:
+    """Midpoints of the bins ``ids``, not yet renormalized."""
+    return (np.asarray(ids, dtype=float) + 0.5) / (1 << bits_per_entry)
+
+
+def uq_encode(p: ProbVector, bits_per_entry: int) -> UQEncoding:
+    """Map each entry to its bin id."""
+    return UQEncoding(tuple(uq_bins(p.values, bits_per_entry).tolist()), bits_per_entry)
 
 
 def uq_decode(enc: UQEncoding) -> ProbVector:
     """Reconstruct bin midpoints and renormalize them onto the simplex."""
-    levels = 1 << enc.bits_per_entry
-    mid = (np.array(enc.bin_ids, dtype=float) + 0.5) / levels
-    return ProbVector(mid, normalize=True)
+    return ProbVector(uq_midpoints(enc.bin_ids, enc.bits_per_entry), normalize=True)
 
 
 class LatticeRounding(NamedTuple):
@@ -121,14 +128,10 @@ def round_to_lattice(values: np.ndarray, denominator: int) -> LatticeRounding:
         return LatticeRounding(counts, initial, residuals)
     # A stable sort by the residuals, negated where the counts oversum, puts
     # first the |deficit| entries that move one count toward the target,
-    # ties at the lower index. A matrix is sorted row by row.
-    if counts.ndim == 1:
-        order = (residuals if deficit > 0 else -residuals).argsort(kind="stable")
-        counts[order[: abs(deficit)]] += 1 if deficit > 0 else -1
-    else:
-        step = np.sign(deficit)[:, None]
-        order = (residuals * step).argsort(axis=-1, kind="stable")
-        counts += step * (order.argsort(axis=-1) < np.abs(deficit)[:, None])
+    # ties at the lower index. Each row is sorted on its own.
+    step = np.sign(deficit)[..., None]
+    order = (residuals * step).argsort(axis=-1, kind="stable")
+    counts += step * (order.argsort(axis=-1) < np.abs(deficit)[..., None])
     # Entries picked for decrement always started positive: a positive
     # total residual forces at least -deficit entries above their target.
     assert counts.min() >= 0, "lattice rounding drove a count negative"
@@ -137,13 +140,8 @@ def round_to_lattice(values: np.ndarray, denominator: int) -> LatticeRounding:
 
 def lq_encode(p: ProbVector, denominator: int) -> LatticePoint:
     """Nearest point on the fixed-denominator lattice, by residual rounding."""
-    return lq_encode_steps(p, denominator)[0]
-
-
-def lq_encode_steps(p: ProbVector, denominator: int) -> tuple[LatticePoint, LatticeRounding]:
-    """As lq_encode, also returning the initial counts and residuals."""
-    rounded = round_to_lattice(p.values, denominator)
-    return LatticePoint(tuple(int(c) for c in rounded.counts), denominator), rounded
+    counts = round_to_lattice(p.values, denominator).counts
+    return LatticePoint(tuple(counts.tolist()), denominator)
 
 
 def lq_decode(pt: LatticePoint) -> ProbVector:
@@ -211,12 +209,24 @@ class SLQEncoding:
         return cls(positions, lattice_index, denominator, k, k_top)
 
 
+def top_indices(values: np.ndarray, k_top: int) -> np.ndarray:
+    """Ascending positions of each row's k_top largest entries; ties go to the lower index."""
+    k = values.shape[-1]
+    if not 1 <= k_top <= k:
+        raise DomainError(f"need 1 <= k_top <= {k}, got {k_top}")
+    order = np.argsort(-values, axis=-1, kind="stable")
+    return np.sort(order[..., :k_top], axis=-1)
+
+
+def slq_counts(kept: np.ndarray, denominator: int) -> np.ndarray:
+    """Lattice counts of each row of kept entries, first renormalized to unit sum."""
+    # Positive mass: the k_top >= 1 largest entries of a unit-sum row hold at least k_top/k.
+    return round_to_lattice(kept / kept.sum(axis=-1, keepdims=True), denominator).counts
+
+
 def top_positions(p: ProbVector, k_top: int) -> PositionSet:
     """Positions of the k_top largest entries, ties broken toward the lower index."""
-    if not 1 <= k_top <= p.k:
-        raise DomainError(f"need 1 <= k_top <= {p.k}, got {k_top}")
-    order = np.lexsort((np.arange(p.k), -p.values))
-    return PositionSet(tuple(sorted(int(i) for i in order[:k_top])), p.k)
+    return PositionSet(tuple(top_indices(p.values, k_top).tolist()), p.k)
 
 
 def slq_encode(p: ProbVector, k_top: int, denominator: int) -> SLQEncoding:
@@ -226,12 +236,8 @@ def slq_encode(p: ProbVector, k_top: int, denominator: int) -> SLQEncoding:
     index of the quantized retained entries.
     """
     positions = top_positions(p, k_top)
-    selected = p.values[list(positions.indices)]
-    mass = float(selected.sum())
-    if mass == 0.0:
-        raise ZeroTopMass("selected top entries are all zero")
-    rounded = round_to_lattice(selected / mass, denominator)
-    point = LatticePoint(tuple(int(c) for c in rounded.counts), denominator)
+    counts = slq_counts(p.values[list(positions.indices)], denominator)
+    point = LatticePoint(tuple(counts.tolist()), denominator)
     return SLQEncoding(positions, rank_composition(point), denominator, p.k, k_top)
 
 

@@ -21,7 +21,7 @@ from enum import Enum
 
 import numpy as np
 
-from .budget import Scheme, budget_lq, budget_slq, uq_bits_per_entry
+from .budget import BudgetFn, Scheme, uq_bits_per_entry
 from .codec import (
     LexIndex,
     composition_count,
@@ -36,8 +36,12 @@ from .quantizers import (
     UQEncoding,
     lq_decode,
     round_to_lattice,
+    slq_counts,
     slq_decode,
+    top_indices,
+    uq_bins,
     uq_decode,
+    uq_midpoints,
 )
 
 # Trials are quantized, corrupted and measured this many rows at a time, so
@@ -79,6 +83,11 @@ class SimConfig:
                 raise DomainError("sparse scheme needs k_top")
             if not 0.0 <= self.tail_bound < 1.0:  # also NaN
                 raise DomainError(f"source tail mass must be in [0, 1), got {self.tail_bound}")
+        # A width or denominator the coder would refuse fails before any trial.
+        name = "bits_per_entry" if self.scheme is Scheme.UQ else "ell"
+        override = getattr(self, name)
+        if override is not None and override < 1:
+            raise DomainError(f"{name} must be >= 1, got {override}")
 
     @property
     def tail_bound(self) -> float:
@@ -86,13 +95,9 @@ class SimConfig:
         return self.source_tail_mass if self.source_tail_mass is not None else self.delta
 
     def resolved_ell(self) -> int | None:
-        if self.scheme is Scheme.UQ:
-            return None
-        if self.ell is not None:
-            return self.ell
-        if self.scheme is Scheme.LQ:
-            return budget_lq(self.k, self.beta_s)[0]
-        return budget_slq(self.k, self.k_top, self.delta, self.beta_s)[0]
+        if self.ell is None or self.scheme is Scheme.UQ:  # BudgetFn.ell is None for UQ
+            return BudgetFn(self.scheme, self.k, self.k_top, self.delta).ell(self.beta_s)
+        return self.ell
 
     def resolved_bits_per_entry(self) -> int | None:
         if self.scheme is not Scheme.UQ:
@@ -200,21 +205,14 @@ def _garbled(coder: SimConfig, rng: np.random.Generator) -> np.ndarray:
 
 
 def _decoded(coder: SimConfig, sources: np.ndarray) -> np.ndarray:
-    """Each row quantized and decoded, normalized as the decoders' ProbVector is."""
+    """Each row coded and decoded by the quantizers' rules, normalized as ProbVector does."""
     if coder.scheme is Scheme.UQ:
-        levels = 1 << coder.bits_per_entry
-        ids = np.floor(sources * levels).astype(np.int64)
-        np.minimum(ids, levels - 1, out=ids)
-        received = (ids + 0.5) / levels
+        received = uq_midpoints(uq_bins(sources, coder.bits_per_entry), coder.bits_per_entry)
     elif coder.scheme is Scheme.LQ:
         received = round_to_lattice(sources, coder.ell).counts / coder.ell
     else:
-        # The k_top largest entries, ties toward the lower index, in index order.
-        top = np.sort(np.argsort(-sources, axis=1, kind="stable")[:, : coder.k_top], axis=1)
-        kept = np.take_along_axis(sources, top, axis=1)
-        # Positive: the k_top largest entries of a unit-sum row hold at least k_top/k.
-        mass = kept.sum(axis=1, keepdims=True)
-        counts = round_to_lattice(kept / mass, coder.ell).counts
+        top = top_indices(sources, coder.k_top)
+        counts = slq_counts(np.take_along_axis(sources, top, axis=1), coder.ell)
         received = np.zeros_like(sources)
         np.put_along_axis(received, top, counts / coder.ell, axis=1)
     return received / received.sum(axis=1, keepdims=True)

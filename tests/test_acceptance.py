@@ -41,7 +41,7 @@ from latdist.prob import ProbVector, tv_distance
 from latdist.quantizers import (
     lq_decode,
     lq_encode,
-    lq_encode_steps,
+    round_to_lattice,
     slq_decode,
     slq_encode,
     uq_decode,
@@ -93,11 +93,12 @@ def test_c01_lattice_rounding_worked_example():
     with Budgeted(1, "worked lattice rounding example is exact", 1.0):
         p = ProbVector([0.18, 0.52, 0.3])
         start = time.perf_counter()
-        point, steps = lq_encode_steps(p, 5)
+        point = lq_encode(p, 5)
         encode_time = time.perf_counter() - start
+        steps = round_to_lattice(p.values, 5)
         assert tuple(steps.initial_counts) == (1, 3, 2)
         assert steps.residuals == pytest.approx([0.1, 0.4, 0.5], abs=1e-9)
-        assert point.counts == (1, 3, 1) and point.denominator == 5
+        assert tuple(steps.counts) == point.counts == (1, 3, 1) and point.denominator == 5
         decoded = lq_decode(point)
         assert np.array_equal(decoded.values, np.array([1, 3, 1]) / 5)
         assert encode_time < 1e-3

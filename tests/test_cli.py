@@ -371,6 +371,21 @@ class TestSimulateCommand:
         assert exit_code(self.ARGS + ["--format", "csv"]) == 2
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize(
+        "eps, width", [("0", "0"), ("0.5", "0"), ("0", "-3")],
+        ids=["zero-width-eps0", "zero-width-eps-half", "negative-width"],
+    )
+    def test_width_the_coder_refuses_is_usage_error(self, capsys, eps, width):
+        # The first ran to a report for a 0-bit coder (exit 0), the second
+        # failed in the middle of the run, and the third on a negative shift.
+        code, out, err = run(
+            ["simulate", "--scheme", "uq", "-k", "4", "--beta-s", "0.1", "--eps-target", eps,
+             "--bits-per-entry", width, "--trials", "50"],
+            capsys,
+        )
+        assert code == 2 and out == ""
+        assert "bits_per_entry must be >= 1" in err
+
     @pytest.mark.parametrize("tail", ["nan", "2", "-0.1"])
     def test_unusable_source_tail_mass_is_usage_error(self, capsys, tail):
         # nan used to end in an OverflowError traceback (exit 1), and 2 passed
@@ -418,6 +433,15 @@ class TestStatsCommand:
         assert doc["recommended_k_top"] == 2
         assert doc["config"]["k"] == 3
 
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--k", "2"), ("--delta", "0.5")], ids=["k", "delta"],
+    )
+    def test_partial_flag_is_rejected(self, tmp_path, capsys, flag, value):
+        # Prefix matching used to run --k as --k-top and --delta as --delta-target.
+        path = write_vectors(tmp_path, [[0.5, 0.3, 0.2]])
+        assert exit_code(["stats", "--input", str(path), flag, value]) == 2
+        assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("bad", ["NaN", "Infinity"])
     def test_non_finite_row_is_usage_error(self, tmp_path, capsys, bad):
@@ -478,6 +502,14 @@ class TestConfigFile:
         cfg_path.write_text(json.dumps({**self.TRADEOFF, **entry}))
         assert exit_code(["tradeoff", "--config", str(cfg_path)]) == 2
         assert capsys.readouterr().out == ""
+
+    def test_refused_value_names_the_file(self, tmp_path, capsys):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({**self.TRADEOFF, "k": 10.9}))
+        assert exit_code(["tradeoff", "--config", str(cfg_path), "--grid-points", "30"]) == 2
+        err = capsys.readouterr().err
+        assert "invalid int value: '10.9'" in err
+        assert str(cfg_path) in err
 
     @pytest.mark.parametrize("content", ["5", "[]", '"x"'], ids=["number", "list", "string"])
     def test_file_must_hold_an_object(self, tmp_path, capsys, content):

@@ -13,15 +13,18 @@ from latdist.quantizers import (
     UQEncoding,
     lq_decode,
     lq_encode,
-    lq_encode_steps,
     lq_from_payload,
     lq_payload,
     round_to_lattice,
+    slq_counts,
     slq_decode,
     slq_encode,
+    top_indices,
     top_positions,
+    uq_bins,
     uq_decode,
     uq_encode,
+    uq_midpoints,
 )
 
 
@@ -87,10 +90,11 @@ class TestUniform:
 class TestLattice:
     def test_worked_example_with_intermediates(self):
         p = ProbVector([0.18, 0.52, 0.3])
-        point, steps = lq_encode_steps(p, 5)
+        point = lq_encode(p, 5)
+        steps = round_to_lattice(p.values, 5)
         assert tuple(steps.initial_counts) == (1, 3, 2)
         assert steps.residuals == pytest.approx([0.1, 0.4, 0.5], abs=1e-9)
-        assert point.counts == (1, 3, 1)
+        assert tuple(steps.counts) == point.counts == (1, 3, 1)
         assert np.array_equal(lq_decode(point).values, np.array([1, 3, 1]) / 5)
 
     def test_rows_round_as_vectors(self):
@@ -285,3 +289,53 @@ class TestSparseLattice:
     def test_k_top_out_of_range(self):
         with pytest.raises(DomainError):
             slq_encode(ProbVector([0.5, 0.5]), 3, 10)
+
+
+class TestRowwiseRules:
+    """Each rule gives on a matrix exactly what it gives on each row alone."""
+
+    # Dyadic rows: entries on UQ bin edges, exact lattice residual ties, and
+    # equal entries straddling the k_top = 2 boundary.
+    EXACT = np.array([
+        [0.25, 0.125, 0.25, 0.125, 0.25],
+        [0.5, 0.25, 0.25, 0.0, 0.0],
+        [0.125, 0.125, 0.125, 0.125, 0.5],
+        [0.0, 0.0, 0.0, 0.0, 1.0],
+        [0.2, 0.2, 0.2, 0.2, 0.2],
+    ])
+
+    @classmethod
+    def rows(cls):
+        drawn = np.random.default_rng(31).standard_exponential((200, 5)) ** 3
+        return np.concatenate([cls.EXACT, drawn / drawn.sum(axis=1, keepdims=True)])
+
+    @pytest.mark.parametrize("j", [1, 2, 5])
+    def test_uq_bins_and_midpoints(self, j):
+        rows = self.rows()
+        ids = uq_bins(rows, j)
+        for row, row_ids, row_mid in zip(rows, ids, uq_midpoints(ids, j)):
+            assert np.array_equal(row_ids, uq_bins(row, j))
+            assert np.array_equal(row_mid, uq_midpoints(tuple(row_ids.tolist()), j))
+        assert uq_bins(self.EXACT[1], 2).tolist() == [2, 1, 1, 0, 0]
+        assert uq_bins(self.EXACT[3], 2).tolist() == [0, 0, 0, 0, 3]
+
+    @pytest.mark.parametrize("k_top", [1, 2, 4, 5])
+    @pytest.mark.parametrize("ell", [1, 3, 8])
+    def test_top_indices_and_slq_counts(self, k_top, ell):
+        rows = self.rows()
+        top = top_indices(rows, k_top)
+        counts = slq_counts(np.take_along_axis(rows, top, axis=1), ell)
+        for row, row_top, row_counts in zip(rows, top, counts):
+            assert np.array_equal(row_top, top_indices(row, k_top))
+            assert np.array_equal(row_counts, slq_counts(row[row_top], ell))
+            assert row_counts.sum() == ell
+        assert top_indices(self.EXACT, 2).tolist() == [
+            [0, 2], [0, 1], [0, 4], [0, 4], [0, 1],
+        ]
+        # [0.5, 0.5] on the lattice of 3: the tied oversum drops the lower index.
+        assert slq_counts(np.array([0.25, 0.25]), 3).tolist() == [1, 2]
+
+    def test_top_indices_range(self):
+        for k_top in (0, 6):
+            with pytest.raises(DomainError):
+                top_indices(self.EXACT, k_top)

@@ -8,6 +8,15 @@ from scipy import stats
 from latdist import simulator
 from latdist.budget import Scheme, budget_lq
 from latdist.errors import DomainError
+from latdist.prob import ProbVector
+from latdist.quantizers import (
+    lq_decode,
+    lq_encode,
+    slq_decode,
+    slq_encode,
+    uq_decode,
+    uq_encode,
+)
 from latdist.simulator import (
     ErrorModel,
     SimConfig,
@@ -231,8 +240,64 @@ class TestSimulation:
         assert report.config["scheme"] == "lq"
         assert report.config["resolved_ell"] == budget_lq(8, 0.1)[0]
 
+    # (config, message): widths and denominators the coders refuse. Each used
+    # to pass construction and then run, or fail mid-run, depending on eps.
+    REFUSED_OVERRIDES = {
+        "uq-zero-width-eps0": (dict(scheme=Scheme.UQ, bits_per_entry=0, eps_target=0.0),
+                               "bits_per_entry must be >= 1"),
+        "uq-zero-width-eps-half": (dict(scheme=Scheme.UQ, bits_per_entry=0, eps_target=0.5),
+                                   "bits_per_entry must be >= 1"),
+        "uq-negative-width": (dict(scheme=Scheme.UQ, bits_per_entry=-3, eps_target=0.0),
+                              "bits_per_entry must be >= 1"),
+        "lq-zero-ell": (dict(scheme=Scheme.LQ, ell=0, eps_target=0.0), "ell must be >= 1"),
+        "slq-negative-ell": (dict(scheme=Scheme.SLQ, k_top=2, ell=-1, eps_target=0.5),
+                             "ell must be >= 1"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(REFUSED_OVERRIDES))
+    def test_refused_override_fails_at_construction(self, case):
+        extra, message = self.REFUSED_OVERRIDES[case]
+        with pytest.raises(DomainError, match=message):
+            SimConfig(trials=50, seed=0, error_model=ErrorModel.UNIFORM_INDEX, k=4,
+                      beta_s=0.1, **extra)
+
     def test_validation(self):
         with pytest.raises(DomainError):
             SimConfig(0, 1, ErrorModel.UNIFORM_INDEX, Scheme.LQ, 8, 0.1, 0.1)
         with pytest.raises(DomainError):
             SimConfig(10, 1, ErrorModel.UNIFORM_INDEX, Scheme.SLQ, 8, 0.1, 0.1)
+
+
+# Rows for _decoded: dyadic rows with exact lattice residual ties, entries on
+# UQ bin edges and equal entries straddling the k_top boundary, then draws.
+_EXACT_ROWS = [
+    [0.25, 0.125, 0.25, 0.125, 0.25],
+    [0.5, 0.25, 0.25, 0.0, 0.0],
+    [0.125, 0.125, 0.125, 0.125, 0.5],
+    [0.0, 0.0, 0.0, 0.0, 1.0],
+    [0.2, 0.2, 0.2, 0.2, 0.2],
+]
+
+
+@pytest.mark.parametrize(
+    "coder, code",
+    [
+        (dict(scheme=Scheme.UQ, bits_per_entry=2),
+         lambda p: uq_decode(uq_encode(p, 2))),
+        (dict(scheme=Scheme.UQ, bits_per_entry=7),
+         lambda p: uq_decode(uq_encode(p, 7))),
+        (dict(scheme=Scheme.LQ, ell=4), lambda p: lq_decode(lq_encode(p, 4))),
+        (dict(scheme=Scheme.LQ, ell=13), lambda p: lq_decode(lq_encode(p, 13))),
+        (dict(scheme=Scheme.SLQ, k_top=2, ell=3), lambda p: slq_decode(slq_encode(p, 2, 3))),
+        (dict(scheme=Scheme.SLQ, k_top=4, ell=10), lambda p: slq_decode(slq_encode(p, 4, 10))),
+    ],
+    ids=["uq-2", "uq-7", "lq-4", "lq-13", "slq-2-3", "slq-4-10"],
+)
+def test_block_decoding_equals_the_coders(coder, code):
+    drawn = np.random.default_rng(32).standard_exponential((300, 5)) ** 3
+    vectors = [ProbVector(row, normalize=True) for row in [*_EXACT_ROWS, *drawn]]
+    cfg = SimConfig(trials=1, seed=0, error_model=ErrorModel.UNIFORM_INDEX, k=5,
+                    beta_s=0.1, eps_target=0.0, **coder)
+    block = simulator._decoded(cfg, np.stack([p.values for p in vectors]))
+    for p, received in zip(vectors, block):
+        assert np.array_equal(received, code(p).values)
