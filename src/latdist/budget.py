@@ -1,10 +1,11 @@
 """Bit budgets sufficient to hit a source distortion target for each scheme.
 
-Each budget has two forms: the real-valued bound, consumed by the latency
-optimizer as a smooth function of the source distortion, and the
-implementable integer number of bits, consumed by the codecs. The real
-bound also takes an array of source distortions, so that the optimizer
-computes it once for a whole grid.
+``BudgetFn`` is the implementation. It checks a coder's (scheme, k, k_top,
+delta) once, at construction, and gives at any source distortion the
+lattice denominator, the real-valued bound (smooth in beta_s for the latency
+optimizer, and elementwise over a whole grid) and the integer bits the
+codecs send. ``budget_uq``, ``budget_lq``, ``budget_slq`` and
+``uq_bits_per_entry`` are views over it.
 """
 
 from __future__ import annotations
@@ -39,93 +40,14 @@ def _guarded_ceil(x):
     return to_int(np.where(snap, nearest, np.ceil(x)))
 
 
-def _check_uq(k: int):
-    if k < 2:
-        raise DomainError(f"uniform budget needs k >= 2, got {k}")
-
-
-def _check_lq(k: int):
-    if k < 1:
-        raise DomainError(f"need k >= 1, got {k}")
-
-
-def _check_slq(k: int, k_top: int, delta: float):
-    if not 1 <= k_top <= k:
-        raise DomainError(f"need 1 <= k_top <= k, got k_top={k_top}, k={k}")
-    if not 0.0 <= delta < 1.0:
-        raise DomainError(f"tail mass must be in [0, 1), got {delta}")
-
-
-def _check_beta(beta_s, lower: float = 0.0):
-    """Source distortions in (0, 1), and above the tail mass ``lower``."""
-    if not np.all((0.0 < beta_s) & (beta_s < 1.0)):
-        raise DomainError(f"source distortion must be in (0, 1), got {brief(beta_s)}")
-    if not np.all(beta_s > lower):
-        raise BetaNotAboveDelta(
-            f"source distortion {brief(beta_s)} must exceed tail mass {lower}"
-        )
-
-
-def budget_uq(k: int, beta_s: float) -> float:
-    """Bits sufficient for uniform quantization: 2k*log2(k/beta_s).
-
-    Elementwise over an array of beta_s.
-    """
-    _check_uq(k)
-    _check_beta(beta_s)
-    return 2.0 * k * log2(k / beta_s)
-
-
-def uq_bits_per_entry(k: int, beta_s: float) -> int:
-    """Integer per-entry width implementing the uniform budget."""
-    return _guarded_ceil(budget_uq(k, beta_s) / k)
-
-
-def lattice_denominator(parts: int, beta: float) -> int:
-    """Denominator ceil(parts / (4*beta)) that keeps lattice distortion under beta.
-
-    Elementwise over an array of beta.
-    """
-    if np.any(beta <= 0):
-        raise DomainError(f"distortion slack must be positive, got {brief(beta)}")
-    return _guarded_ceil(np.maximum(1.0, parts / (4.0 * beta)))
-
-
-def _lq_ell(k: int, beta_s):
-    _check_lq(k)
-    _check_beta(beta_s)
-    return lattice_denominator(k, beta_s)
-
-
-def _slq_ell(k: int, k_top: int, delta: float, beta_s):
-    _check_slq(k, k_top, delta)
-    _check_beta(beta_s, delta)
-    return lattice_denominator(k_top, beta_s - delta)
-
-
-def budget_lq(k: int, beta_s: float) -> tuple[int, int]:
-    """Lattice denominator and integer bits sufficient for lattice quantization."""
-    ell = _lq_ell(k, beta_s)
-    return ell, composition_count_bits(k, ell)
-
-
-def budget_slq(k: int, k_top: int, delta: float, beta_s: float) -> tuple[int, int]:
-    """Denominator and integer bits for sparse lattice quantization.
-
-    ``delta`` is the assumed mass of the discarded entries; the scheme is
-    only defined for beta_s > delta.
-    """
-    ell = _slq_ell(k, k_top, delta, beta_s)
-    bits = subset_count_bits(k, k_top) + composition_count_bits(k_top, ell)
-    return ell, bits
-
-
 @dataclass(frozen=True)
 class BudgetFn:
     """Budget J(beta_s) for a fixed scheme and dimension.
 
     ``bits_real`` is the smooth bound used by the optimizer; ``bits_int``
-    is what the codec actually sends.
+    is what the codec actually sends. ``k_top`` and ``delta`` (the assumed
+    mass of the discarded entries) matter only to the sparse scheme, which
+    is only defined for beta_s > delta.
     """
 
     scheme: Scheme
@@ -134,19 +56,36 @@ class BudgetFn:
     delta: float = 0.0
 
     def __post_init__(self):
-        if self.scheme is Scheme.UQ:
-            _check_uq(self.k)
-        elif self.scheme is Scheme.LQ:
-            _check_lq(self.k)
-        else:
+        if self.scheme is Scheme.UQ and self.k < 2:
+            raise DomainError(f"uniform budget needs k >= 2, got {self.k}")
+        if self.scheme is Scheme.LQ and self.k < 1:
+            raise DomainError(f"need k >= 1, got {self.k}")
+        if self.scheme is Scheme.SLQ:
             if self.k_top is None:
                 raise DomainError("sparse scheme needs k_top")
-            _check_slq(self.k, self.k_top, self.delta)
+            if not 1 <= self.k_top <= self.k:
+                raise DomainError(f"need 1 <= k_top <= k, got k_top={self.k_top}, k={self.k}")
+            if not 0.0 <= self.delta < 1.0:  # also NaN
+                raise DomainError(f"tail mass must be in [0, 1), got {self.delta}")
 
     @property
     def lower_edge(self) -> float:
         """Infimum of admissible source distortions."""
         return self.delta if self.scheme is Scheme.SLQ else 0.0
+
+    def _admit(self, beta_s):
+        """Source distortions in (0, 1), and above the lower edge."""
+        if not np.all((0.0 < beta_s) & (beta_s < 1.0)):
+            raise DomainError(f"source distortion must be in (0, 1), got {brief(beta_s)}")
+        if not np.all(beta_s > self.lower_edge):
+            raise BetaNotAboveDelta(
+                f"source distortion {brief(beta_s)} must exceed tail mass {self.lower_edge}"
+            )
+
+    @property
+    def _parts(self) -> int:
+        """Entries the lattice quantizes: k, or the k_top kept by the sparse scheme."""
+        return self.k_top if self.scheme is Scheme.SLQ else self.k
 
     def ell(self, beta_s: float) -> int | None:
         """Lattice denominator at this operating point (None for UQ).
@@ -155,23 +94,50 @@ class BudgetFn:
         """
         if self.scheme is Scheme.UQ:
             return None
-        if self.scheme is Scheme.LQ:
-            return _lq_ell(self.k, beta_s)
-        return _slq_ell(self.k, self.k_top, self.delta, beta_s)
+        self._admit(beta_s)
+        # ceil(parts / (4*slack)) keeps the lattice distortion under the slack beta_s - delta.
+        return _guarded_ceil(np.maximum(1.0, self._parts / (4.0 * (beta_s - self.lower_edge))))
 
     def bits_int(self, beta_s: float) -> int:
         if self.scheme is Scheme.UQ:
-            return self.k * uq_bits_per_entry(self.k, beta_s)
-        if self.scheme is Scheme.LQ:
-            return budget_lq(self.k, beta_s)[1]
-        return budget_slq(self.k, self.k_top, self.delta, beta_s)[1]
+            return self.k * _guarded_ceil(self.bits_real(beta_s) / self.k)
+        bits = composition_count_bits(self._parts, self.ell(beta_s))
+        if self.scheme is Scheme.SLQ:
+            bits += subset_count_bits(self.k, self.k_top)
+        return bits
 
     def bits_real(self, beta_s: float) -> float:
         """Smooth bit bound at beta_s; elementwise over an array of beta_s."""
         if self.scheme is Scheme.UQ:
-            return budget_uq(self.k, beta_s)
-        parts = self.k if self.scheme is Scheme.LQ else self.k_top
+            self._admit(beta_s)
+            return 2.0 * self.k * log2(self.k / beta_s)
+        parts = self._parts
         lattice = log2_comb(self.ell(beta_s) + parts - 1, parts - 1)
         if self.scheme is Scheme.LQ:
             return lattice
         return log2_comb(self.k, self.k_top) + lattice
+
+
+def budget_uq(k: int, beta_s: float) -> float:
+    """Bits sufficient for uniform quantization: 2k*log2(k/beta_s).
+
+    Elementwise over an array of beta_s.
+    """
+    return BudgetFn(Scheme.UQ, k).bits_real(beta_s)
+
+
+def uq_bits_per_entry(k: int, beta_s: float) -> int:
+    """Integer per-entry width implementing the uniform budget."""
+    return BudgetFn(Scheme.UQ, k).bits_int(beta_s) // k
+
+
+def budget_lq(k: int, beta_s: float) -> tuple[int, int]:
+    """Lattice denominator and integer bits sufficient for lattice quantization."""
+    fn = BudgetFn(Scheme.LQ, k)
+    return fn.ell(beta_s), fn.bits_int(beta_s)
+
+
+def budget_slq(k: int, k_top: int, delta: float, beta_s: float) -> tuple[int, int]:
+    """Denominator and integer bits for sparse lattice quantization."""
+    fn = BudgetFn(Scheme.SLQ, k, k_top, delta)
+    return fn.ell(beta_s), fn.bits_int(beta_s)

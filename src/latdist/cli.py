@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .budget import BudgetFn, Scheme, budget_lq, budget_slq, budget_uq, uq_bits_per_entry
+from .budget import BudgetFn, Scheme, uq_bits_per_entry
 from .channel import ChannelFamily, ChannelSpec, db_to_linear
 from .errors import LatdistError, NoFeasibleN
 from .ingest import (
@@ -159,19 +159,16 @@ def _json_document(cfg: dict, payload: dict) -> str:
 
 
 def cmd_budget(cfg: dict, output) -> int:
-    k, k_top, delta = cfg["k"], cfg["k_top"], cfg["delta"]
+    uq, lq, slq = (BudgetFn(s, cfg["k"], cfg["k_top"], cfg["delta"]) for s in Scheme)
     grid = parse_value_list(cfg["beta_s"])
     if not grid:
         raise UsageError("empty beta_s grid")
     rows = []
     for bs in grid:
-        j_uq = budget_uq(k, bs)
-        ell_lq, j_lq = budget_lq(k, bs)
-        if bs > delta:
-            ell_slq, j_slq = budget_slq(k, k_top, delta, bs)
-        else:
-            ell_slq, j_slq = None, None
-        rows.append((bs, j_uq, j_lq, j_slq, ell_lq, ell_slq))
+        ell_slq = j_slq = None
+        if bs > slq.lower_edge:  # the sparse coder is defined only above its tail mass
+            ell_slq, j_slq = slq.ell(bs), slq.bits_int(bs)
+        rows.append((bs, uq.bits_real(bs), lq.bits_int(bs), j_slq, lq.ell(bs), ell_slq))
     header = ("beta_s", "J_uq_bits", "J_lq_bits", "J_slq_bits", "ell_lq", "ell_slq")
     if cfg["format"] == "json":
         objs = [dict(zip(header, row)) for row in rows]
@@ -223,20 +220,18 @@ def cmd_hull(cfg: dict, output) -> int:
 
 
 def _resolve_coder_params(cfg: dict) -> None:
-    """Fill in ell or bits_per_entry from the budget at beta_s when not given."""
-    scheme = Scheme(cfg["scheme"])
-    if scheme is Scheme.UQ:
+    """Check the coder; fill in ell or bits_per_entry from its budget at beta_s if not given."""
+    budget = _budget_fn(cfg)
+    if budget.scheme is Scheme.UQ:
         if cfg["bits_per_entry"] is None:
             if cfg["beta_s"] is None:
                 raise UsageError("uniform coder needs --bits-per-entry or --beta-s")
-            cfg["bits_per_entry"] = uq_bits_per_entry(cfg["k"], cfg["beta_s"])
+            cfg["bits_per_entry"] = uq_bits_per_entry(budget.k, cfg["beta_s"])
         return
-    if cfg["ell"] is None and cfg["beta_s"] is None:
-        raise UsageError("lattice coders need --ell or --beta-s")
-    if scheme is Scheme.SLQ and cfg["k_top"] is None:
-        raise UsageError("sparse coder needs --k-top")
     if cfg["ell"] is None:
-        cfg["ell"] = _budget_fn(cfg).ell(cfg["beta_s"])
+        if cfg["beta_s"] is None:
+            raise UsageError("lattice coders need --ell or --beta-s")
+        cfg["ell"] = budget.ell(cfg["beta_s"])
 
 
 def cmd_quantize(cfg: dict, output) -> int:

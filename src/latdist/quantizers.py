@@ -24,7 +24,7 @@ from .codec import (
     unrank_composition,
     unrank_subset,
 )
-from .errors import DimensionMismatch, DomainError
+from .errors import DimensionMismatch, DomainError, IndexOutOfRange
 from .prob import ProbVector
 
 
@@ -51,7 +51,7 @@ class UQEncoding:
         return self.k * self.bits_per_entry
 
     def to_bytes(self) -> bytes:
-        """Fields packed big-endian, first entry in the most significant bits."""
+        """Fields packed big-endian, first entry in the most significant bits, zero-padded."""
         j = self.bits_per_entry
         packed = 0
         for r in self.bin_ids:
@@ -62,11 +62,16 @@ class UQEncoding:
 
     @classmethod
     def from_bytes(cls, data: bytes, k: int, bits_per_entry: int) -> "UQEncoding":
+        """Inverse of to_bytes; nonzero padding is refused, so one payload is one encoding."""
         total_bits = k * bits_per_entry
         expected = (total_bits + 7) // 8
         if len(data) != expected:
             raise DimensionMismatch(f"expected {expected} payload bytes, got {len(data)}")
-        packed = int.from_bytes(data, "big") >> (-total_bits % 8)
+        pad = -total_bits % 8
+        packed = int.from_bytes(data, "big")
+        if packed & ((1 << pad) - 1):
+            raise IndexOutOfRange(f"the {pad} padding bits must be zero")
+        packed >>= pad
         mask = (1 << bits_per_entry) - 1
         ids = tuple(
             (packed >> (bits_per_entry * (k - 1 - i))) & mask for i in range(k)
@@ -161,29 +166,33 @@ def lq_from_payload(data: bytes, k: int, denominator: int) -> LatticePoint:
 
 @dataclass(frozen=True)
 class SLQEncoding:
-    """Sparse lattice encoding: retained positions plus a lattice index over them."""
+    """Sparse lattice encoding: the retained positions and a lattice point over them.
+
+    Its sizes are those of ``positions`` and ``point``. It holds no index:
+    the subset and composition indices exist only on the wire, ranked by
+    ``to_bytes`` and unranked by ``from_bytes``.
+    """
 
     positions: PositionSet
-    lattice_index: LexIndex
-    denominator: int
-    dimension: int
-    k_top: int
+    point: LatticePoint
 
     def __post_init__(self):
-        if self.positions.dimension != self.dimension:
+        if self.point.k != self.positions.size:
             raise DimensionMismatch(
-                f"positions declare dimension {self.positions.dimension}, "
-                f"encoding declares {self.dimension}"
+                f"{self.positions.size} positions but {self.point.k} lattice counts"
             )
-        if self.positions.size != self.k_top:
-            raise DimensionMismatch(
-                f"{self.positions.size} positions but k_top={self.k_top}"
-            )
-        expected = composition_count_bits(self.k_top, self.denominator)
-        if self.lattice_index.bit_width != expected:
-            raise DimensionMismatch(
-                f"lattice index width {self.lattice_index.bit_width}, expected {expected}"
-            )
+
+    @property
+    def dimension(self) -> int:
+        return self.positions.dimension
+
+    @property
+    def k_top(self) -> int:
+        return self.positions.size
+
+    @property
+    def denominator(self) -> int:
+        return self.point.denominator
 
     @property
     def payload_bits(self) -> int:
@@ -194,7 +203,7 @@ class SLQEncoding:
 
     def to_bytes(self) -> bytes:
         """Subset index bytes followed by composition index bytes."""
-        return rank_subset(self.positions).to_bytes() + self.lattice_index.to_bytes()
+        return rank_subset(self.positions).to_bytes() + rank_composition(self.point).to_bytes()
 
     @classmethod
     def from_bytes(cls, data: bytes, k: int, k_top: int, denominator: int) -> "SLQEncoding":
@@ -205,8 +214,8 @@ class SLQEncoding:
         if len(data) != expected:
             raise DimensionMismatch(f"expected {expected} payload bytes, got {len(data)}")
         positions = unrank_subset(LexIndex.from_bytes(data[:split], subset_bits), k, k_top)
-        lattice_index = LexIndex.from_bytes(data[split:], comp_bits)
-        return cls(positions, lattice_index, denominator, k, k_top)
+        point = unrank_composition(LexIndex.from_bytes(data[split:], comp_bits), k_top, denominator)
+        return cls(positions, point)
 
 
 def top_indices(values: np.ndarray, k_top: int) -> np.ndarray:
@@ -233,17 +242,15 @@ def slq_encode(p: ProbVector, k_top: int, denominator: int) -> SLQEncoding:
     """Keep the k_top largest entries, renormalize them, and lattice-quantize.
 
     The transmitted payload is the position-set index plus the composition
-    index of the quantized retained entries.
+    index of the quantized retained entries, ranked by ``to_bytes``.
     """
     positions = top_positions(p, k_top)
     counts = slq_counts(p.values[list(positions.indices)], denominator)
-    point = LatticePoint(tuple(counts.tolist()), denominator)
-    return SLQEncoding(positions, rank_composition(point), denominator, p.k, k_top)
+    return SLQEncoding(positions, LatticePoint(tuple(counts.tolist()), denominator))
 
 
 def slq_decode(enc: SLQEncoding) -> ProbVector:
     """Zeros everywhere except the retained positions, which carry counts/denominator."""
-    point = unrank_composition(enc.lattice_index, enc.k_top, enc.denominator)
     values = np.zeros(enc.dimension)
-    values[list(enc.positions.indices)] = np.array(point.counts, dtype=float) / enc.denominator
+    values[list(enc.positions.indices)] = np.array(enc.point.counts, dtype=float) / enc.denominator
     return ProbVector(values)

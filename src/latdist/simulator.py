@@ -22,13 +22,7 @@ from enum import Enum
 import numpy as np
 
 from .budget import BudgetFn, Scheme, uq_bits_per_entry
-from .codec import (
-    LexIndex,
-    composition_count,
-    composition_count_bits,
-    unrank_composition,
-    unrank_subset,
-)
+from .codec import composition_count, unrank_composition, unrank_subset
 from .errors import DomainError
 from .prob import ProbVector, tv_distance
 from .quantizers import (
@@ -78,11 +72,10 @@ class SimConfig:
             raise DomainError(f"need at least one trial, got {self.trials}")
         if not 0.0 <= self.eps_target <= 1.0:
             raise DomainError(f"error probability must be in [0, 1], got {self.eps_target}")
-        if self.scheme is Scheme.SLQ:
-            if self.k_top is None:
-                raise DomainError("sparse scheme needs k_top")
-            if not 0.0 <= self.tail_bound < 1.0:  # also NaN
-                raise DomainError(f"source tail mass must be in [0, 1), got {self.tail_bound}")
+        # The coder's k, k_top and delta are checked where its budget is stated.
+        BudgetFn(self.scheme, self.k, self.k_top, self.delta)
+        if self.scheme is Scheme.SLQ and not 0.0 <= self.tail_bound < 1.0:  # also NaN
+            raise DomainError(f"source tail mass must be in [0, 1), got {self.tail_bound}")
         # A width or denominator the coder would refuse fails before any trial.
         name = "bits_per_entry" if self.scheme is Scheme.UQ else "ell"
         override = getattr(self, name)
@@ -200,8 +193,8 @@ def _garbled(coder: SimConfig, rng: np.random.Generator) -> np.ndarray:
     subset_idx = _uniform_below(rng, math.comb(k, coder.k_top))
     lattice_idx = _uniform_below(rng, composition_count(coder.k_top, ell))
     positions = unrank_subset(subset_idx, k, coder.k_top)
-    lattice_index = LexIndex(lattice_idx, composition_count_bits(coder.k_top, ell))
-    return slq_decode(SLQEncoding(positions, lattice_index, ell, k, coder.k_top)).values
+    point = unrank_composition(lattice_idx, coder.k_top, ell)
+    return slq_decode(SLQEncoding(positions, point)).values
 
 
 def _decoded(coder: SimConfig, sources: np.ndarray) -> np.ndarray:

@@ -94,6 +94,27 @@ class TestBudgetCommand:
         assert exit_code(argv) == 2
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize(
+        "k_top, delta", [("3", "nan"), ("3", "2"), ("3", "inf"), ("30", "0.5")],
+        ids=["delta-nan", "delta-two", "delta-inf", "k-top-above-k"],
+    )
+    def test_sparse_coder_it_cannot_build_is_usage_error(self, capsys, k_top, delta):
+        # These used to exit 0 with an empty J_slq_bits column, because the
+        # sparse coder was checked only at a beta_s above delta.
+        code, out, _ = run(
+            ["budget", "-k", "10", "--k-top", k_top, "--beta-s", "0.1,0.5", "--delta", delta],
+            capsys,
+        )
+        assert code == 2 and out == ""
+
+    def test_sparse_column_empty_at_or_below_delta(self, capsys):
+        code, out, _ = run(
+            ["budget", "-k", "10", "--k-top", "3", "--beta-s", "0.1,0.5", "--delta", "0.9"],
+            capsys,
+        )
+        assert code == 0
+        assert [row.split(",")[3] for row in out.strip().splitlines()[2:]] == ["", ""]
+
     def test_json_format(self, capsys):
         code, out, _ = run(
             ["budget", "-k", "50", "--k-top", "5", "--beta-s", "0.05", "--format", "json"],
@@ -337,6 +358,18 @@ class TestCodecCommands:
         values = [float(x) for x in out.strip().splitlines()[-1].split(",")]
         assert values[0] == pytest.approx(0.3, abs=0.01)
 
+    def test_uniform_nonzero_padding_is_usage_error(self, tmp_path, capsys):
+        # ffff used to decode exactly as ff80: the 7 padding bits were dropped.
+        payloads = tmp_path / "p.csv"
+        payloads.write_text("ffff\n")
+        code, out, err = run(
+            ["dequantize", "--scheme", "uq", "-k", "3", "--bits-per-entry", "3",
+             "--input", str(payloads)],
+            capsys,
+        )
+        assert code == 2 and out == ""
+        assert "padding bits must be zero" in err
+
     def test_missing_coder_parameters(self, tmp_path, capsys):
         vectors = write_vectors(tmp_path, [[0.5, 0.5]])
         code, _, err = run(
@@ -385,6 +418,17 @@ class TestSimulateCommand:
         )
         assert code == 2 and out == ""
         assert "bits_per_entry must be >= 1" in err
+
+    def test_refused_delta_with_given_ell_is_usage_error(self, capsys):
+        # With --ell given, delta 1.5 used to run to a report (exit 0) that echoed it.
+        code, out, err = run(
+            ["simulate", "--scheme", "slq", "-k", "10", "--k-top", "3", "--delta", "1.5",
+             "--source-tail-mass", "0.1", "--ell", "5", "--beta-s", "0.1",
+             "--eps-target", "0.1", "--trials", "10"],
+            capsys,
+        )
+        assert code == 2 and out == ""
+        assert "tail mass must be in [0, 1)" in err
 
     @pytest.mark.parametrize("tail", ["nan", "2", "-0.1"])
     def test_unusable_source_tail_mass_is_usage_error(self, capsys, tail):

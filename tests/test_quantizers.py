@@ -6,7 +6,7 @@ import pytest
 
 from latdist.budget import budget_slq, uq_bits_per_entry
 from latdist.codec import LatticePoint, PositionSet, composition_count
-from latdist.errors import DimensionMismatch, DomainError
+from latdist.errors import DimensionMismatch, DomainError, IndexOutOfRange
 from latdist.prob import ProbVector, tv_distance
 from latdist.quantizers import (
     SLQEncoding,
@@ -81,6 +81,17 @@ class TestUniform:
             data = enc.to_bytes()
             assert len(data) == (k * j + 7) // 8
             assert UQEncoding.from_bytes(data, k, j) == enc
+
+    def test_payload_bytes_pinned(self):
+        enc = uq_encode(ProbVector([0.18, 0.52, 0.3]), 5)
+        assert enc.to_bytes().hex() == "2c12"
+        assert UQEncoding.from_bytes(bytes.fromhex("2c12"), 3, 5) == enc
+
+    def test_nonzero_padding_refused(self):
+        # Three 3-bit fields leave 7 padding bits; ffff used to decode as ff80 does.
+        assert UQEncoding.from_bytes(bytes.fromhex("ff80"), 3, 3).bin_ids == (7, 7, 7)
+        with pytest.raises(IndexOutOfRange):
+            UQEncoding.from_bytes(bytes.fromhex("ffff"), 3, 3)
 
     def test_rejects_zero_width(self):
         with pytest.raises(DomainError):
@@ -275,16 +286,25 @@ class TestSparseLattice:
             assert SLQEncoding.from_bytes(enc.to_bytes(), k, k_top, ell) == enc
 
     def test_metadata_dimension_mismatch(self):
-        p = ProbVector([0.05, 0.5, 0.05, 0.4])
-        enc = slq_encode(p, 2, 10)
+        # The sizes live in the position set and the point; only their counts can disagree.
+        enc = slq_encode(ProbVector([0.05, 0.5, 0.05, 0.4]), 2, 10)
         with pytest.raises(DimensionMismatch):
-            SLQEncoding(
-                positions=PositionSet(enc.positions.indices, 5),
-                lattice_index=enc.lattice_index,
-                denominator=enc.denominator,
-                dimension=4,
-                k_top=2,
-            )
+            SLQEncoding(positions=enc.positions, point=LatticePoint((3, 3, 4), 10))
+
+    # (vector, k_top, ell, payload hex): subset index bytes, then composition index bytes.
+    PINNED = {
+        "k4": ([0.05, 0.5, 0.05, 0.4], 2, 10, "0406"),
+        "k1000": (np.arange(1, 1001.0) ** 4, 10, 2000,
+                  "37c775fc947f69cac48f00b8dcb98e8f5812e04c17"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(PINNED))
+    def test_payload_bytes_pinned(self, case):
+        values, k_top, ell, payload = self.PINNED[case]
+        p = ProbVector(values, normalize=True)
+        enc = slq_encode(p, k_top, ell)
+        assert enc.to_bytes().hex() == payload
+        assert SLQEncoding.from_bytes(bytes.fromhex(payload), p.k, k_top, ell) == enc
 
     def test_k_top_out_of_range(self):
         with pytest.raises(DomainError):

@@ -261,6 +261,22 @@ class TestSimulation:
             SimConfig(trials=50, seed=0, error_model=ErrorModel.UNIFORM_INDEX, k=4,
                       beta_s=0.1, **extra)
 
+    # Coders the budget refuses. Each used to construct when its width or
+    # denominator was given, then fail at the first trial or run with the
+    # refused parameter echoed.
+    REFUSED_CODERS = {
+        "slq-delta-above-one": dict(scheme=Scheme.SLQ, k=10, k_top=3, delta=1.5,
+                                    source_tail_mass=0.1, ell=5),
+        "slq-k-top-above-k": dict(scheme=Scheme.SLQ, k=10, k_top=20, ell=5),
+        "uq-one-class": dict(scheme=Scheme.UQ, k=1, bits_per_entry=3),
+    }
+
+    @pytest.mark.parametrize("case", sorted(REFUSED_CODERS))
+    def test_refused_coder_fails_at_construction(self, case):
+        with pytest.raises(DomainError):
+            SimConfig(trials=10, seed=0, error_model=ErrorModel.UNIFORM_INDEX, beta_s=0.1,
+                      eps_target=0.1, **self.REFUSED_CODERS[case])
+
     def test_validation(self):
         with pytest.raises(DomainError):
             SimConfig(0, 1, ErrorModel.UNIFORM_INDEX, Scheme.LQ, 8, 0.1, 0.1)
