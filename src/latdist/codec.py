@@ -45,6 +45,28 @@ So a few parts with a large total (ten parts of 100,000) cost O(log total)
 binomials per position instead of a scan over the whole count, a k=1000
 point pays for a ~4000-bit ``math.comb`` only at a count above ~1600, and
 small spaces stay on word-sized ``math.comb``.
+
+The subset codec steps between neighbouring binomials too (Knuth, TAOCP
+4A, 7.2.1.3). ``unrank_subset`` finds the position c_j of each size j, the
+largest c below the position above it, n, with C(c, j) <= r for what is
+left of the index, r, in one of two ways:
+
+* a scan down from n - 1, one step C(c - 1, j) = C(c, j) (c - j) / c each,
+  where the mean scan length (n - j) / (j + 1) is at most ``_SCAN_STEPS``,
+  the price of a guess (dense spaces such as 36 of 40);
+* otherwise a guess c = (r j!)^(1/j) + (j - 1) / 2 from ``math.log`` and
+  ``math.lgamma``, which is never above c_j, then one ``math.comb`` and
+  ratio steps to C(c_j, j), seldom more than one.
+
+j = 2 is the root of a quadratic (``math.isqrt``) and j = 1 is what is left.
+
+Validation happens at the boundary. The public constructors of
+``LatticePoint`` and ``PositionSet`` check input from outside, with one
+integer rule: Python and NumPy integers pass, and anything else, floats
+included, is refused. ``unrank_*`` check that the index lies within its
+set. What the codec derives itself, the results of ``rank_*`` and
+``unrank_*``, is built by ``_trusted`` without a second check, and so are
+the quantizers' own encodings.
 """
 
 from __future__ import annotations
@@ -67,6 +89,10 @@ _BOUNDARY_GUARD = 1e-9
 # as one multiply/divide step.
 _WORD = 1 << 64
 
+# Price of a guessed subset position, in binomial steps: a position whose
+# mean scan length is below it is found by a scan instead.
+_SCAN_STEPS = 8
+
 # Distinct (k, total) widths kept per bit-count cache. The planner never asks; the
 # integer budgets, rank/unrank and payload readers ask for the same few again and again.
 _WIDTH_CACHE = 4096
@@ -80,16 +106,23 @@ class LatticePoint:
     denominator: int
 
     def __post_init__(self):
-        if self.denominator < 1:
-            raise SumMismatch(f"denominator must be >= 1, got {self.denominator}")
-        if len(self.counts) < 1:
-            raise SumMismatch("need at least one count")
-        if any(c < 0 or c != int(c) for c in self.counts):
-            raise SumMismatch(f"counts must be nonnegative integers: {self.counts}")
-        if sum(self.counts) != self.denominator:
+        try:
+            counts = tuple(map(operator.index, self.counts))
+            denominator = operator.index(self.denominator)
+        except TypeError:
             raise SumMismatch(
-                f"counts sum to {sum(self.counts)}, expected {self.denominator}"
-            )
+                f"counts and denominator must be integers: {self.counts}, {self.denominator}"
+            ) from None
+        if denominator < 1:
+            raise SumMismatch(f"denominator must be >= 1, got {denominator}")
+        if not counts:
+            raise SumMismatch("need at least one count")
+        if min(counts) < 0:
+            raise SumMismatch(f"counts must be nonnegative integers: {counts}")
+        if sum(counts) != denominator:
+            raise SumMismatch(f"counts sum to {sum(counts)}, expected {denominator}")
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "denominator", denominator)
 
     @property
     def k(self) -> int:
@@ -104,13 +137,19 @@ class PositionSet:
     dimension: int
 
     def __post_init__(self):
-        idx = self.indices
-        if any(i != int(i) for i in idx):
-            raise InvalidSubset(f"indices must be integers: {idx}")
-        if any(b <= a for a, b in zip(idx, idx[1:])):
+        try:
+            idx = tuple(map(operator.index, self.indices))
+            dimension = operator.index(self.dimension)
+        except TypeError:
+            raise InvalidSubset(
+                f"indices and dimension must be integers: {self.indices}, {self.dimension}"
+            ) from None
+        if idx != tuple(sorted(set(idx))):
             raise InvalidSubset(f"indices must be strictly increasing: {idx}")
-        if idx and (idx[0] < 0 or idx[-1] >= self.dimension):
-            raise InvalidSubset(f"indices {idx} outside [0, {self.dimension})")
+        if idx and (idx[0] < 0 or idx[-1] >= dimension):
+            raise InvalidSubset(f"indices {idx} outside [0, {dimension})")
+        object.__setattr__(self, "indices", idx)
+        object.__setattr__(self, "dimension", dimension)
 
     @property
     def size(self) -> int:
@@ -144,6 +183,20 @@ class LexIndex:
                 f"expected {expected} bytes for {bit_width} bits, got {len(data)}"
             )
         return cls(int.from_bytes(data, "big"), bit_width)
+
+
+def _trusted(cls, first, second):
+    """An instance of a two-field codec dataclass, built without its checks.
+
+    Only for values the codec derived itself, which hold the class's
+    invariants by construction; input from outside goes through the class.
+    """
+    obj = object.__new__(cls)
+    name1, name2 = cls.__match_args__
+    fields = obj.__dict__
+    fields[name1] = first
+    fields[name2] = second
+    return obj
 
 
 def composition_count(k: int, total: int) -> int:
@@ -207,12 +260,13 @@ def subset_count_bits(k: int, size: int) -> int:
 
 def rank_composition(pt: LatticePoint) -> LexIndex:
     """Rank of ``pt`` among all compositions of its denominator, ascending lex order."""
-    # Python ints throughout: a NumPy count would overflow the big products.
+    # Python ints throughout (LatticePoint holds them): a NumPy count would
+    # overflow the big products.
     counts = pt.counts
     rank = 0
-    suffix = operator.index(counts[-1])  # total of the counts after this position
+    suffix = counts[-1]  # total of the counts after this position
     top = 1  # C(suffix + m - 1, m - 1): compositions of suffix into m parts
-    for m, b in enumerate(map(operator.index, reversed(counts[:-1])), 1):
+    for m, b in enumerate(reversed(counts[:-1]), 1):
         # Compositions with a smaller count b' < b here, by hockey-stick:
         # sum_{b'<b} C(suffix + b - b' + m - 1, m - 1) = C(n + b, m) - C(n, m).
         n = suffix + m
@@ -226,12 +280,12 @@ def rank_composition(pt: LatticePoint) -> LexIndex:
             top = math.comb(n + b, m)
         rank += top - base
         suffix += b
-    return LexIndex(rank, composition_count_bits(len(counts), pt.denominator))
+    return _trusted(LexIndex, rank, composition_count_bits(len(counts), pt.denominator))
 
 
 def unrank_composition(idx: LexIndex | int, k: int, total: int) -> LatticePoint:
     """Inverse of rank_composition: the unique composition with the given rank."""
-    value = idx.value if isinstance(idx, LexIndex) else int(idx)
+    value = idx.value if isinstance(idx, LexIndex) else operator.index(idx)
     top = composition_count(k, total)
     if value < 0 or value >= top:
         raise IndexOutOfRange(f"index {value} outside [0, {top})")
@@ -271,7 +325,7 @@ def unrank_composition(idx: LexIndex | int, k: int, total: int) -> LatticePoint:
         counts.append(value)
         remaining -= value
     counts.append(remaining)
-    return LatticePoint(tuple(counts), total)
+    return _trusted(LatticePoint, tuple(counts), operator.index(total))
 
 
 def _bisect_count(value: int, remaining: int, m: int, start: int) -> tuple[int, int, int]:
@@ -297,30 +351,47 @@ def _bisect_count(value: int, remaining: int, m: int, start: int) -> tuple[int, 
 def rank_subset(s: PositionSet) -> LexIndex:
     """Combinatorial-number-system rank of a subset given ascending positions."""
     value = sum(map(math.comb, s.indices, range(1, s.size + 1)))
-    return LexIndex(value, subset_count_bits(s.dimension, s.size))
+    return _trusted(LexIndex, value, subset_count_bits(s.dimension, s.size))
 
 
 def unrank_subset(idx: LexIndex | int, k: int, size: int) -> PositionSet:
     """Inverse of rank_subset over ``size``-subsets of ``{0..k-1}``."""
-    value = idx.value if isinstance(idx, LexIndex) else int(idx)
+    value = idx.value if isinstance(idx, LexIndex) else operator.index(idx)
+    k, size = operator.index(k), operator.index(size)
     cardinality = math.comb(k, size)
     if value < 0 or value >= cardinality:
         raise IndexOutOfRange(f"index {value} outside [0, {cardinality})")
     positions = [0] * size
-    n = k
-    remaining = value
-    for j in range(size, 1, -1):
-        # Largest position whose binomial does not exceed the remainder.
-        lo, hi = j - 1, n - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if math.comb(mid, j) <= remaining:
-                lo = mid
-            else:
-                hi = mid - 1
-        positions[j - 1] = lo
-        remaining -= math.comb(lo, j)
-        n = lo
+    n, block = k, cardinality  # block = C(n, j): the subsets below position n
+    for j in range(size, 2, -1):
+        # The position is the largest c < n with C(c, j) <= value.
+        if not value:  # the rest is the lowest subset
+            positions[:j] = range(j)
+            break
+        if n - j <= _SCAN_STEPS * (j + 1):  # (n - j) / (j + 1): the mean scan length
+            c, b = n - 1, block * (n - j) // n
+            while b > value:
+                b = b * (c - j) // c
+                c -= 1
+        else:
+            # C(c, j) <= (c - (j - 1) / 2)^j / j!, so but for rounding the
+            # guess is at most the position.
+            c = int(math.exp((math.log(value) + math.lgamma(j + 1)) / j) + (j - 1) / 2)
+            c = j if c < j else n - 1 if c >= n else c
+            b = math.comb(c, j)
+            while b > value:
+                b = b * (c - j) // c
+                c -= 1
+            while (up := b * (c + 1) // (c + 1 - j)) <= value:
+                b, c = up, c + 1
+        positions[j - 1] = c
+        value -= b
+        n, block = c, b * j // (c - j + 1)
+    if size > 1:
+        # C(c, 2) = c (c - 1) / 2 <= value, solved exactly.
+        c = (math.isqrt(8 * value + 1) + 1) // 2
+        positions[1] = c
+        value -= c * (c - 1) // 2
     if size:
-        positions[0] = remaining  # C(c, 1) = c
-    return PositionSet(tuple(positions), k)
+        positions[0] = value  # C(c, 1) = c
+    return _trusted(PositionSet, tuple(positions), k)

@@ -9,6 +9,7 @@ apply it to one vector and the simulator to a block of trials.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
@@ -17,6 +18,7 @@ from .codec import (
     LatticePoint,
     LexIndex,
     PositionSet,
+    _trusted,
     composition_count_bits,
     rank_composition,
     rank_subset,
@@ -121,8 +123,8 @@ def round_to_lattice(values: np.ndarray, denominator: int) -> LatticeRounding:
     incremented. Residual ties break toward the lower index. A matrix is
     rounded row by row, each row exactly as it would be on its own.
     """
-    if denominator < 1:
-        raise DomainError(f"denominator must be >= 1, got {denominator}")
+    if not isinstance(denominator, Integral) or denominator < 1:
+        raise DomainError(f"denominator must be an integer >= 1, got {denominator!r}")
     scaled = np.asarray(values, dtype=float) * denominator
     rounded = np.floor(scaled + 0.5)
     counts = rounded.astype(np.int64)
@@ -146,7 +148,7 @@ def round_to_lattice(values: np.ndarray, denominator: int) -> LatticeRounding:
 def lq_encode(p: ProbVector, denominator: int) -> LatticePoint:
     """Nearest point on the fixed-denominator lattice, by residual rounding."""
     counts = round_to_lattice(p.values, denominator).counts
-    return LatticePoint(tuple(counts.tolist()), denominator)
+    return _trusted(LatticePoint, tuple(counts.tolist()), denominator)
 
 
 def lq_decode(pt: LatticePoint) -> ProbVector:
@@ -160,6 +162,7 @@ def lq_payload(pt: LatticePoint) -> bytes:
 
 
 def lq_from_payload(data: bytes, k: int, denominator: int) -> LatticePoint:
+    """Inverse of lq_payload; a wrong length or an index beyond the lattice is refused."""
     idx = LexIndex.from_bytes(data, composition_count_bits(k, denominator))
     return unrank_composition(idx, k, denominator)
 
@@ -207,24 +210,40 @@ class SLQEncoding:
 
     @classmethod
     def from_bytes(cls, data: bytes, k: int, k_top: int, denominator: int) -> "SLQEncoding":
+        """Inverse of to_bytes; a wrong length or an index beyond its set is refused."""
         subset_bits = subset_count_bits(k, k_top)
         comp_bits = composition_count_bits(k_top, denominator)
         split = (subset_bits + 7) // 8
         expected = split + (comp_bits + 7) // 8
         if len(data) != expected:
             raise DimensionMismatch(f"expected {expected} payload bytes, got {len(data)}")
-        positions = unrank_subset(LexIndex.from_bytes(data[:split], subset_bits), k, k_top)
-        point = unrank_composition(LexIndex.from_bytes(data[split:], comp_bits), k_top, denominator)
-        return cls(positions, point)
+        # unrank_* refuse an index beyond its set, so also one wider than its bits.
+        positions = unrank_subset(int.from_bytes(data[:split], "big"), k, k_top)
+        point = unrank_composition(int.from_bytes(data[split:], "big"), k_top, denominator)
+        return _trusted(cls, positions, point)
 
 
 def top_indices(values: np.ndarray, k_top: int) -> np.ndarray:
-    """Ascending positions of each row's k_top largest entries; ties go to the lower index."""
+    """Ascending positions of each row's k_top largest entries; ties go to the lower index.
+
+    A selection, not a sort: each row keeps its entries at or above its
+    k_top-th largest value, and a row with more ties at that value than it
+    needs drops the ones at the highest indices.
+    """
     k = values.shape[-1]
     if not 1 <= k_top <= k:
         raise DomainError(f"need 1 <= k_top <= {k}, got {k_top}")
-    order = np.argsort(-values, axis=-1, kind="stable")
-    return np.sort(order[..., :k_top], axis=-1)
+    kth = np.partition(values, k - k_top, axis=-1)[..., k - k_top, None]
+    keep = values >= kth
+    # Every row keeps at least k_top; a row with more has surplus ties.
+    if np.count_nonzero(keep) > keep.size // k * k_top:
+        rows, kths, marks = values.reshape(-1, k), kth.reshape(-1), keep.reshape(-1, k)
+        kept = np.count_nonzero(marks, axis=1)
+        for r in np.flatnonzero(kept > k_top):
+            # The last kept[r] - k_top ties go.
+            ties = np.flatnonzero(rows[r] == kths[r])
+            marks[r, ties[k_top - kept[r]:]] = False
+    return np.nonzero(keep)[-1].reshape(values.shape[:-1] + (k_top,))
 
 
 def slq_counts(kept: np.ndarray, denominator: int) -> np.ndarray:
@@ -235,7 +254,7 @@ def slq_counts(kept: np.ndarray, denominator: int) -> np.ndarray:
 
 def top_positions(p: ProbVector, k_top: int) -> PositionSet:
     """Positions of the k_top largest entries, ties broken toward the lower index."""
-    return PositionSet(tuple(top_indices(p.values, k_top).tolist()), p.k)
+    return _trusted(PositionSet, tuple(top_indices(p.values, k_top).tolist()), p.k)
 
 
 def slq_encode(p: ProbVector, k_top: int, denominator: int) -> SLQEncoding:
@@ -246,7 +265,8 @@ def slq_encode(p: ProbVector, k_top: int, denominator: int) -> SLQEncoding:
     """
     positions = top_positions(p, k_top)
     counts = slq_counts(p.values[list(positions.indices)], denominator)
-    return SLQEncoding(positions, LatticePoint(tuple(counts.tolist()), denominator))
+    point = _trusted(LatticePoint, tuple(counts.tolist()), denominator)
+    return _trusted(SLQEncoding, positions, point)
 
 
 def slq_decode(enc: SLQEncoding) -> ProbVector:

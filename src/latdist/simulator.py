@@ -72,8 +72,9 @@ class SimConfig:
             raise DomainError(f"need at least one trial, got {self.trials}")
         if not 0.0 <= self.eps_target <= 1.0:
             raise DomainError(f"error probability must be in [0, 1], got {self.eps_target}")
-        # The coder's k, k_top and delta are checked where its budget is stated.
-        BudgetFn(self.scheme, self.k, self.k_top, self.delta)
+        # The coder's k, k_top and delta, and beta_s against them, are checked
+        # where its budget is stated, also when ell or bits_per_entry is given.
+        BudgetFn(self.scheme, self.k, self.k_top, self.delta)._admit(self.beta_s)
         if self.scheme is Scheme.SLQ and not 0.0 <= self.tail_bound < 1.0:  # also NaN
             raise DomainError(f"source tail mass must be in [0, 1), got {self.tail_bound}")
         # A width or denominator the coder would refuse fails before any trial.

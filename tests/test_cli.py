@@ -430,6 +430,26 @@ class TestSimulateCommand:
         assert code == 2 and out == ""
         assert "tail mass must be in [0, 1)" in err
 
+    @pytest.mark.parametrize(
+        "coder, message",
+        [
+            (["--scheme", "lq", "-k", "10", "--beta-s", "3", "--ell", "5"],
+             "source distortion must be in (0, 1)"),
+            (["--scheme", "slq", "-k", "10", "--k-top", "3", "--delta", "0.2",
+              "--beta-s", "0.1", "--ell", "5"],
+             "source distortion 0.1 must exceed tail mass 0.2"),
+        ],
+        ids=["lq-beta-above-one", "slq-beta-below-delta"],
+    )
+    def test_refused_beta_s_with_given_ell_is_usage_error(self, capsys, coder, message):
+        # With --ell given, beta_s was never checked: the first ran to a report
+        # with bound 2.8 (exit 0).
+        code, out, err = run(
+            ["simulate", *coder, "--eps-target", "0.1", "--trials", "20"], capsys
+        )
+        assert code == 2 and out == ""
+        assert message in err
+
     @pytest.mark.parametrize("tail", ["nan", "2", "-0.1"])
     def test_unusable_source_tail_mass_is_usage_error(self, capsys, tail):
         # nan used to end in an OverflowError traceback (exit 1), and 2 passed
@@ -568,8 +588,8 @@ class TestConfigFile:
         assert "config file must hold a JSON object" in err
 
 
-# The README example of each subcommand, run in a directory holding these files.
-VECTORS = "[0.18, 0.52, 0.3]\n[0.7, 0.2, 0.1]\n[0.05, 0.05, 0.9]\n"
+# The README example of each subcommand, run in a directory holding
+# tests/data/vectors.jsonl and these payloads.
 PAYLOADS = "payload_hex\n05\n0d\n02\n"
 SLQ_PLAN = ["--scheme", "slq", "-k", "100", "--k-top", "5", "--gamma0-db", "5", "--b-hz", "320000"]
 README_RUNS = {
@@ -605,7 +625,7 @@ PINNED_SHA256 = {
 
 @pytest.fixture
 def readme_dir(tmp_path, monkeypatch):
-    (tmp_path / "vectors.jsonl").write_text(VECTORS)
+    (tmp_path / "vectors.jsonl").write_text((DATA_DIR / "vectors.jsonl").read_text())
     (tmp_path / "payloads.csv").write_text(PAYLOADS)
     monkeypatch.chdir(tmp_path)
 
@@ -617,6 +637,27 @@ def test_reference_outputs_are_pinned(readme_dir, capsys, case):
     code, out, err = run(argv, capsys)
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_SHA256[case]
+
+
+# Wire bytes of the README's quantize commands and what they dequantize to,
+# pinned as files in tests/data; CI compares the installed entry point with them.
+SLQ_CODER = ["--scheme", "slq", "-k", "3", "--k-top", "2", "--delta", "0.01", "--beta-s", "0.15"]
+WIRE_RUNS = {
+    "quantize_lq.csv": ["quantize", "--scheme", "lq", "-k", "3", "--beta-s", "0.15",
+                        "--input", "vectors.jsonl"],
+    "dequantize_lq.csv": ["dequantize", "--scheme", "lq", "-k", "3", "--ell", "5",
+                          "--input", "quantize_lq.csv"],
+    "quantize_slq.csv": ["quantize", *SLQ_CODER, "--input", "vectors.jsonl"],
+    "dequantize_slq.csv": ["dequantize", *SLQ_CODER, "--input", "quantize_slq.csv"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(WIRE_RUNS))
+def test_wire_files_are_pinned(monkeypatch, capsys, name):
+    monkeypatch.chdir(DATA_DIR)
+    code, out, err = run(WIRE_RUNS[name], capsys)
+    assert code == 0 and err == ""
+    assert out == (DATA_DIR / name).read_text()
 
 
 # The same options as flags and as a config file. Between them they use

@@ -71,6 +71,24 @@ def enumerate_subsets_colex(k, size):
     return sorted(itertools.combinations(range(k), size), key=lambda s: tuple(reversed(s)))
 
 
+def bisect_unrank_subset(value, k, size):
+    """Reference unrank: binary search over fresh binomials at each position."""
+    positions = []
+    n = k
+    for j in range(size, 0, -1):
+        lo, hi = j - 1, n - 1
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            if math.comb(mid, j) <= value:
+                lo = mid
+            else:
+                hi = mid - 1
+        positions.append(lo)
+        value -= math.comb(lo, j)
+        n = lo
+    return tuple(reversed(positions))
+
+
 class TestLatticePoint:
     def test_sum_mismatch(self):
         with pytest.raises(SumMismatch):
@@ -84,6 +102,18 @@ class TestLatticePoint:
         pt = LatticePoint((1, 3, 1), 5)
         assert pt.k == 3
 
+    def test_integers_only(self):
+        # Floats used to pass here and fail later in rank_composition with a TypeError.
+        for counts, denominator in (((2.0, 3.0), 5), ((2, 3), 5.0), ((2, np.float64(3)), 5)):
+            with pytest.raises(SumMismatch):
+                LatticePoint(counts, denominator)
+
+    def test_numpy_integers_become_python_integers(self):
+        pt = LatticePoint((np.int64(2), np.int32(3)), np.int64(5))
+        assert pt == LatticePoint((2, 3), 5)
+        assert all(type(c) is int for c in (*pt.counts, pt.denominator))
+        assert rank_composition(pt).value == 2
+
 
 class TestPositionSet:
     def test_must_increase(self):
@@ -95,6 +125,15 @@ class TestPositionSet:
     def test_must_fit_dimension(self):
         with pytest.raises(InvalidSubset):
             PositionSet((0, 5), 5)
+
+    def test_integers_only(self):
+        # Floats used to pass here and fail later in rank_subset with a TypeError.
+        for indices, dimension in (((1.0, 3.0), 5), ((1, 3), 5.0)):
+            with pytest.raises(InvalidSubset):
+                PositionSet(indices, dimension)
+        s = PositionSet((np.int64(1), np.int32(3)), np.int64(5))
+        assert s == PositionSet((1, 3), 5)
+        assert rank_subset(s).value == 4  # C(1, 1) + C(3, 2)
 
 
 class TestCompositionRanking:
@@ -216,6 +255,29 @@ class TestSubsetRanking:
             value = int(rng.integers(0, 1 << 62)) % cardinality
             s = unrank_subset(value, k, size)
             assert rank_subset(s).value == value
+
+
+class TestMatchesSubsetBisectionOracle:
+    """The guess-and-step and scan unrank agree with the bisection it replaced."""
+
+    @pytest.mark.parametrize("k, size", [(1000, 10), (10**5, 20), (40, 36), (100, 5), (447, 2)])
+    def test_spaces(self, k, size):
+        rng = np.random.default_rng(k + size)
+        cardinality = math.comb(k, size)
+        values = [0, 1, cardinality // 2, cardinality - 1]
+        values += [int.from_bytes(rng.bytes(48), "big") % cardinality for _ in range(40)]
+        for value in values:
+            s = unrank_subset(value, k, size)
+            assert s.indices == bisect_unrank_subset(value, k, size)
+            assert PositionSet(s.indices, k) == s
+            idx = rank_subset(s)
+            assert idx.value == value
+            assert idx.bit_width == subset_count_bits(k, size)
+
+    def test_numpy_arguments(self):
+        s = unrank_subset(np.int64(123_456), np.int64(1000), np.int32(3))
+        assert s.indices == bisect_unrank_subset(123_456, 1000, 3)
+        assert all(type(i) is int for i in (*s.indices, s.dimension))
 
 
 class TestBitWidths:

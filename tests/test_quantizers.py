@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 
 from latdist.budget import budget_slq, uq_bits_per_entry
-from latdist.codec import LatticePoint, PositionSet, composition_count
+from latdist.codec import (
+    LatticePoint,
+    PositionSet,
+    composition_count,
+    composition_count_bits,
+    subset_count_bits,
+)
 from latdist.errors import DimensionMismatch, DomainError, IndexOutOfRange
 from latdist.prob import ProbVector, tv_distance
 from latdist.quantizers import (
@@ -191,6 +197,26 @@ class TestLattice:
         )
         assert lq_from_payload(payload, 100, 500) == point
 
+    @pytest.mark.parametrize("k, ell", [(3, 5), (100, 500)])
+    def test_index_beyond_lattice_refused(self, k, ell):
+        # Right length, index at or beyond the lattice size: the boundary's own check.
+        width = (composition_count_bits(k, ell) + 7) // 8
+        cardinality = composition_count(k, ell)
+        assert int.from_bytes(b"\xff" * width, "big") >= cardinality
+        for data in (b"\xff" * width, cardinality.to_bytes(width, "big")):
+            with pytest.raises(IndexOutOfRange):
+                lq_from_payload(data, k, ell)
+
+    def test_integer_denominator_only(self):
+        # A float denominator used to give a point that only failed later, on the wire.
+        p = ProbVector([0.2, 0.3, 0.5])
+        for denominator in (10.0, np.float64(7), 0, np.int64(0)):
+            with pytest.raises(DomainError):
+                lq_encode(p, denominator)
+            with pytest.raises(DomainError):
+                slq_encode(p, 2, denominator)
+        assert lq_encode(p, np.int64(10)) == LatticePoint((2, 3, 5), 10)
+
     def test_degenerate_vertex(self):
         point = LatticePoint((5, 0, 0), 5)
         assert np.array_equal(lq_decode(point).values, [1.0, 0.0, 0.0])
@@ -310,6 +336,43 @@ class TestSparseLattice:
         with pytest.raises(DomainError):
             slq_encode(ProbVector([0.5, 0.5]), 3, 10)
 
+    @pytest.mark.parametrize("k, k_top, ell", [(4, 2, 10), (1000, 10, 63)])
+    def test_index_beyond_its_set_refused(self, k, k_top, ell):
+        # Right length, subset or lattice index at or beyond its set size.
+        subset_bytes = (subset_count_bits(k, k_top) + 7) // 8
+        comp_bytes = (composition_count_bits(k_top, ell) + 7) // 8
+        subsets, points = math.comb(k, k_top), composition_count(k_top, ell)
+        zero = bytes(subset_bytes + comp_bytes)
+        for data in (
+            b"\xff" * len(zero),
+            b"\xff" * subset_bytes + bytes(comp_bytes),
+            bytes(subset_bytes) + b"\xff" * comp_bytes,
+            subsets.to_bytes(subset_bytes, "big") + bytes(comp_bytes),
+            bytes(subset_bytes) + points.to_bytes(comp_bytes, "big"),
+        ):
+            with pytest.raises(IndexOutOfRange):
+                SLQEncoding.from_bytes(data, k, k_top, ell)
+        assert SLQEncoding.from_bytes(zero, k, k_top, ell).positions.indices == tuple(range(k_top))
+
+    def test_large_k_roundtrip(self):
+        # k = 10^5, k_top = 20: the big-integer paths of both indices.
+        k, k_top = 100_000, 20
+        ell, bits = budget_slq(k, k_top, 0.01, 0.05)
+        rng = np.random.default_rng(33)
+        for _ in range(3):
+            p = ProbVector(rng.standard_exponential(k) ** 4, normalize=True)
+            enc = slq_encode(p, k_top, ell)
+            expected = np.sort(np.argsort(-p.values, kind="stable")[:k_top])
+            assert enc.positions.indices == tuple(expected.tolist())
+            data = enc.to_bytes()
+            subset_bits = subset_count_bits(k, k_top)
+            comp_bits = composition_count_bits(k_top, ell)
+            assert enc.payload_bits == subset_bits + comp_bits == bits
+            assert len(data) == (subset_bits + 7) // 8 + (comp_bits + 7) // 8
+            back = SLQEncoding.from_bytes(data, k, k_top, ell)
+            assert back == enc
+            assert slq_decode(back) == slq_decode(enc)
+
 
 class TestRowwiseRules:
     """Each rule gives on a matrix exactly what it gives on each row alone."""
@@ -354,6 +417,24 @@ class TestRowwiseRules:
         ]
         # [0.5, 0.5] on the lattice of 3: the tied oversum drops the lower index.
         assert slq_counts(np.array([0.25, 0.25]), 3).tolist() == [1, 2]
+
+    @pytest.mark.parametrize("k", [1, 2, 7, 100, 1000])
+    def test_top_indices_matches_stable_sort(self, k):
+        # The selection keeps what a stable sort by descending value keeps.
+        rng = np.random.default_rng(34 + k)
+        blocks = [
+            rng.standard_exponential((30, k)),  # distinct values
+            rng.integers(0, 4, (30, k)).astype(float),  # a grid of 4: heavy ties
+            np.full((3, k), 1.0 / k),  # all equal
+            np.where(rng.random((30, k)) < 0.5, 0.0, -0.0),  # signed zeros tie
+        ]
+        for block in blocks:
+            for k_top in sorted({1, 2, k // 2, k - 1, k} & set(range(1, k + 1))):
+                expected = np.sort(np.argsort(-block, axis=-1, kind="stable")[..., :k_top])
+                got = top_indices(block, k_top)
+                assert got.shape == expected.shape and np.array_equal(got, expected)
+                for row, row_expected in zip(block, expected):
+                    assert np.array_equal(top_indices(row, k_top), row_expected)
 
     def test_top_indices_range(self):
         for k_top in (0, 6):
