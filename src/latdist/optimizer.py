@@ -24,13 +24,17 @@ beta_t; ``sweep_beta_t`` lays one grid row below each of its budgets, a 2-D
 the whole grid come from one call each, the points whose target the solver
 admits and whose payload is positive are masked, in place of per-point
 exceptions, and all of them go to ``solve_blocklength`` at once. The solver
-then makes one numpy pass: Q^-1 of the whole eps column, the root, the
-guarded ceiling and, with ``refine`` on AWGN, a bisection over the array of
-n in which each point keeps its own [lo, hi] and the AWGN error model from
-``channel`` is evaluated on all midpoints at once. An argmin per row picks
-each budget's best split. Points outside the mask stay infeasible. Inputs
-that no grid point can satisfy, such as beta_t > 1, an empty grid or a
-non-positive eps cap, raise as they do for a single point.
+then makes one numpy pass: Q^-1 of the whole eps column, the root and the
+guarded ceiling. With ``refine`` on AWGN it then seeds each point near its
+exact answer, the closed form with the (1/2)log2(n) term put back, and walks
+the whole array from there. Each pass evaluates the AWGN error model from
+``channel`` once, at m and m - 1 of every live point; most points stop on
+the first pass. The walk assumes, as a bisection would, that the exact error
+falls as n grows; under it the result is the smallest n whose exact error
+meets the target. An argmin per row picks each budget's best split. Points
+outside the mask stay infeasible. Inputs that no grid point can satisfy,
+such as beta_t > 1, an empty grid or a non-positive eps cap, raise as they
+do for a single point.
 
 A ``TradeoffCurve`` holds its points as numpy columns; the per-point
 ``TradeoffPoint`` objects are built only when read.
@@ -67,7 +71,7 @@ DEFAULT_GRID_POINTS = 1000
 _CAP_SLACK = 1e-9
 
 # The refine adds two blocklengths, and floats count exactly only below
-# 2**53. From here on it bisects over Python ints instead, as the scalar
+# 2**53. From here on it walks over Python ints instead, as the scalar
 # error models see them.
 _FLOAT_INT_LIMIT = 2.0**52
 
@@ -117,27 +121,51 @@ def _admitted(family: ChannelFamily, eps, eps_cap: float):
     return (0.0 < eps) & (eps <= eps_cap * (1.0 + _CAP_SLACK)) & (eps < 1.0)
 
 
-def _refine(gamma: float, n: np.ndarray, eps: np.ndarray, j_bits: np.ndarray) -> np.ndarray:
-    """Smallest n in [1, n] whose exact AWGN error stays within target, per point.
+def _n_root(rate, r, payload):
+    """Positive root of n*rate - sqrt(n)*r - payload = 0, as n."""
+    root = (r + np.sqrt(r * r + 4.0 * rate * payload)) / (2.0 * rate)
+    return root * root
 
-    A bisection over the whole array: every point keeps its own [lo, hi] and
-    steps as a scalar bisection from [1, n] would. Relies on the error model
-    decreasing in n, which holds for positive payloads.
+
+def _refine(gamma, rate, n, eps, j_bits, r) -> np.ndarray:
+    """Smallest m in [1, n] whose exact AWGN error stays within target, per point.
+
+    The seed is two fixed-point steps of the closed form with payload
+    J - log2(x)/2, from the closed-form n. Each pass evaluates the exact error
+    at m and m - 1 of every live point in one call; a point steps up where
+    eps(m) exceeds the target, down where eps(m - 1) does not, and stops where
+    neither holds. Steps double while a point keeps its direction but stay
+    inside its bracket of candidates left, halving it once both ends are
+    probed, so every pass shrinks the bracket and a far seed costs a search,
+    not a walk. Where the error falls as n grows (it does for positive
+    payloads), the result is what a bisection over [1, n] gives.
     """
-    hi = n.copy()
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        x = n
+        for _ in range(2):
+            x = _n_root(rate, r, j_bits - 0.5 * np.log2(x))
+        # A NaN seed starts from 1.
+        m = np.fmin(np.fmax(np.ceil(x), 1.0), n)
     # Also taken for NaN, which int() refuses as math.ceil does.
-    if not np.max(hi, initial=0.0) < _FLOAT_INT_LIMIT:
-        hi = np.array([int(x) for x in hi.tolist()], dtype=object)
-    lo = np.ones_like(hi)
-    live = np.flatnonzero(lo < hi)
+    if not np.max(n, initial=0.0) < _FLOAT_INT_LIMIT:
+        n, m = (np.array([int(v) for v in a.tolist()], dtype=object) for a in (n, m))
+    lo, hi, step = np.ones_like(n), n.copy(), np.ones_like(n)
+    live = np.arange(n.size)
     while live.size:
-        a, b = lo[live], hi[live]
-        mid = (a + b) // 2
-        ok = epsilon_awgn(mid, gamma, j_bits[live]) <= eps[live]
-        hi[live] = np.where(ok, mid, b)
-        lo[live] = np.where(ok, a, mid + 1)
-        live = live[lo[live] < hi[live]]
-    return lo
+        a, bottom, top = m[live], lo[live], hi[live]
+        below = np.where(a > 1, a - 1, a)
+        err = epsilon_awgn(np.concatenate([a, below]), gamma, np.tile(j_bits[live], 2))
+        ok = err <= np.tile(eps[live], 2)
+        up = ~ok[: a.size] & (a < top)
+        down = ok[a.size :] & (a > bottom)
+        lo[live] = bottom = np.where(up, a + 1, bottom)
+        hi[live] = top = np.where(down, a - 1, top)
+        mid = (bottom + top + 1) // 2
+        d = step[live]
+        m[live] = np.where(up, np.minimum(a + d, mid), np.where(down, np.maximum(a - d, mid), a))
+        step[live] = d + d
+        live = live[up | down]
+    return m
 
 
 def solve_blocklength(
@@ -154,7 +182,9 @@ def solve_blocklength(
     The closed form inverts each error model exactly, except that it drops
     the AWGN model's (1/2)log2(n) bonus term, so the exact error at the
     returned n is at most the target on every family. With ``refine`` the
-    AWGN blocklength is shrunk while that still holds. On the fading
+    AWGN blocklength is shrunk while that still holds, by a walk from a seed
+    near the exact answer (see ``_refine``); where the exact error falls as
+    n grows, this gives the smallest such n. On the fading
     families the closed-form n is already the smallest such n, because the
     ceiling's guard (1e-12 relative) is far above float noise, so ``refine``
     leaves it as it is.
@@ -180,15 +210,13 @@ def solve_blocklength(
     r = math.sqrt(dispersion) * q_inv(eps)
     # An infinite or NaN n fails when it becomes an int, as math.ceil does.
     with np.errstate(over="ignore", invalid="ignore"):
-        # Positive root of n*rate - sqrt(n)*r - payload = 0, as sqrt(n).
-        root = (r + np.sqrt(r * r + 4.0 * rate * payload)) / (2.0 * rate)
-        n_real = root * root
+        n_real = _n_root(rate, r, payload)
         # The guard only absorbs float noise from the root arithmetic (a few
         # ulps), so exact-integer solutions do not get bumped up a step.
         n = np.maximum(1.0, np.ceil(n_real - 1e-12 * np.maximum(1.0, n_real)))
     if refine and spec.family is ChannelFamily.AWGN:
-        args = np.broadcast_arrays(*map(np.atleast_1d, (n, eps, j_bits)))
-        n = _refine(spec.gamma, *args).reshape(np.shape(n))
+        args = np.broadcast_arrays(*map(np.atleast_1d, (n, eps, j_bits, r)))
+        n = _refine(spec.gamma, rate, *args).reshape(np.shape(n))
     if not np.ndim(n_real):
         n_real = float(n_real)
     return BlocklengthSolution(to_int(n), n_real, eps)

@@ -31,7 +31,13 @@ class ProbVector:
 
     __slots__ = ("values",)
 
-    def __init__(self, raw: Sequence[float] | np.ndarray, *, normalize: bool = False):
+    def __init__(
+        self, raw: Sequence[float] | np.ndarray, *, normalize: bool = False, _owned: bool = False
+    ):
+        # _owned: raw is a fresh float array that its caller, a decoder of
+        # this package, hands over. It is checked as any input, but normalized
+        # in place and kept instead of copied, which spares a large mostly-zero
+        # vector its page faults. The values are the same, bit for bit.
         values = np.asarray(raw, dtype=float)
         if values.ndim != 1 or values.size < 2:
             raise DimensionMismatch(
@@ -49,8 +55,8 @@ class ProbVector:
         if not normalize and abs(total - 1.0) > SUM_TOLERANCE:
             raise NotNormalized(f"entries sum to {total!r}, not 1")
         if total != 1.0:
-            values = values / total
-        else:
+            values = np.divide(values, total, out=values if _owned else None)
+        elif not _owned:
             values = values.copy()
         values.flags.writeable = False
         object.__setattr__(self, "values", values)

@@ -103,7 +103,7 @@ def uq_encode(p: ProbVector, bits_per_entry: int) -> UQEncoding:
 
 def uq_decode(enc: UQEncoding) -> ProbVector:
     """Reconstruct bin midpoints and renormalize them onto the simplex."""
-    return ProbVector(uq_midpoints(enc.bin_ids, enc.bits_per_entry), normalize=True)
+    return ProbVector(uq_midpoints(enc.bin_ids, enc.bits_per_entry), normalize=True, _owned=True)
 
 
 class LatticeRounding(NamedTuple):
@@ -153,7 +153,7 @@ def lq_encode(p: ProbVector, denominator: int) -> LatticePoint:
 
 def lq_decode(pt: LatticePoint) -> ProbVector:
     """Probability vector counts/denominator."""
-    return ProbVector(np.array(pt.counts, dtype=float) / pt.denominator)
+    return ProbVector(np.array(pt.counts, dtype=float) / pt.denominator, _owned=True)
 
 
 def lq_payload(pt: LatticePoint) -> bytes:
@@ -273,4 +273,4 @@ def slq_decode(enc: SLQEncoding) -> ProbVector:
     """Zeros everywhere except the retained positions, which carry counts/denominator."""
     values = np.zeros(enc.dimension)
     values[list(enc.positions.indices)] = np.array(enc.point.counts, dtype=float) / enc.denominator
-    return ProbVector(values)
+    return ProbVector(values, _owned=True)

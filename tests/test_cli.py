@@ -210,6 +210,16 @@ class TestHullCommand:
         assert code == 0
         assert out == (DATA_DIR / "golden_hull.csv").read_text()
 
+    def test_refined_matches_pinned_file(self, capsys):
+        # The refined AWGN blocklengths of 25 budgets, 1000 grid points each.
+        code, out, _ = run(
+            ["hull", "--scheme", "lq", "-k", "100", "--gamma0-db", "5", "--b-hz", "320000",
+             "--beta-t", "lin:0.02:0.5:25", "--refine"],
+            capsys,
+        )
+        assert code == 0
+        assert out.encode() == (DATA_DIR / "hull_refined.csv").read_bytes()
+
     def test_jobs_flag_rejected(self):
         with pytest.raises(SystemExit) as exc:
             main(self.HULL_ARGS + ["--jobs", "2"])

@@ -170,6 +170,119 @@ def test_refined_sweep_is_minimal_under_the_family_model(family):
     assert checked > 300
 
 
+def bisect_refine(gamma, n, eps, j_bits):
+    """Reference refine: a bisection over [1, n] per point.
+
+    n is the closed-form blocklength as floats; from 2**52 on the bisection
+    runs over Python ints.
+    """
+    hi = n.copy()
+    if not np.max(hi, initial=0.0) < 2.0**52:
+        hi = np.array([int(x) for x in hi.tolist()], dtype=object)
+    lo = np.ones_like(hi)
+    live = np.flatnonzero(lo < hi)
+    while live.size:
+        a, b = lo[live], hi[live]
+        mid = (a + b) // 2
+        ok = epsilon_awgn(mid, gamma, j_bits[live]) <= eps[live]
+        hi[live] = np.where(ok, mid, b)
+        lo[live] = np.where(ok, a, mid + 1)
+        live = live[lo[live] < hi[live]]
+    return lo
+
+
+def refine_against_bisection(gamma, eps, j_bits, beta_s=0.01):
+    """The refined n and the bisection's n of the same closed-form solution."""
+    spec = spec_at(ChannelFamily.AWGN, gamma)
+    beta_t = beta_s + eps * (1.0 - beta_s)
+    plain = solve_blocklength(spec, beta_t, beta_s, j_bits)
+    refined = solve_blocklength(spec, beta_t, beta_s, j_bits, refine=True)
+    oracle = bisect_refine(gamma, np.array(plain.n, dtype=float), plain.eps_target, j_bits)
+    return refined.n, oracle
+
+
+class TestRefineMatchesBisectionOracle:
+    @pytest.mark.parametrize("snr_db", [-20.0, -10.0, -3.0, 0.0, 5.0, 12.0, 20.0])
+    def test_random_targets_and_payloads(self, monkeypatch, snr_db):
+        rng = np.random.default_rng(400 + int(snr_db))
+        eps = 10 ** rng.uniform(-12.0, math.log10(0.5), 400)
+        j_bits = 10 ** rng.uniform(0.0, 7.0, 400)
+        beta_s = rng.uniform(0.0, 0.5, 400)
+        passes = []
+        monkeypatch.setattr(
+            optimizer, "epsilon_awgn", lambda *args: passes.append(1) or epsilon_awgn(*args)
+        )
+        n, oracle = refine_against_bisection(db_to_linear(snr_db), eps, j_bits, beta_s)
+        assert n.dtype == np.int64
+        assert n.tolist() == oracle.tolist()
+        # Seeds far from the answer (a few bits at low SNR, where one-by-one
+        # steps took up to 800 passes) cost a search, not a walk.
+        assert len(passes) <= 30
+
+    def test_random_snr_per_call(self):
+        rng = np.random.default_rng(410)
+        for _ in range(40):
+            gamma = db_to_linear(rng.uniform(-20.0, 20.0))
+            eps = 10 ** rng.uniform(-12.0, math.log10(0.5), 25)
+            j_bits = 10 ** rng.uniform(0.0, 7.0, 25)
+            n, oracle = refine_against_bisection(gamma, eps, j_bits)
+            assert n.tolist() == oracle.tolist()
+
+    def test_answers_of_one(self):
+        # A few bits at 20 dB fit in one channel use.
+        rng = np.random.default_rng(411)
+        eps = rng.uniform(0.05, 0.5, 200)
+        j_bits = rng.uniform(1.0, 4.0, 200)
+        n, oracle = refine_against_bisection(db_to_linear(20.0), eps, j_bits)
+        assert n.tolist() == oracle.tolist()
+        assert 20 < np.count_nonzero(n == 1) < 200
+
+    @pytest.mark.parametrize(
+        "snr_db, j_bits", [(-20.0, 1e14), (-20.0, 1e300), (0.0, 1e300), (20.0, 1e300)]
+    )
+    def test_python_int_blocklengths(self, snr_db, j_bits):
+        eps = np.array([1e-12, 1e-6, 1e-3, 0.1, 0.5])
+        n, oracle = refine_against_bisection(db_to_linear(snr_db), eps, np.full(5, j_bits))
+        # The walk runs over Python ints here; n comes back as elementwise.to_int gives it.
+        assert min(n.tolist()) >= 2**52
+        assert n.tolist() == oracle.tolist()
+
+
+@pytest.mark.parametrize("refine", [False, True], ids=["closed", "refined"])
+@pytest.mark.parametrize("j_bits", [math.inf, np.array([100.0, math.inf])], ids=["scalar", "array"])
+def test_infinite_payload_raises_before_any_step(monkeypatch, refine, j_bits):
+    calls = []
+    monkeypatch.setattr(optimizer, "epsilon_awgn", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match="cannot convert float NaN to integer"):
+        solve_blocklength(WIDEBAND_SPEC, 0.1, 0.05, j_bits, refine=refine)
+    assert calls == []
+
+
+def test_refine_takes_few_passes_on_workload_grid(monkeypatch):
+    # Sweeps as the planner benchmark runs them: three coders, 0-20 dB,
+    # 1000 grid points. A bisection takes 10-25 passes per sweep.
+    calls = []
+
+    def counting(n, gamma, j_bits):
+        calls.append(np.size(n))
+        return epsilon_awgn(n, gamma, j_bits)
+
+    monkeypatch.setattr(optimizer, "epsilon_awgn", counting)
+    budgets = [
+        BudgetFn(Scheme.UQ, 100), BudgetFn(Scheme.LQ, 100), BudgetFn(Scheme.SLQ, 1000, 10, 1e-5)
+    ]
+    passes = []
+    for snr_db, beta_t in zip(np.linspace(0.0, 20.0, 9), np.linspace(0.02, 0.5, 9)):
+        for budget in budgets:
+            spec = ChannelSpec(ChannelFamily.AWGN, db_to_linear(snr_db), 10_000, 320_000)
+            calls.clear()
+            sweep_beta_s(float(beta_t), budget, spec, refine=True)
+            passes.append(len(calls))
+            # Every pass evaluates m and m - 1 of each live point.
+            assert calls[0] == 2 * 1000
+    assert max(passes) <= 3
+
+
 SOLVER_SPECS = {
     ChannelFamily.AWGN: WIDEBAND_SPEC,
     ChannelFamily.FADING_CSI: CSI_SPEC,

@@ -68,6 +68,31 @@ class TestConstruction:
         with pytest.raises((ValueError, AttributeError)):
             p.values[0] = 0.9
 
+    @pytest.mark.parametrize(
+        "raw, normalize, error",
+        [
+            ([1.0, -0.1], True, NegativeEntry),
+            ([math.nan, 1.0], False, NonFiniteEntry),
+            ([0.0, 0.0], True, ZeroMass),
+            ([0.5, 0.6], False, NotNormalized),
+            ([[0.5, 0.5]], False, DimensionMismatch),
+        ],
+        ids=["negative", "nan", "zero-mass", "unnormalized", "2-d"],
+    )
+    def test_owned_array_checked_as_any_input(self, raw, normalize, error):
+        with pytest.raises(error):
+            ProbVector(raw, normalize=normalize)
+        with pytest.raises(error):
+            ProbVector(np.array(raw), normalize=normalize, _owned=True)
+
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_owned_array_normalized_in_place(self, normalize):
+        raw = np.array([0.25, 0.5, 0.25 + 4e-10]) * (3.0 if normalize else 1.0)
+        expected = ProbVector(raw, normalize=normalize).values
+        p = ProbVector(raw, normalize=normalize, _owned=True)
+        assert p.values is raw and not raw.flags.writeable
+        assert np.array_equal(p.values, expected)
+
 
 class TestTvDistance:
     def test_identity(self):

@@ -440,3 +440,26 @@ class TestRowwiseRules:
         for k_top in (0, 6):
             with pytest.raises(DomainError):
                 top_indices(self.EXACT, k_top)
+
+
+class TestDecodedVectorsMatchPublicConstructor:
+    """The decoders keep the arrays they build; the values are the constructor's."""
+
+    @pytest.mark.parametrize("k", [3, 1000, 100_000])
+    def test_decoders(self, k):
+        rng = np.random.default_rng(90 + k)
+        k_top = min(k - 1, 20)
+        for _ in range(4):
+            p = ProbVector(rng.dirichlet(np.full(k, 0.05)))
+            enc = uq_encode(p, 6)
+            expected = ProbVector(uq_midpoints(enc.bin_ids, 6), normalize=True)
+            assert np.array_equal(uq_decode(enc).values, expected.values)
+            pt = lq_encode(p, 2 * k + 1)
+            expected = ProbVector(np.array(pt.counts, dtype=float) / pt.denominator)
+            assert np.array_equal(lq_decode(pt).values, expected.values)
+            enc = slq_encode(p, k_top, 63)
+            values = np.zeros(k)
+            values[list(enc.positions.indices)] = np.array(enc.point.counts) / enc.denominator
+            decoded = slq_decode(enc)
+            assert np.array_equal(decoded.values, ProbVector(values).values)
+            assert not decoded.values.flags.writeable
