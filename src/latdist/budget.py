@@ -56,6 +56,7 @@ class BudgetFn:
     delta: float = 0.0
 
     def __post_init__(self):
+        object.__setattr__(self, "scheme", Scheme(self.scheme))  # "lq" is Scheme.LQ
         if self.scheme is Scheme.UQ and self.k < 2:
             raise DomainError(f"uniform budget needs k >= 2, got {self.k}")
         if self.scheme is Scheme.LQ and self.k < 1:

@@ -136,7 +136,7 @@ def _channel_spec(cfg: dict) -> ChannelSpec:
 
 
 def _budget_fn(cfg: dict) -> BudgetFn:
-    return BudgetFn(Scheme(cfg["scheme"]), cfg["k"], cfg["k_top"], cfg["delta"])
+    return BudgetFn(cfg["scheme"], cfg["k"], cfg["k_top"], cfg["delta"])
 
 
 def _write(output, text: str):
@@ -288,12 +288,8 @@ def cmd_dequantize(cfg: dict, output) -> int:
 
 
 def cmd_simulate(cfg: dict, output) -> int:
-    scheme = Scheme(cfg["scheme"])
-    cfg.update(
-        scheme=scheme,
-        error_model=ErrorModel(cfg["error_model"]),
-        delta=cfg["delta"] if scheme is Scheme.SLQ else 0.0,
-    )
+    if Scheme(cfg["scheme"]) is not Scheme.SLQ:
+        cfg["delta"] = 0.0
     report = simulate_end_to_end(SimConfig(**cfg))
     _write(output, report.to_json() + "\n")
     return 0

@@ -1,64 +1,54 @@
 """Exact bijective ranking between combinatorial objects and integer indices.
 
-Two codecs live here:
+One codec ranks two kinds of object:
 
+* size-subsets of ``{0..n-1}``, by the combinatorial number system (Knuth,
+  TAOCP 4A, 7.2.1.3): the positions c_1 < ... < c_size have the rank
+  C(c_1, 1) + ... + C(c_size, size), which orders subsets colexicographically;
 * compositions of ``total`` into ``k`` nonnegative parts (the points of the
-  fixed-denominator lattice on the simplex), ranked in ascending
-  lexicographic order on the count sequence, first count most significant;
-* k_top-subsets of ``{0..k-1}``, ranked by the standard combinatorial
-  number system (colexicographic on the ascending position sequence).
+  fixed-denominator lattice on the simplex), in ascending lexicographic order
+  on the count sequence, first count most significant.
 
 Both orders are codec conventions pinned for determinism; any fixed total
 order would be a valid codec. Indices are arbitrary-precision integers and
 serialize as big-endian byte strings sized by their declared bit width.
 
-The composition codec follows Reznik's enumerative coder for the lattice of
-types (DCC 2011): it moves between neighbouring binomials instead of
-recomputing them, so a rank or unrank costs O(k + total) multiply/divide
-steps on one big integer rather than O(k log total) fresh ``math.comb``
-calls, each of which builds a number of up to ~4000 bits at k=1000.
+Stars and bars. A composition c_0, ..., c_(k-1) is the (k-1)-subset of its
+N = total + k - 1 slots that holds its bars, r_j = c_(k-1) + ... + c_(k-1-j) + j
+for j < k - 1, and its counts are the gaps the bars leave, from the top:
+c_0 = N - 1 - r_(k-2), ..., c_(k-1) = r_0. Lexicographic order on the counts
+is colexicographic order on the bars reversed, so
 
-* ``unrank_composition`` scans the count at each position upward. With r
-  the remaining total and m the parts after this one, the compositions
-  whose count here is v form a block of C(r - v + m - 1, m - 1); the next
-  block is this one times (r - v) // (r - v + m - 1), and the chosen block
-  is the next position's total. The last two free parts are closed form:
-  with two parts after it, a count is the root of a quadratic (``math.isqrt``),
-  and with one, it is what is left of the index.
-* ``rank_composition`` builds the suffix binomials C(s + m, m) from the last
-  position backward. The b steps from C(n, m) to C(n + b, m) for a count b
-  are taken at once, as one multiply and one divide by the falling
-  factorials ``math.perm(n + b, b)`` and ``math.perm(n + b - m, b)``.
+    rank_composition(c) = C(N, k - 1) - 1 - (C(r_0, 1) + ... + C(r_(k-2), k - 1)),
 
-Fallback rule. A fresh ``math.comb`` costs about one step while its result
-fits a machine word and about m/8 steps beyond that, so long runs of steps
-go to ``math.comb`` instead:
+and ``unrank_composition`` unranks C(N, k - 1) - 1 - index as a subset and
+reads the counts off its gaps.
 
-* ``rank_composition`` jumps only when b <= m // 2 and C(n, m) is wider than
-  a word, and otherwise computes C(n + b, m) afresh;
-* ``unrank_composition`` prices a bisection on ``math.comb`` at
-  cap = (m // 8 + 1) * bit_length(r) steps. It scans only while the mean
-  count r / m is below the cap, and bisects over the rest of the range once
-  a scan reaches the cap.
+Both directions step between neighbouring binomials instead of recomputing
+them, so a k=1000 point costs O(k + total) multiply/divide steps on one big
+integer rather than fresh ``math.comb`` calls of up to ~4000 bits each.
 
-So a few parts with a large total (ten parts of 100,000) cost O(log total)
-binomials per position instead of a scan over the whole count, a k=1000
-point pays for a ~4000-bit ``math.comb`` only at a count above ~1600, and
-small spaces stay on word-sized ``math.comb``.
+* ``_rank_subset`` steps C(c, j - 1) -> C(c + 1, j) = C(c, j - 1) (c + 1) / j
+  and jumps the g free slots to the next position at once, by the falling
+  factorials ``math.perm(c + 1 + g, g)`` and ``math.perm(c + 1 + g - j, g)``.
+  Across a gap it takes a fresh ``math.comb`` instead while the running
+  binomial is 0 or fits a machine word, where ``math.comb`` is as cheap as a
+  step, or when the gap is longer than j / 2. A subset count that fits a word
+  has every term fit one, and its sum is all fresh ``math.comb``.
+* ``_unrank_subset`` finds the position c_j of each size j from the top, the
+  largest c below the position above it, n, with C(c, j) <= r for what is
+  left of the index, r. It steps once, to C(n - 1, j); if that is still above
+  r, it either
+  - scans down, one step C(c - 1, j) = C(c, j) (c - j) / c each, where the
+    scan, at most about (bits(C(c, j) / r) + 1) c / j steps long, is within
+    the price of a guess, ``_SCAN_STEPS`` + j / 4 steps (dense spaces and the
+    small counts of a lattice point), or
+  - guesses c = (r j!)^(1/j) + (j - 1) / 2 from ``math.log`` and
+    ``math.lgamma``, which is never above c_j, then takes one ``math.comb``
+    and ratio steps to C(c_j, j), seldom more than one (sparse spaces and
+    the heavy counts).
 
-The subset codec steps between neighbouring binomials too (Knuth, TAOCP
-4A, 7.2.1.3). ``unrank_subset`` finds the position c_j of each size j, the
-largest c below the position above it, n, with C(c, j) <= r for what is
-left of the index, r, in one of two ways:
-
-* a scan down from n - 1, one step C(c - 1, j) = C(c, j) (c - j) / c each,
-  where the mean scan length (n - j) / (j + 1) is at most ``_SCAN_STEPS``,
-  the price of a guess (dense spaces such as 36 of 40);
-* otherwise a guess c = (r j!)^(1/j) + (j - 1) / 2 from ``math.log`` and
-  ``math.lgamma``, which is never above c_j, then one ``math.comb`` and
-  ratio steps to C(c_j, j), seldom more than one.
-
-j = 2 is the root of a quadratic (``math.isqrt``) and j = 1 is what is left.
+  j = 2 is the root of a quadratic (``math.isqrt``) and j = 1 is what is left.
 
 Validation happens at the boundary. The public constructors of
 ``LatticePoint`` and ``PositionSet`` check input from outside, with one
@@ -73,8 +63,11 @@ from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate, count
+from operator import add
 
 import numpy as np
 
@@ -89,11 +82,11 @@ _BOUNDARY_GUARD = 1e-9
 # as one multiply/divide step.
 _WORD = 1 << 64
 
-# Price of a guessed subset position, in binomial steps: a position whose
-# mean scan length is below it is found by a scan instead.
-_SCAN_STEPS = 8
+# Price of a guessed subset position in binomial steps, besides its fresh
+# math.comb: a scan that cannot take longer is tried first.
+_SCAN_STEPS = 16
 
-# Distinct (k, total) widths kept per bit-count cache. The planner never asks; the
+# Distinct (k, total) entries kept per count cache. The planner never asks; the
 # integer budgets, rank/unrank and payload readers ask for the same few again and again.
 _WIDTH_CACHE = 4096
 
@@ -199,6 +192,7 @@ def _trusted(cls, first, second):
     return obj
 
 
+@lru_cache(maxsize=_WIDTH_CACHE)
 def composition_count(k: int, total: int) -> int:
     """Number of compositions of ``total`` into ``k`` nonnegative parts."""
     return math.comb(total + k - 1, k - 1)
@@ -245,9 +239,14 @@ def log2_comb(n: int, r: int) -> float:
 @lru_cache(maxsize=_WIDTH_CACHE)
 def composition_count_bits(k: int, total: int) -> int:
     """Bits needed for a fixed-length index over compositions of ``total`` into ``k`` parts."""
+    return _ceil_log2_comb(_slots(k, total), k - 1)
+
+
+def _slots(k: int, total: int) -> int:
+    """Slots of the stars and bars of a composition space: its total plus k - 1 bars."""
     if k < 1 or total < 1:
         raise ValueError(f"need k >= 1 and total >= 1, got k={k}, total={total}")
-    return _ceil_log2_comb(total + k - 1, k - 1)
+    return total + k - 1
 
 
 @lru_cache(maxsize=_WIDTH_CACHE)
@@ -260,98 +259,30 @@ def subset_count_bits(k: int, size: int) -> int:
 
 def rank_composition(pt: LatticePoint) -> LexIndex:
     """Rank of ``pt`` among all compositions of its denominator, ascending lex order."""
-    # Python ints throughout (LatticePoint holds them): a NumPy count would
-    # overflow the big products.
     counts = pt.counts
-    rank = 0
-    suffix = counts[-1]  # total of the counts after this position
-    top = 1  # C(suffix + m - 1, m - 1): compositions of suffix into m parts
-    for m, b in enumerate(reversed(counts[:-1]), 1):
-        # Compositions with a smaller count b' < b here, by hockey-stick:
-        # sum_{b'<b} C(suffix + b - b' + m - 1, m - 1) = C(n + b, m) - C(n, m).
-        n = suffix + m
-        base = top * n // m
-        if not b:
-            top = base
-            continue
-        if b <= m // 2 and base >= _WORD:
-            top = base * math.perm(n + b, b) // math.perm(n + b - m, b)
-        else:
-            top = math.comb(n + b, m)
-        rank += top - base
-        suffix += b
-    return _trusted(LexIndex, rank, composition_count_bits(len(counts), pt.denominator))
+    k = len(counts)
+    bars = map(add, accumulate(counts[::-1]), range(k - 1))  # r_j, from the lowest
+    bits = composition_count_bits(k, pt.denominator)
+    rank = composition_count(k, pt.denominator) - 1 - _rank_subset(bars, bits)
+    return _trusted(LexIndex, rank, bits)
 
 
 def unrank_composition(idx: LexIndex | int, k: int, total: int) -> LatticePoint:
     """Inverse of rank_composition: the unique composition with the given rank."""
     value = idx.value if isinstance(idx, LexIndex) else operator.index(idx)
+    k, total = operator.index(k), operator.index(total)
+    slots = _slots(k, total)
     top = composition_count(k, total)
     if value < 0 or value >= top:
         raise IndexOutOfRange(f"index {value} outside [0, {top})")
-    counts = []
-    remaining = operator.index(total)
-    for m in range(k - 1, 2, -1):
-        # top = C(remaining + m, m); block = C(remaining - v + m - 1, m - 1)
-        # counts the compositions whose count here is v.
-        block = top * m // (remaining + m)
-        v = 0
-        if value >= block:
-            cap = (m // 8 + 1) * remaining.bit_length()
-            if remaining < cap * m:  # mean count below the cap: scan
-                while True:
-                    value -= block
-                    block = block * (remaining - v) // (remaining - v + m - 1)
-                    v += 1
-                    if value < block or v == cap:
-                        break
-            if value >= block:
-                v, value, block = _bisect_count(value, remaining, m, v)
-            remaining -= v
-        counts.append(v)
-        top = block
-    if k > 2:
-        # m = 2: v * (a - v) / 2 compositions, a = 2 * remaining + 3, have a
-        # count below v here. The count is the largest v with that many <= value,
-        # the lower root of a quadratic; isqrt rounds it up by at most one.
-        a = 2 * remaining + 3
-        v = (a - math.isqrt(a * a - 8 * value)) // 2
-        if v * (a - v) > 2 * value:
-            v -= 1
-        value -= v * (a - v) // 2
-        counts.append(v)
-        remaining -= v
-    if k > 1:
-        counts.append(value)
-        remaining -= value
-    counts.append(remaining)
-    return _trusted(LatticePoint, tuple(counts), operator.index(total))
-
-
-def _bisect_count(value: int, remaining: int, m: int, start: int) -> tuple[int, int, int]:
-    """Count at a position whose scan reached ``start`` with ``value`` left.
-
-    Returns the count, the value left after its predecessor blocks and the
-    size of its block, by bisection on fresh binomials.
-    """
-    # Compositions with count >= u here: C(remaining - u + m, m).
-    tail = math.comb(remaining - start + m, m)
-    need = tail - value
-    lo, hi = start, remaining
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if math.comb(remaining - mid + m, m) >= need:
-            lo = mid
-        else:
-            hi = mid - 1
-    rest = math.comb(remaining - lo + m, m)
-    return lo, rest - need, rest * m // (remaining - lo + m)
+    _, gaps = _unrank_subset(top - 1 - value, slots, k - 1, top)
+    return _trusted(LatticePoint, tuple(gaps[::-1]), total)
 
 
 def rank_subset(s: PositionSet) -> LexIndex:
     """Combinatorial-number-system rank of a subset given ascending positions."""
-    value = sum(map(math.comb, s.indices, range(1, s.size + 1)))
-    return _trusted(LexIndex, value, subset_count_bits(s.dimension, s.size))
+    bits = subset_count_bits(s.dimension, len(s.indices))
+    return _trusted(LexIndex, _rank_subset(s.indices, bits), bits)
 
 
 def unrank_subset(idx: LexIndex | int, k: int, size: int) -> PositionSet:
@@ -361,37 +292,78 @@ def unrank_subset(idx: LexIndex | int, k: int, size: int) -> PositionSet:
     cardinality = math.comb(k, size)
     if value < 0 or value >= cardinality:
         raise IndexOutOfRange(f"index {value} outside [0, {cardinality})")
+    positions, _ = _unrank_subset(value, k, size, cardinality)
+    return _trusted(PositionSet, tuple(positions), k)
+
+
+def _rank_subset(positions: Iterable[int], bits: int) -> int:
+    """Sum of C(c_j, j) over the ascending positions c_1 < c_2 < ..., j from 1.
+
+    ``bits`` is the width of the subset count, which bounds every term.
+    """
+    comb = math.comb
+    if bits <= 64:  # every binomial fits a word: no steps
+        return sum(map(comb, positions, count(1)))
+    perm, word = math.perm, _WORD
+    rank = b = 0  # b = C(c, j - 1) at the previous position c
+    c = -1
+    for j, nxt in enumerate(positions, 1):
+        gap = nxt - c - 1
+        if not gap:
+            b = b * nxt // j
+        elif b < word or gap > j // 2:
+            b = comb(nxt, j)
+        else:
+            # C(c, j - 1) -> C(c + 1, j) -> C(nxt, j), one multiply and one divide.
+            b = b * perm(nxt, gap + 1) // (j * perm(nxt - j, gap))
+        rank += b
+        c = nxt
+    return rank
+
+
+def _unrank_subset(value: int, n: int, size: int, block: int) -> tuple[list[int], list[int]]:
+    """The ``size``-subset of ``{0..n-1}`` with rank ``value``, given block = C(n, size).
+
+    Returns its ascending positions c_1 < ... < c_size and the free slots
+    around them, from the bottom: c_1, c_2 - 1 - c_1, ..., n - 1 - c_size.
+    """
     positions = [0] * size
-    n, block = k, cardinality  # block = C(n, j): the subsets below position n
+    gaps = [0] * (size + 1)
     for j in range(size, 2, -1):
-        # The position is the largest c < n with C(c, j) <= value.
+        # block = C(n, j): the subsets below position n. The position is the
+        # largest c < n with C(c, j) <= value.
         if not value:  # the rest is the lowest subset
             positions[:j] = range(j)
-            break
-        if n - j <= _SCAN_STEPS * (j + 1):  # (n - j) / (j + 1): the mean scan length
-            c, b = n - 1, block * (n - j) // n
-            while b > value:
-                b = b * (c - j) // c
-                c -= 1
-        else:
+            gaps[j] = n - j
+            return positions, gaps
+        c, b = n - 1, block * (n - j) // n  # C(c, j)
+        # A step down divides C(c, j) by c / (c - j) > 2^(j / c), so a scan takes
+        # at most (bits(b / value) + 1) c / j steps. Past the price of a guess, guess.
+        if b > value and (b.bit_length() - value.bit_length() + 1) * c > (_SCAN_STEPS + j // 4) * j:
             # C(c, j) <= (c - (j - 1) / 2)^j / j!, so but for rounding the
             # guess is at most the position.
             c = int(math.exp((math.log(value) + math.lgamma(j + 1)) / j) + (j - 1) / 2)
             c = j if c < j else n - 1 if c >= n else c
             b = math.comb(c, j)
-            while b > value:
-                b = b * (c - j) // c
-                c -= 1
             while (up := b * (c + 1) // (c + 1 - j)) <= value:
                 b, c = up, c + 1
+        while b > value:
+            b = b * (c - j) // c
+            c -= 1
         positions[j - 1] = c
+        gaps[j] = n - 1 - c
         value -= b
         n, block = c, b * j // (c - j + 1)
     if size > 1:
         # C(c, 2) = c (c - 1) / 2 <= value, solved exactly.
         c = (math.isqrt(8 * value + 1) + 1) // 2
         positions[1] = c
+        gaps[2] = n - 1 - c
         value -= c * (c - 1) // 2
+        n = c
     if size:
         positions[0] = value  # C(c, 1) = c
-    return _trusted(PositionSet, tuple(positions), k)
+        gaps[1] = n - 1 - value
+        n = value
+    gaps[0] = n
+    return positions, gaps

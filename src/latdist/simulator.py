@@ -68,6 +68,8 @@ class SimConfig:
     source_tail_mass: float | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "scheme", Scheme(self.scheme))  # "lq" is Scheme.LQ
+        object.__setattr__(self, "error_model", ErrorModel(self.error_model))
         if self.trials < 1:
             raise DomainError(f"need at least one trial, got {self.trials}")
         if not 0.0 <= self.eps_target <= 1.0:

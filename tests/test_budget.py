@@ -112,6 +112,21 @@ class TestBudgetFn:
         assert BudgetFn(Scheme.UQ, 10).lower_edge == 0.0
         assert BudgetFn(Scheme.SLQ, 10, 3, 0.01).lower_edge == 0.01
 
+    @pytest.mark.parametrize("scheme, extra", [
+        (Scheme.UQ, ()), (Scheme.LQ, ()), (Scheme.SLQ, (10, 1e-5)),
+    ], ids=["uq", "lq", "slq"])
+    def test_string_scheme_is_its_enum(self, scheme, extra):
+        # "lq" used to skip every scheme check and then fail in bits_real.
+        named, fn = BudgetFn(scheme.value, 100, *extra), BudgetFn(scheme, 100, *extra)
+        assert named == fn and named.scheme is scheme
+        grid = np.geomspace(0.01, 0.3, 7)
+        assert np.array_equal(named.bits_real(grid), fn.bits_real(grid))
+        assert named.bits_int(0.1) == fn.bits_int(0.1)
+
+    def test_unknown_scheme_refused(self):
+        with pytest.raises(ValueError):
+            BudgetFn("pq", 100)
+
     def test_requires_k_top_for_sparse(self):
         with pytest.raises(DomainError):
             BudgetFn(Scheme.SLQ, 10)

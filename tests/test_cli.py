@@ -651,7 +651,9 @@ def test_reference_outputs_are_pinned(readme_dir, capsys, case):
 
 # Wire bytes of the README's quantize commands and what they dequantize to,
 # pinned as files in tests/data; CI compares the installed entry point with them.
+# The LQ k=100 files hold 383-bit indices, far wider than a machine word.
 SLQ_CODER = ["--scheme", "slq", "-k", "3", "--k-top", "2", "--delta", "0.01", "--beta-s", "0.15"]
+SLQ_K100 = ["--scheme", "slq", "-k", "100", "--k-top", "5", "--delta", "0.01", "--beta-s", "0.05"]
 WIRE_RUNS = {
     "quantize_lq.csv": ["quantize", "--scheme", "lq", "-k", "3", "--beta-s", "0.15",
                         "--input", "vectors.jsonl"],
@@ -659,6 +661,12 @@ WIRE_RUNS = {
                           "--input", "quantize_lq.csv"],
     "quantize_slq.csv": ["quantize", *SLQ_CODER, "--input", "vectors.jsonl"],
     "dequantize_slq.csv": ["dequantize", *SLQ_CODER, "--input", "quantize_slq.csv"],
+    "quantize_lq_k100.csv": ["quantize", "--scheme", "lq", "-k", "100", "--beta-s", "0.05",
+                             "--input", "vectors_k100.jsonl"],
+    "dequantize_lq_k100.csv": ["dequantize", "--scheme", "lq", "-k", "100", "--ell", "500",
+                               "--input", "quantize_lq_k100.csv"],
+    "quantize_slq_k100.csv": ["quantize", *SLQ_K100, "--input", "vectors_k100.jsonl"],
+    "dequantize_slq_k100.csv": ["dequantize", *SLQ_K100, "--input", "quantize_slq_k100.csv"],
 }
 
 

@@ -166,6 +166,15 @@ class TestCompositionRanking:
             assert idx.value == expected_rank
             assert unrank_composition(idx, 4, 6) == pt
 
+    def test_empty_space_refused(self):
+        # (0, 3, 0) used to give LatticePoint((0, 0, 0), 0), which lq_decode
+        # turned into NaN. The rule is composition_count_bits'.
+        for k, total in ((3, 0), (0, 5), (0, 0), (-1, 5)):
+            with pytest.raises(ValueError, match="need k >= 1 and total >= 1"):
+                composition_count_bits(k, total)
+            with pytest.raises(ValueError, match="need k >= 1 and total >= 1"):
+                unrank_composition(0, k, total)
+
     def test_index_out_of_range(self):
         with pytest.raises(IndexOutOfRange):
             unrank_composition(composition_count(2, 2), 2, 2)
@@ -184,7 +193,7 @@ class TestCompositionRanking:
 
 
 class TestMatchesBisectionOracle:
-    """The incremental codec agrees with the binary-search codec it replaced."""
+    """The composition ranks agree with a binary search over fresh binomials."""
 
     @pytest.mark.parametrize("k", [2, 3, 10, 100, 1000])
     def test_random_points(self, k):
@@ -200,7 +209,7 @@ class TestMatchesBisectionOracle:
 
     @pytest.mark.parametrize("k", [2, 3, 10, 100, 1000])
     def test_one_heavy_count(self, k):
-        # Small counts around one large one: the scan meets its cap and bisects.
+        # Small counts around one large one: short gaps are scanned, the long one guessed.
         rng = np.random.default_rng(200 + k)
         for total, heavy in itertools.product((5 * k, 50 * k, 100_000), (0, k // 2)):
             counts = [int(c) for c in rng.integers(0, 3, size=k)]
@@ -258,7 +267,7 @@ class TestSubsetRanking:
 
 
 class TestMatchesSubsetBisectionOracle:
-    """The guess-and-step and scan unrank agree with the bisection it replaced."""
+    """The scan and guess unrank agrees with a binary search over fresh binomials."""
 
     @pytest.mark.parametrize("k, size", [(1000, 10), (10**5, 20), (40, 36), (100, 5), (447, 2)])
     def test_spaces(self, k, size):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -196,6 +197,20 @@ class TestLattice:
             "cb06ee37c44e9b0cd9d5bde408b1a5a8e8cd4f2b15afbe9d"
         )
         assert lq_from_payload(payload, 100, 500) == point
+
+    @pytest.mark.parametrize("k, ell, digest", [
+        (1000, 5000, "a63ee374d3f80204089a9afa3225119c7dfaefb7fb3e0226cfc1cf690d336a38"),
+        (5000, 25000, "dd8dfec831728b44ddd9b210cd4b9d4d853f78ef5e20950e44a4d7294c65af3d"),
+    ])
+    def test_large_k_payload_pinned(self, k, ell, digest):
+        # Past k=1000 no oracle is fast enough to compare with, so the wire
+        # bytes of one seeded point per size are pinned by their digest.
+        p = ProbVector(np.random.default_rng(k).standard_exponential(k), normalize=True)
+        point = lq_encode(p, ell)
+        payload = lq_payload(point)
+        assert len(payload) == (composition_count_bits(k, ell) + 7) // 8
+        assert hashlib.sha256(payload).hexdigest() == digest
+        assert lq_from_payload(payload, k, ell) == point
 
     @pytest.mark.parametrize("k, ell", [(3, 5), (100, 500)])
     def test_index_beyond_lattice_refused(self, k, ell):

@@ -198,6 +198,23 @@ class TestSimulation:
         report = simulate_end_to_end(SimConfig(trials=trials, seed=2024, **extra))
         assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("path", sorted(PINNED_PATHS))
+    def test_string_scheme_and_error_model_are_their_enums(self, path):
+        extra = dict(PINNED_PATHS[path][1])
+        cfg = SimConfig(trials=40, seed=11, **extra)
+        extra.update(scheme=extra["scheme"].value, error_model=extra["error_model"].value)
+        named = SimConfig(trials=40, seed=11, **extra)
+        assert named == cfg
+        assert simulate_end_to_end(named).to_json() == simulate_end_to_end(cfg).to_json()
+
+    def test_unknown_scheme_or_error_model_refused(self):
+        with pytest.raises(ValueError):
+            SimConfig(trials=1, seed=0, error_model="uniform", scheme="pq", k=8,
+                      beta_s=0.1, eps_target=0.1)
+        with pytest.raises(ValueError):
+            SimConfig(trials=1, seed=0, error_model="worst", scheme="lq", k=8,
+                      beta_s=0.1, eps_target=0.1)
+
     @pytest.mark.parametrize("block", [1, 7])
     @pytest.mark.parametrize("path", sorted(PINNED_PATHS))
     def test_report_does_not_depend_on_block_size(self, monkeypatch, path, block):
