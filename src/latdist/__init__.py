@@ -21,7 +21,6 @@ from .channel import (
     fading_csi_coeffs,
     fading_nocsi_coeffs,
     linear_to_db,
-    operational_snr,
     q_func,
     q_inv,
 )

@@ -1,9 +1,22 @@
 """Finite-blocklength decoding error models for AWGN and Rayleigh fading links.
 
-Unit conventions follow the source formulas: the AWGN model works in bits
-per channel use, while both fading models work in nats and convert the
-payload from bits with an explicit ln(2) factor. Blocklengths always count
-channel uses, so latency is n / (2B) for every family.
+Every family shares one normal approximation (Polyanskiy, Poor & Verdu,
+2010). Sending a payload over n channel uses fails with probability
+
+    eps = Q((n * rate - payload [+ (1/2)log2(n) on AWGN]) / sqrt(n * F * v))
+
+and only the family's row differs (C, V: AWGN capacity and dispersion in
+bits; C_c, V_c: receiver-CSI fading moments in nats; I, V_b: no-CSI
+information and dispersion per coherence block of F channel uses):
+
+    family         rate  F   v     payload
+    awgn           C     1   V     J
+    fading-csi     C_c   F   V_c   J * ln 2
+    fading-nocsi   I     F   V_b   J * F * ln 2
+
+The error models and the blocklength solver in ``optimizer`` read the same
+row. Blocklengths always count channel uses, so latency is n / (2B) for
+every family.
 """
 
 from __future__ import annotations
@@ -13,7 +26,6 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from numbers import Integral
-from typing import NamedTuple
 
 import numpy as np
 
@@ -90,12 +102,8 @@ class ChannelSpec:
 
     @property
     def gamma(self) -> float:
-        return operational_snr(self)
-
-
-def operational_snr(spec: ChannelSpec) -> float:
-    """Linear SNR at the operating bandwidth: gamma0 * B0 / B."""
-    return spec.gamma0 * spec.bandwidth0_hz / spec.bandwidth_hz
+        """Linear SNR at the operating bandwidth: gamma0 * B0 / B."""
+        return self.gamma0 * self.bandwidth0_hz / self.bandwidth_hz
 
 
 def q_func(x: float) -> float:
@@ -117,56 +125,17 @@ def q_inv(p: float) -> float:
     return q if isinstance(p, np.ndarray) else float(q)
 
 
-class AwgnCoefficients(NamedTuple):
-    capacity: float  # bits per channel use
-    dispersion: float  # bits^2 per channel use
-
-
-def awgn_coeffs(gamma: float) -> AwgnCoefficients:
+def awgn_coeffs(gamma: float) -> tuple[float, float]:
     """Capacity (1/2)log2(1+g) and dispersion g(g+2)/(2(g+1)^2) * log2(e)^2."""
     if gamma <= 0:
         raise DomainError(f"SNR must be positive, got {gamma}")
     capacity = 0.5 * math.log2(1.0 + gamma)
     dispersion = gamma * (gamma + 2.0) / (2.0 * (gamma + 1.0) ** 2) * LOG2_E**2
-    return AwgnCoefficients(capacity, dispersion)
-
-
-def _check_use(n, j_bits):
-    if np.any(n < 1):
-        raise DomainError(f"blocklength must be >= 1, got {brief(n)}")
-    if np.any(j_bits <= 0):
-        raise DomainError(f"payload must be positive, got {brief(j_bits)}")
-
-
-def _q_ratio(margin, scale):
-    """Q(margin / sqrt(scale)), elementwise.
-
-    Blocklengths too large for floats to count exactly come as Python ints
-    in an object array. Their products turn into floats only here, each
-    rounded once, as in the scalar form.
-    """
-    if isinstance(margin, np.ndarray) and margin.dtype == object:
-        margin, scale = margin.astype(float), scale.astype(float)
-    return q_func(margin / np.sqrt(scale))
-
-
-def epsilon_awgn(n: int, gamma: float, j_bits: float) -> float:
-    """Block error probability for sending j_bits over n AWGN channel uses.
-
-    Elementwise over arrays of n and j_bits.
-    """
-    _check_use(n, j_bits)
-    c, v = awgn_coeffs(gamma)
-    return _q_ratio(n * c - j_bits + 0.5 * log2(n), n * v)
-
-
-class FadingCsiCoefficients(NamedTuple):
-    capacity: float  # nats per channel use
-    dispersion: float  # nats^2, already includes the coherence terms
+    return capacity, dispersion
 
 
 @lru_cache(maxsize=None)
-def fading_csi_coeffs(gamma: float, coherence: int) -> FadingCsiCoefficients:
+def fading_csi_coeffs(gamma: float, coherence: int) -> tuple[float, float]:
     """Moments of log(1+gamma*Z), Z exponential, for the receiver-CSI model.
 
     capacity = E[log(1+gZ)]; dispersion = var[log(1+gZ)] + 1/F - E[1/(1+gZ)]^2/F.
@@ -184,26 +153,11 @@ def fading_csi_coeffs(gamma: float, coherence: int) -> FadingCsiCoefficients:
     recip = float((_WEIGHTS / (1.0 + gamma * _NODES)).sum())
     variance = second - mean * mean
     dispersion = variance + (1.0 - recip * recip) / coherence
-    return FadingCsiCoefficients(mean, dispersion)
-
-
-def epsilon_fading_csi(n: int, gamma: float, j_bits: float, coherence: int) -> float:
-    """Block error probability with receiver CSI over a Rayleigh block-fading link.
-
-    Elementwise over arrays of n and j_bits.
-    """
-    _check_use(n, j_bits)
-    c, v = fading_csi_coeffs(gamma, coherence)
-    return _q_ratio(n * c - j_bits * LN_2, n * coherence * v)
-
-
-class NoCsiCoefficients(NamedTuple):
-    block_info: float  # nats per coherence block
-    block_dispersion: float  # nats^2 per coherence block
+    return mean, dispersion
 
 
 @lru_cache(maxsize=None)
-def fading_nocsi_coeffs(gamma: float, coherence: int) -> NoCsiCoefficients:
+def fading_nocsi_coeffs(gamma: float, coherence: int) -> tuple[float, float]:
     """High-SNR information and dispersion per block for the no-CSI model.
 
     block_info = (F-1)log(F*gamma) - log Gamma(F) - (F-1)(1+euler_gamma)
@@ -221,7 +175,58 @@ def fading_nocsi_coeffs(gamma: float, coherence: int) -> NoCsiCoefficients:
         + coherence / (5.0 * gamma)
     )
     block_dispersion = (coherence - 1) ** 2 * math.pi**2 / 6.0 + (coherence - 1)
-    return NoCsiCoefficients(block_info, block_dispersion)
+    return block_info, block_dispersion
+
+
+def _model_row(family: ChannelFamily, gamma: float, j_bits, coherence: int | None = None):
+    """The family's row of the module's table: rate, F, v and the payload in the rate's unit.
+
+    Elementwise over an array of j_bits, which must be positive.
+    """
+    if np.any(j_bits <= 0):
+        raise DomainError(f"payload must be positive, got {brief(j_bits)}")
+    if family is ChannelFamily.AWGN:
+        c, v = awgn_coeffs(gamma)
+        return c, 1, v, j_bits
+    if family is ChannelFamily.FADING_CSI:
+        c, v = fading_csi_coeffs(gamma, coherence)
+        return c, coherence, v, j_bits * LN_2
+    info, disp = fading_nocsi_coeffs(gamma, coherence)
+    return info, coherence, disp, j_bits * coherence * LN_2
+
+
+def _epsilon(family: ChannelFamily, n, gamma: float, j_bits, coherence: int | None = None):
+    """The family's block error probability, from its row; elementwise over n and j_bits.
+
+    Blocklengths too large for floats to count exactly come as Python ints
+    in an object array. Their products turn into floats only at the
+    division, each rounded once, as in the scalar form.
+    """
+    if np.any(n < 1):
+        raise DomainError(f"blocklength must be >= 1, got {brief(n)}")
+    rate, f, v, payload = _model_row(family, gamma, j_bits, coherence)
+    margin, scale = n * rate - payload, n * f * v
+    if family is ChannelFamily.AWGN:
+        margin = margin + 0.5 * log2(n)
+    if isinstance(margin, np.ndarray) and margin.dtype == object:
+        margin, scale = margin.astype(float), scale.astype(float)
+    return q_func(margin / np.sqrt(scale))
+
+
+def epsilon_awgn(n: int, gamma: float, j_bits: float) -> float:
+    """Block error probability for sending j_bits over n AWGN channel uses.
+
+    Elementwise over arrays of n and j_bits.
+    """
+    return _epsilon(ChannelFamily.AWGN, n, gamma, j_bits)
+
+
+def epsilon_fading_csi(n: int, gamma: float, j_bits: float, coherence: int) -> float:
+    """Block error probability with receiver CSI over a Rayleigh block-fading link.
+
+    Elementwise over arrays of n and j_bits.
+    """
+    return _epsilon(ChannelFamily.FADING_CSI, n, gamma, j_bits, coherence)
 
 
 def epsilon_fading_nocsi(n: int, gamma: float, j_bits: float, coherence: int) -> float:
@@ -229,6 +234,4 @@ def epsilon_fading_nocsi(n: int, gamma: float, j_bits: float, coherence: int) ->
 
     Elementwise over arrays of n and j_bits.
     """
-    _check_use(n, j_bits)
-    info, disp = fading_nocsi_coeffs(gamma, coherence)
-    return _q_ratio(n * info - j_bits * coherence * LN_2, n * coherence * disp)
+    return _epsilon(ChannelFamily.FADING_NOCSI, n, gamma, j_bits, coherence)

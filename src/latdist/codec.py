@@ -77,6 +77,9 @@ from .errors import IndexOutOfRange, InvalidSubset, SumMismatch
 # Fractional distance from an integer below which the log-gamma bit count
 # falls back to exact big-integer arithmetic.
 _BOUNDARY_GUARD = 1e-9
+# The estimate subtracts terms up to lgamma(n + 1) < n * log(n + 1); their
+# rounding, some hundreds of ulps per bit of that bound, widens the band.
+_LGAMMA_GUARD = 1e-13
 
 # Binomials below this bound fit a machine word, where math.comb is as cheap
 # as one multiply/divide step.
@@ -207,8 +210,9 @@ def _ceil_log2_comb(n: int, r: int) -> int:
     """ceil(log2(C(n, r))) via log-gamma, resolved exactly near integer boundaries.
 
     The log-gamma estimate avoids building the big integer; its error is a
-    few ulps, so only results within the guard band of an integer need the
-    exact computation.
+    few ulps of the result plus a few ulps of lgamma(n + 1), so only results
+    within that guard band of an integer need the exact computation. From
+    n near 2**40 the band spans whole bits, and every count is exact.
     """
     if r < 0 or r > n:
         raise ValueError(f"C({n}, {r}) undefined")
@@ -216,7 +220,8 @@ def _ceil_log2_comb(n: int, r: int) -> int:
         return 0
     lg = log2_comb(n, r)
     nearest = round(lg)
-    if abs(lg - nearest) <= _BOUNDARY_GUARD * max(1.0, abs(lg)):
+    guard = _BOUNDARY_GUARD * max(1.0, abs(lg)) + _LGAMMA_GUARD * n * math.log2(n + 1)
+    if abs(lg - nearest) <= guard:
         return _ceil_log2(math.comb(n, r))
     return math.ceil(lg)
 

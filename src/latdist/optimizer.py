@@ -5,18 +5,11 @@ beta_s and decoding failures fixes the tolerable block error probability at
 eps = (beta_t - beta_s) / (1 - beta_s). Every channel family then shares
 one normal approximation, solved in closed form for the blocklength n:
 
-    n * rate - sqrt(n * dispersion) * Q^-1(eps) = payload
+    n * rate - sqrt(n * F * v) * Q^-1(eps) = payload
 
-Only the coefficients differ (C, V: AWGN capacity and dispersion in bits;
-C_c, V_c: receiver-CSI fading moments in nats; I, V_b: no-CSI information
-and dispersion per coherence block of F channel uses):
-
-    family         rate  dispersion  payload
-    awgn           C     V           J
-    fading-csi     C_c   F * V_c     J * ln 2
-    fading-nocsi   I     F * V_b     J * F * ln 2
-
-A sweep over beta_s locates the split that minimizes latency n / (2B).
+with the family's rate, F, v and payload from the table in ``channel``,
+the same row its error models read. A sweep over beta_s locates the split
+that minimizes latency n / (2B).
 
 The solver works on arrays. ``sweep_beta_s`` lays one beta_s grid below its
 beta_t; ``sweep_beta_t`` lays one grid row below each of its budgets, a 2-D
@@ -50,16 +43,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .budget import BudgetFn
-from .channel import (
-    LN_2,
-    ChannelFamily,
-    ChannelSpec,
-    awgn_coeffs,
-    epsilon_awgn,
-    fading_csi_coeffs,
-    fading_nocsi_coeffs,
-    q_inv,
-)
+from .channel import ChannelFamily, ChannelSpec, _model_row, epsilon_awgn, q_inv
 from .elementwise import brief, to_int
 from .errors import DomainError, EpsilonOutOfRange, NoFeasibleN
 
@@ -93,18 +77,6 @@ class BlocklengthSolution(NamedTuple):
     n: int
     n_real: float
     eps_target: float
-
-
-def _family_row(spec: ChannelSpec, j_bits: float) -> tuple:
-    """The family's rate, dispersion and payload."""
-    gamma, f = spec.gamma, spec.coherence
-    if spec.family is ChannelFamily.AWGN:
-        return (*awgn_coeffs(gamma), j_bits)
-    if spec.family is ChannelFamily.FADING_CSI:
-        c, v = fading_csi_coeffs(gamma, f)
-        return c, f * v, j_bits * LN_2
-    info, disp = fading_nocsi_coeffs(gamma, f)
-    return info, f * disp, j_bits * f * LN_2
 
 
 def _admitted(family: ChannelFamily, eps, eps_cap: float):
@@ -199,15 +171,13 @@ def solve_blocklength(
             raise EpsilonOutOfRange(f"error target {brief(eps)} outside (0, {min(eps_cap, 0.5)})")
         top = f"{eps_cap}]" if eps_cap < 1.0 else "1)"
         raise EpsilonOutOfRange(f"error target {brief(eps)} outside (0, {top}")
-    if np.any(j_bits <= 0):
-        raise DomainError(f"payload must be positive, got {brief(j_bits)}")
-    rate, dispersion, payload = _family_row(spec, j_bits)
+    rate, f, v, payload = _model_row(spec.family, spec.gamma, j_bits, spec.coherence)
     if rate <= 0:
         raise NoFeasibleN(
             f"block information {rate} is not positive at SNR {spec.gamma}; "
             "the high-SNR model does not apply"
         )
-    r = math.sqrt(dispersion) * q_inv(eps)
+    r = math.sqrt(f * v) * q_inv(eps)
     # An infinite or NaN n fails when it becomes an int, as math.ceil does.
     with np.errstate(over="ignore", invalid="ignore"):
         n_real = _n_root(rate, r, payload)

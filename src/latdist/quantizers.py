@@ -30,6 +30,18 @@ from .errors import DimensionMismatch, DomainError, IndexOutOfRange
 from .prob import ProbVector
 
 
+def _check_width(bits_per_entry: int):
+    # Bin ids are int64, and the top bin's id 2**j - 1 must fit beside 2**j.
+    if not 1 <= bits_per_entry <= 62:
+        raise DomainError(f"bits_per_entry must be >= 1 and <= 62, got {bits_per_entry}")
+
+
+def _check_denominator(denominator: int, name: str = "denominator"):
+    # Lattice rounding scales in float64, which counts exactly only up to 2**53.
+    if not isinstance(denominator, Integral) or not 1 <= denominator <= 2**53:
+        raise DomainError(f"{name} must be >= 1 and <= 2**53 (an integer), got {denominator!r}")
+
+
 @dataclass(frozen=True)
 class UQEncoding:
     """Per-entry bin ids from uniform scalar quantization with 2**bits_per_entry bins."""
@@ -39,8 +51,7 @@ class UQEncoding:
 
     def __post_init__(self):
         j = self.bits_per_entry
-        if j < 1:
-            raise DomainError(f"bits_per_entry must be >= 1, got {j}")
+        _check_width(j)
         if any(r < 0 or r >= (1 << j) for r in self.bin_ids):
             raise DomainError(f"bin ids outside [0, 2^{j})")
 
@@ -83,8 +94,7 @@ class UQEncoding:
 
 def uq_bins(values: np.ndarray, bits_per_entry: int) -> np.ndarray:
     """Per-entry ids of 2**bits_per_entry half-open bins on [0, 1]; 1.0 is in the top bin."""
-    if bits_per_entry < 1:
-        raise DomainError(f"bits_per_entry must be >= 1, got {bits_per_entry}")
+    _check_width(bits_per_entry)
     levels = 1 << bits_per_entry
     ids = np.floor(values * levels).astype(np.int64)
     np.minimum(ids, levels - 1, out=ids)
@@ -123,8 +133,7 @@ def round_to_lattice(values: np.ndarray, denominator: int) -> LatticeRounding:
     incremented. Residual ties break toward the lower index. A matrix is
     rounded row by row, each row exactly as it would be on its own.
     """
-    if not isinstance(denominator, Integral) or denominator < 1:
-        raise DomainError(f"denominator must be an integer >= 1, got {denominator!r}")
+    _check_denominator(denominator)
     scaled = np.asarray(values, dtype=float) * denominator
     rounded = np.floor(scaled + 0.5)
     counts = rounded.astype(np.int64)

@@ -28,6 +28,8 @@ from .prob import ProbVector, tv_distance
 from .quantizers import (
     SLQEncoding,
     UQEncoding,
+    _check_denominator,
+    _check_width,
     lq_decode,
     round_to_lattice,
     slq_counts,
@@ -72,6 +74,8 @@ class SimConfig:
         object.__setattr__(self, "error_model", ErrorModel(self.error_model))
         if self.trials < 1:
             raise DomainError(f"need at least one trial, got {self.trials}")
+        if self.k < 2:  # every source draw has k >= 2 entries
+            raise DomainError(f"need k >= 2, got {self.k}")
         if not 0.0 <= self.eps_target <= 1.0:
             raise DomainError(f"error probability must be in [0, 1], got {self.eps_target}")
         # The coder's k, k_top and delta, and beta_s against them, are checked
@@ -79,11 +83,12 @@ class SimConfig:
         BudgetFn(self.scheme, self.k, self.k_top, self.delta)._admit(self.beta_s)
         if self.scheme is Scheme.SLQ and not 0.0 <= self.tail_bound < 1.0:  # also NaN
             raise DomainError(f"source tail mass must be in [0, 1), got {self.tail_bound}")
-        # A width or denominator the coder would refuse fails before any trial.
-        name = "bits_per_entry" if self.scheme is Scheme.UQ else "ell"
-        override = getattr(self, name)
-        if override is not None and override < 1:
-            raise DomainError(f"{name} must be >= 1, got {override}")
+        # A width or denominator the coder would refuse, given or from the
+        # budget, fails before any trial.
+        if self.scheme is Scheme.UQ:
+            _check_width(self.resolved_bits_per_entry())
+        else:
+            _check_denominator(self.resolved_ell(), "ell")
 
     @property
     def tail_bound(self) -> float:

@@ -390,6 +390,40 @@ class TestCodecCommands:
         assert "--ell or --beta-s" in err
 
 
+    @pytest.mark.parametrize(
+        "coder, message",
+        [
+            (["--scheme", "lq", "-k", "100", "--beta-s", "1e-17"], "got 2500000000000000000"),
+            (["--scheme", "lq", "-k", "100", "--ell", str(2**53 + 1)], "<= 2**53"),
+            (["--scheme", "slq", "-k", "100", "--k-top", "5", "--ell", str(2**63)], "<= 2**53"),
+            (["--scheme", "uq", "-k", "100", "--beta-s", "1e-10"], "<= 62, got 80"),
+            (["--scheme", "uq", "-k", "100", "--bits-per-entry", "64"], "<= 62, got 64"),
+        ],
+        ids=["lq-budget-ell", "lq-ell-past-float", "slq-ell-2-63", "uq-budget-width",
+             "uq-width-64"],
+    )
+    def test_coder_past_its_limit_is_usage_error(self, capsys, coder, message):
+        # The first wrote payloads that decode to other points (exit 0); the
+        # others ended in an OverflowError traceback (exit 1).
+        code, out, err = run(
+            ["quantize", *coder, "--input", str(DATA_DIR / "vectors_k100.jsonl")], capsys
+        )
+        assert code == 2 and out == ""
+        assert message in err
+
+    def test_dequantize_width_past_its_limit_is_usage_error(self, tmp_path, capsys):
+        # Three 63-bit fields fill 24 bytes.
+        payloads = tmp_path / "payloads.csv"
+        payloads.write_text("payload_hex\n" + "00" * 24 + "\n")
+        code, out, err = run(
+            ["dequantize", "--scheme", "uq", "-k", "3", "--bits-per-entry", "63",
+             "--input", str(payloads)],
+            capsys,
+        )
+        assert code == 2 and out == ""
+        assert "<= 62, got 63" in err
+
+
 class TestSimulateCommand:
     ARGS = [
         "simulate", "--scheme", "lq", "-k", "8", "--beta-s", "0.1",
@@ -456,6 +490,28 @@ class TestSimulateCommand:
         # with bound 2.8 (exit 0).
         code, out, err = run(
             ["simulate", *coder, "--eps-target", "0.1", "--trials", "20"], capsys
+        )
+        assert code == 2 and out == ""
+        assert message in err
+
+    @pytest.mark.parametrize(
+        "coder, message",
+        [
+            (["--scheme", "lq", "-k", "3", "--ell", str(2**63)], "ell must be >= 1 and <= 2**53"),
+            (["--scheme", "lq", "-k", "3", "--ell", str(2**53 + 1)], "<= 2**53"),
+            (["--scheme", "uq", "-k", "3", "--bits-per-entry", "64", "--error-model",
+              "adversarial"], "<= 62, got 64"),
+            (["--scheme", "slq", "-k", "1", "--k-top", "1"], "need k >= 2, got 1"),
+        ],
+        ids=["lq-ell-2-63", "lq-ell-past-float", "uq-width-64", "slq-one-class"],
+    )
+    def test_coder_past_its_limit_is_usage_error(self, capsys, coder, message):
+        # The first and third ended in an OverflowError traceback (exit 1),
+        # the second ran with counts rounded past float precision (exit 0),
+        # and the last failed at its first trial with another message.
+        code, out, err = run(
+            ["simulate", *coder, "--beta-s", "0.1", "--eps-target", "0.1", "--trials", "20"],
+            capsys,
         )
         assert code == 2 and out == ""
         assert message in err
@@ -650,7 +706,8 @@ def test_reference_outputs_are_pinned(readme_dir, capsys, case):
 
 
 # Wire bytes of the README's quantize commands and what they dequantize to,
-# pinned as files in tests/data; CI compares the installed entry point with them.
+# and two fading hulls, pinned as files in tests/data; CI compares the
+# installed entry point with them.
 # The LQ k=100 files hold 383-bit indices, far wider than a machine word.
 SLQ_CODER = ["--scheme", "slq", "-k", "3", "--k-top", "2", "--delta", "0.01", "--beta-s", "0.15"]
 SLQ_K100 = ["--scheme", "slq", "-k", "100", "--k-top", "5", "--delta", "0.01", "--beta-s", "0.05"]
@@ -667,6 +724,22 @@ WIRE_RUNS = {
                                "--input", "quantize_lq_k100.csv"],
     "quantize_slq_k100.csv": ["quantize", *SLQ_K100, "--input", "vectors_k100.jsonl"],
     "dequantize_slq_k100.csv": ["dequantize", *SLQ_K100, "--input", "quantize_slq_k100.csv"],
+    "quantize_uq.csv": ["quantize", "--scheme", "uq", "-k", "3", "--beta-s", "0.15",
+                        "--input", "vectors.jsonl"],
+    "dequantize_uq.csv": ["dequantize", "--scheme", "uq", "-k", "3", "--bits-per-entry", "9",
+                          "--input", "quantize_uq.csv"],
+    "quantize_uq_k100.csv": ["quantize", "--scheme", "uq", "-k", "100", "--beta-s", "0.05",
+                             "--input", "vectors_k100.jsonl"],
+    "dequantize_uq_k100.csv": ["dequantize", "--scheme", "uq", "-k", "100", "--beta-s", "0.05",
+                               "--input", "quantize_uq_k100.csv"],
+    # The fading families' normal approximations, 25 feasible budgets each.
+    "hull_fading_csi.csv": ["hull", "--scheme", "lq", "-k", "100", "--channel", "fading-csi",
+                            "--coherence", "20", "--gamma0-db", "10", "--b-hz", "320000",
+                            "--beta-t", "lin:0.02:0.5:25"],
+    "hull_fading_nocsi.csv": ["hull", "--scheme", "slq", "-k", "1000", "--k-top", "10",
+                              "--channel", "fading-nocsi", "--coherence", "20",
+                              "--gamma0-db", "25", "--b-hz", "320000",
+                              "--beta-t", "lin:0.02:0.5:25"],
 }
 
 

@@ -321,6 +321,16 @@ class TestBitWidths:
         exact = (composition_count(k, total) - 1).bit_length()
         assert composition_count_bits(k, total) == exact
 
+    @pytest.mark.parametrize("k, total", [
+        (2, 2**25), (3, 2**29), (4, 10070227034149), (5, 2**53), (10, 1551891400191),
+        (100, 14369778015276), (1000, 4378044529112),
+    ])
+    def test_large_totals_match_exact(self, k, total):
+        # The log-gamma estimate subtracts terms near total * log(total), whose
+        # rounding these widths used to miss by a bit (5 at 2**53: 185 for 208).
+        exact = (composition_count(k, total) - 1).bit_length()
+        assert composition_count_bits(k, total) == exact
+
     def test_log2_comb_accuracy(self):
         assert log2_comb(299, 49) == pytest.approx(
             math.log2(math.comb(299, 49)), rel=1e-12

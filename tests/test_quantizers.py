@@ -1,6 +1,8 @@
 import hashlib
 import itertools
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +35,12 @@ from latdist.quantizers import (
     uq_encode,
     uq_midpoints,
 )
+
+
+K100_ROWS = [
+    json.loads(line)
+    for line in (Path(__file__).parent / "data" / "vectors_k100.jsonl").read_text().splitlines()
+]
 
 
 def enumerate_compositions(k, total):
@@ -103,6 +111,22 @@ class TestUniform:
     def test_rejects_zero_width(self):
         with pytest.raises(DomainError):
             uq_encode(ProbVector([0.5, 0.5]), 0)
+
+    @pytest.mark.parametrize("j", [63, 64, 70])
+    def test_widths_above_62_refused(self, j):
+        # At 63 bits uq_encode refused the bin id it had just made; from 64
+        # the int64 cast raised OverflowError.
+        p = ProbVector([1.0, 0.0])
+        for make in (
+            lambda: uq_encode(p, j), lambda: uq_bins(p.values, j), lambda: UQEncoding((0, 0), j)
+        ):
+            with pytest.raises(DomainError, match="<= 62"):
+                make()
+
+    def test_widest_width_roundtrips(self):
+        enc = uq_encode(ProbVector([1.0, 0.0]), 62)
+        assert enc.bin_ids == (2**62 - 1, 0)
+        assert UQEncoding.from_bytes(enc.to_bytes(), 2, 62) == enc
 
 
 class TestLattice:
@@ -231,6 +255,32 @@ class TestLattice:
             with pytest.raises(DomainError):
                 slq_encode(p, 2, denominator)
         assert lq_encode(p, np.int64(10)) == LatticePoint((2, 3, 5), 10)
+
+    def test_denominator_at_float_limit_roundtrips(self):
+        # Float64 counts exactly up to 2**53: each vector's counts sum to it,
+        # and its LQ and SLQ payloads decode to the same points.
+        for row in K100_ROWS + [[0.18, 0.52, 0.3]]:
+            p = ProbVector(row, normalize=True)
+            point = lq_encode(p, 2**53)
+            assert sum(point.counts) == 2**53
+            assert lq_from_payload(lq_payload(point), p.k, 2**53) == point
+            k_top = min(5, p.k - 1)
+            enc = slq_encode(p, k_top, 2**53)
+            assert SLQEncoding.from_bytes(enc.to_bytes(), p.k, k_top, 2**53) == enc
+
+    @pytest.mark.parametrize("ell", [2**53 + 1, 2_500_000_000_000_000_000, 2**63, 2**70])
+    def test_denominator_beyond_float_limit_refused(self, ell):
+        # At 2.5e18, BudgetFn("lq", 100).ell(1e-17), the first k=100 vector's
+        # counts summed to ell - 29 and its payload decoded to another point;
+        # from 2**63 the int64 cast raised OverflowError.
+        p = ProbVector(K100_ROWS[0], normalize=True)
+        for encode in (
+            lambda: round_to_lattice(p.values, ell),
+            lambda: lq_encode(p, ell),
+            lambda: slq_encode(p, 5, ell),
+        ):
+            with pytest.raises(DomainError, match=r"<= 2\*\*53"):
+                encode()
 
     def test_degenerate_vertex(self):
         point = LatticePoint((5, 0, 0), 5)

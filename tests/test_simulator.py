@@ -269,6 +269,12 @@ class TestSimulation:
         "lq-zero-ell": (dict(scheme=Scheme.LQ, ell=0, eps_target=0.0), "ell must be >= 1"),
         "slq-negative-ell": (dict(scheme=Scheme.SLQ, k_top=2, ell=-1, eps_target=0.5),
                              "ell must be >= 1"),
+        "uq-width-63": (dict(scheme=Scheme.UQ, bits_per_entry=63, eps_target=0.5), "<= 62"),
+        "uq-width-64-eps0": (dict(scheme=Scheme.UQ, bits_per_entry=64, eps_target=0.0), "<= 62"),
+        "lq-ell-past-float": (dict(scheme=Scheme.LQ, ell=2**53 + 1, eps_target=0.0),
+                              r"ell must be >= 1 and <= 2\*\*53"),
+        "slq-ell-2-63": (dict(scheme=Scheme.SLQ, k_top=2, ell=2**63, eps_target=0.5),
+                         r"ell must be >= 1 and <= 2\*\*53"),
     }
 
     @pytest.mark.parametrize("case", sorted(REFUSED_OVERRIDES))
@@ -286,6 +292,8 @@ class TestSimulation:
                                     source_tail_mass=0.1, ell=5),
         "slq-k-top-above-k": dict(scheme=Scheme.SLQ, k=10, k_top=20, ell=5),
         "uq-one-class": dict(scheme=Scheme.UQ, k=1, bits_per_entry=3),
+        "lq-one-class": dict(scheme=Scheme.LQ, k=1),
+        "slq-one-class": dict(scheme=Scheme.SLQ, k=1, k_top=1),
     }
 
     @pytest.mark.parametrize("case", sorted(REFUSED_CODERS))
@@ -293,6 +301,28 @@ class TestSimulation:
         with pytest.raises(DomainError):
             SimConfig(trials=10, seed=0, error_model=ErrorModel.UNIFORM_INDEX, beta_s=0.1,
                       eps_target=0.1, **self.REFUSED_CODERS[case])
+
+    @pytest.mark.parametrize("extra, message", [
+        (dict(scheme=Scheme.UQ, k=3, beta_s=1e-10), "got 70"),
+        (dict(scheme=Scheme.LQ, k=100, beta_s=1e-17), "got 2500000000000000000"),
+    ])
+    def test_budget_coder_past_its_limit_fails_at_construction(self, extra, message):
+        # With no width or denominator given, the budget's own at beta_s is
+        # checked; these used to fail at the first trial.
+        with pytest.raises(DomainError, match=message):
+            SimConfig(trials=10, seed=0, error_model=ErrorModel.UNIFORM_INDEX, eps_target=0.1,
+                      **extra)
+
+    @pytest.mark.parametrize("extra", [
+        dict(scheme=Scheme.UQ, bits_per_entry=62),
+        dict(scheme=Scheme.LQ, ell=2**53),
+        dict(scheme=Scheme.SLQ, k_top=2, ell=2**53),
+    ])
+    def test_coder_at_its_limit_runs(self, extra):
+        cfg = SimConfig(trials=20, seed=0, error_model=ErrorModel.UNIFORM_INDEX, k=3,
+                        beta_s=0.1, eps_target=0.2, **extra)
+        report = simulate_end_to_end(cfg)
+        assert report.violations == 0 and report.within_bound
 
     def test_validation(self):
         with pytest.raises(DomainError):
