@@ -18,6 +18,7 @@ import numpy as np
 from .codec import composition_count_bits, log2_comb, subset_count_bits
 from .elementwise import brief, log2, to_int
 from .errors import BetaNotAboveDelta, DomainError
+from .quantizers import _check_denominator, _check_width
 
 # Relative slack for snapping float ratios that land a few ulps above an
 # integer before taking the ceiling.
@@ -98,6 +99,20 @@ class BudgetFn:
         self._admit(beta_s)
         # ceil(parts / (4*slack)) keeps the lattice distortion under the slack beta_s - delta.
         return _guarded_ceil(np.maximum(1.0, self._parts / (4.0 * (beta_s - self.lower_edge))))
+
+    def setting(self, beta_s: float, given: int | None = None) -> int:
+        """The coder's width in bits per entry (UQ) or lattice denominator.
+
+        ``given`` if it is not None, else the budget's at beta_s; refused
+        past what the coder can send either way.
+        """
+        if self.scheme is Scheme.UQ:
+            width = self.bits_int(beta_s) // self.k if given is None else given
+            _check_width(width)
+            return width
+        ell = self.ell(beta_s) if given is None else given
+        _check_denominator(ell, "ell")
+        return ell
 
     def bits_int(self, beta_s: float) -> int:
         if self.scheme is Scheme.UQ:

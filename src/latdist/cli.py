@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .budget import BudgetFn, Scheme, uq_bits_per_entry
+from .budget import BudgetFn, Scheme
 from .channel import ChannelFamily, ChannelSpec, db_to_linear
 from .errors import LatdistError, NoFeasibleN
 from .ingest import (
@@ -223,15 +223,12 @@ def _resolve_coder_params(cfg: dict) -> None:
     """Check the coder; fill in ell or bits_per_entry from its budget at beta_s if not given."""
     budget = _budget_fn(cfg)
     if budget.scheme is Scheme.UQ:
-        if cfg["bits_per_entry"] is None:
-            if cfg["beta_s"] is None:
-                raise UsageError("uniform coder needs --bits-per-entry or --beta-s")
-            cfg["bits_per_entry"] = uq_bits_per_entry(budget.k, cfg["beta_s"])
-        return
-    if cfg["ell"] is None:
-        if cfg["beta_s"] is None:
-            raise UsageError("lattice coders need --ell or --beta-s")
-        cfg["ell"] = budget.ell(cfg["beta_s"])
+        key, need = "bits_per_entry", "uniform coder needs --bits-per-entry"
+    else:
+        key, need = "ell", "lattice coders need --ell"
+    if cfg[key] is None and cfg["beta_s"] is None:
+        raise UsageError(f"{need} or --beta-s")
+    cfg[key] = budget.setting(cfg["beta_s"], cfg[key])
 
 
 def cmd_quantize(cfg: dict, output) -> int:

@@ -21,8 +21,10 @@ is colexicographic order on the bars reversed, so
 
     rank_composition(c) = C(N, k - 1) - 1 - (C(r_0, 1) + ... + C(r_(k-2), k - 1)),
 
-and ``unrank_composition`` unranks C(N, k - 1) - 1 - index as a subset and
-reads the counts off its gaps.
+and ``unrank_composition`` unranks C(N, k - 1) - 1 - index as a subset, the
+bars (``_unrank_subset`` returns positions only), and reads the counts off
+the bars: c_i = r_(k-1-i) - r_(k-2-i) - 1 between the sentinels r_(-1) = -1
+and r_(k-1) = N.
 
 Both directions step between neighbouring binomials instead of recomputing
 them, so a k=1000 point costs O(k + total) multiply/divide steps on one big
@@ -280,8 +282,13 @@ def unrank_composition(idx: LexIndex | int, k: int, total: int) -> LatticePoint:
     top = composition_count(k, total)
     if value < 0 or value >= top:
         raise IndexOutOfRange(f"index {value} outside [0, {top})")
-    _, gaps = _unrank_subset(top - 1 - value, slots, k - 1, top)
-    return _trusted(LatticePoint, tuple(gaps[::-1]), total)
+    # Each count is the gap between neighbouring bars, from the sentinel N down to -1.
+    counts, hi = [], slots
+    for lo in reversed(_unrank_subset(top - 1 - value, slots, k - 1, top)):
+        counts.append(hi - lo - 1)
+        hi = lo
+    counts.append(hi)  # hi - (-1) - 1
+    return _trusted(LatticePoint, tuple(counts), total)
 
 
 def rank_subset(s: PositionSet) -> LexIndex:
@@ -297,8 +304,7 @@ def unrank_subset(idx: LexIndex | int, k: int, size: int) -> PositionSet:
     cardinality = math.comb(k, size)
     if value < 0 or value >= cardinality:
         raise IndexOutOfRange(f"index {value} outside [0, {cardinality})")
-    positions, _ = _unrank_subset(value, k, size, cardinality)
-    return _trusted(PositionSet, tuple(positions), k)
+    return _trusted(PositionSet, tuple(_unrank_subset(value, k, size, cardinality)), k)
 
 
 def _rank_subset(positions: Iterable[int], bits: int) -> int:
@@ -326,21 +332,18 @@ def _rank_subset(positions: Iterable[int], bits: int) -> int:
     return rank
 
 
-def _unrank_subset(value: int, n: int, size: int, block: int) -> tuple[list[int], list[int]]:
-    """The ``size``-subset of ``{0..n-1}`` with rank ``value``, given block = C(n, size).
+def _unrank_subset(value: int, n: int, size: int, block: int) -> list[int]:
+    """Ascending positions of the ``size``-subset of ``{0..n-1}`` with rank ``value``.
 
-    Returns its ascending positions c_1 < ... < c_size and the free slots
-    around them, from the bottom: c_1, c_2 - 1 - c_1, ..., n - 1 - c_size.
+    ``block`` is C(n, size).
     """
     positions = [0] * size
-    gaps = [0] * (size + 1)
     for j in range(size, 2, -1):
         # block = C(n, j): the subsets below position n. The position is the
         # largest c < n with C(c, j) <= value.
         if not value:  # the rest is the lowest subset
             positions[:j] = range(j)
-            gaps[j] = n - j
-            return positions, gaps
+            return positions
         c, b = n - 1, block * (n - j) // n  # C(c, j)
         # A step down divides C(c, j) by c / (c - j) > 2^(j / c), so a scan takes
         # at most (bits(b / value) + 1) c / j steps. Past the price of a guess, guess.
@@ -356,19 +359,13 @@ def _unrank_subset(value: int, n: int, size: int, block: int) -> tuple[list[int]
             b = b * (c - j) // c
             c -= 1
         positions[j - 1] = c
-        gaps[j] = n - 1 - c
         value -= b
         n, block = c, b * j // (c - j + 1)
     if size > 1:
         # C(c, 2) = c (c - 1) / 2 <= value, solved exactly.
         c = (math.isqrt(8 * value + 1) + 1) // 2
         positions[1] = c
-        gaps[2] = n - 1 - c
         value -= c * (c - 1) // 2
-        n = c
     if size:
         positions[0] = value  # C(c, 1) = c
-        gaps[1] = n - 1 - value
-        n = value
-    gaps[0] = n
-    return positions, gaps
+    return positions

@@ -118,7 +118,8 @@ def top_mass_curve(ds: VectorDataset, k_top_values: Sequence[int] | None = None)
     tail_cum = np.concatenate(
         [np.zeros((len(ds), 1)), np.cumsum(ascending, axis=1)], axis=1
     )
-    delta = np.array([tail_cum[:, k - kt].mean() for kt in k_tops])
+    # One contiguous row per k_top, so that each mean sums as its column alone would.
+    delta = np.ascontiguousarray(tail_cum[:, k - np.array(k_tops, dtype=int)].T).mean(axis=1)
     return TopMassCurve(k_tops, 1.0 - delta, delta)
 
 
@@ -132,11 +133,10 @@ def recommend_ktop(ds: VectorDataset, delta_target: float) -> KtopRecommendation
     """Smallest k_top whose average discarded mass is below ``delta_target``."""
     if not 0.0 < delta_target < 1.0:
         raise DomainError(f"delta target must be in (0, 1), got {delta_target}")
-    curve = top_mass_curve(ds)
-    for kt, d in zip(curve.k_top_values, curve.delta_avg):
-        if d < delta_target:
-            return KtopRecommendation(kt, float(d), kt < ds.k)
-    return KtopRecommendation(ds.k, float(curve.delta_avg[-1]), False)
+    delta = top_mass_curve(ds).delta_avg  # k_top = 1, ..., k
+    below = np.flatnonzero(delta < delta_target)
+    kt = int(below[0]) + 1 if below.size else ds.k  # k_top = k keeps everything
+    return KtopRecommendation(kt, float(delta[kt - 1]), kt < ds.k)
 
 
 def tail_masses(ds: VectorDataset, k_top: int) -> np.ndarray:

@@ -65,13 +65,10 @@ class UQEncoding:
 
     def to_bytes(self) -> bytes:
         """Fields packed big-endian, first entry in the most significant bits, zero-padded."""
-        j = self.bits_per_entry
-        packed = 0
-        for r in self.bin_ids:
-            packed = (packed << j) | r
-        pad = -self.payload_bits % 8
-        packed <<= pad
-        return packed.to_bytes((self.payload_bits + 7) // 8, "big")
+        # The bits of each id, most significant first: the last j of its 64.
+        ids = np.array(self.bin_ids, dtype=">u8").view(np.uint8).reshape(-1, 8)
+        bits = np.unpackbits(ids, axis=1)
+        return np.packbits(bits[:, 64 - self.bits_per_entry:]).tobytes()
 
     @classmethod
     def from_bytes(cls, data: bytes, k: int, bits_per_entry: int) -> "UQEncoding":
@@ -80,16 +77,15 @@ class UQEncoding:
         expected = (total_bits + 7) // 8
         if len(data) != expected:
             raise DimensionMismatch(f"expected {expected} payload bytes, got {len(data)}")
-        pad = -total_bits % 8
-        packed = int.from_bytes(data, "big")
-        if packed & ((1 << pad) - 1):
-            raise IndexOutOfRange(f"the {pad} padding bits must be zero")
-        packed >>= pad
-        mask = (1 << bits_per_entry) - 1
-        ids = tuple(
-            (packed >> (bits_per_entry * (k - 1 - i))) & mask for i in range(k)
-        )
-        return cls(ids, bits_per_entry)
+        bits = np.unpackbits(np.frombuffer(data, np.uint8))
+        if bits[total_bits:].any():
+            raise IndexOutOfRange(f"the {len(bits) - total_bits} padding bits must be zero")
+        _check_width(bits_per_entry)
+        # Each j-bit field back in the low bits of its 64: an id below 2**j.
+        fields = np.zeros((k, 64), np.uint8)
+        fields[:, 64 - bits_per_entry:] = bits[:total_bits].reshape(k, bits_per_entry)
+        ids = np.packbits(fields, axis=1).view(">u8").ravel()
+        return _trusted(cls, tuple(ids.tolist()), bits_per_entry)
 
 
 def uq_bins(values: np.ndarray, bits_per_entry: int) -> np.ndarray:
@@ -108,7 +104,7 @@ def uq_midpoints(ids, bits_per_entry: int) -> np.ndarray:
 
 def uq_encode(p: ProbVector, bits_per_entry: int) -> UQEncoding:
     """Map each entry to its bin id."""
-    return UQEncoding(tuple(uq_bins(p.values, bits_per_entry).tolist()), bits_per_entry)
+    return _trusted(UQEncoding, tuple(uq_bins(p.values, bits_per_entry).tolist()), bits_per_entry)
 
 
 def uq_decode(enc: UQEncoding) -> ProbVector:

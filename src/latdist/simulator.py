@@ -21,15 +21,13 @@ from enum import Enum
 
 import numpy as np
 
-from .budget import BudgetFn, Scheme, uq_bits_per_entry
-from .codec import composition_count, unrank_composition, unrank_subset
+from .budget import BudgetFn, Scheme
+from .codec import _trusted, composition_count, unrank_composition, unrank_subset
 from .errors import DomainError
 from .prob import ProbVector, tv_distance
 from .quantizers import (
     SLQEncoding,
     UQEncoding,
-    _check_denominator,
-    _check_width,
     lq_decode,
     round_to_lattice,
     slq_counts,
@@ -85,27 +83,22 @@ class SimConfig:
             raise DomainError(f"source tail mass must be in [0, 1), got {self.tail_bound}")
         # A width or denominator the coder would refuse, given or from the
         # budget, fails before any trial.
-        if self.scheme is Scheme.UQ:
-            _check_width(self.resolved_bits_per_entry())
-        else:
-            _check_denominator(self.resolved_ell(), "ell")
+        self._setting()
 
     @property
     def tail_bound(self) -> float:
         """Largest tail mass of a generated sparse input: source_tail_mass, else delta."""
         return self.source_tail_mass if self.source_tail_mass is not None else self.delta
 
+    def _setting(self) -> int:
+        given = self.bits_per_entry if self.scheme is Scheme.UQ else self.ell
+        return BudgetFn(self.scheme, self.k, self.k_top, self.delta).setting(self.beta_s, given)
+
     def resolved_ell(self) -> int | None:
-        if self.ell is None or self.scheme is Scheme.UQ:  # BudgetFn.ell is None for UQ
-            return BudgetFn(self.scheme, self.k, self.k_top, self.delta).ell(self.beta_s)
-        return self.ell
+        return None if self.scheme is Scheme.UQ else self._setting()
 
     def resolved_bits_per_entry(self) -> int | None:
-        if self.scheme is not Scheme.UQ:
-            return None
-        if self.bits_per_entry is not None:
-            return self.bits_per_entry
-        return uq_bits_per_entry(self.k, self.beta_s)
+        return self._setting() if self.scheme is Scheme.UQ else None
 
     def to_dict(self) -> dict:
         out = asdict(self)
@@ -193,8 +186,8 @@ def _garbled(coder: SimConfig, rng: np.random.Generator) -> np.ndarray:
     k, ell = coder.k, coder.ell
     if coder.scheme is Scheme.UQ:
         j = coder.bits_per_entry
-        ids = tuple(int(x) for x in rng.integers(0, 1 << j, size=k))
-        return uq_decode(UQEncoding(ids, j)).values
+        ids = tuple(rng.integers(0, 1 << j, size=k).tolist())
+        return uq_decode(_trusted(UQEncoding, ids, j)).values
     if coder.scheme is Scheme.LQ:
         idx = _uniform_below(rng, composition_count(k, ell))
         return lq_decode(unrank_composition(idx, k, ell)).values

@@ -423,6 +423,27 @@ class TestCodecCommands:
         assert code == 2 and out == ""
         assert "<= 62, got 63" in err
 
+    @pytest.mark.parametrize(
+        "coder, payload, message",
+        [
+            # C(2**53 + 3, 2) needs 105 bits: 14 zero bytes are its index 0.
+            (["--scheme", "lq", "-k", "3", "--ell", str(2**53 + 1)], "00" * 14, "<= 2**53"),
+            (["--scheme", "uq", "-k", "3", "--bits-per-entry", "99"], "", "<= 62, got 99"),
+            (["--scheme", "lq", "-k", "3", "--ell", "0"], "", "ell must be >= 1"),
+        ],
+        ids=["lq-ell-past-float", "uq-width-99-no-payloads", "lq-ell-0-no-payloads"],
+    )
+    def test_dequantize_coder_past_its_limit_is_usage_error(
+        self, tmp_path, capsys, coder, payload, message
+    ):
+        # The coder is refused before any payload is read, as quantize refuses
+        # it; the first printed a vector, the others exited 0.
+        payloads = tmp_path / "payloads.csv"
+        payloads.write_text("payload_hex\n" + (payload + "\n" if payload else ""))
+        code, out, err = run(["dequantize", *coder, "--input", str(payloads)], capsys)
+        assert code == 2 and out == ""
+        assert message in err
+
 
 class TestSimulateCommand:
     ARGS = [
@@ -706,7 +727,8 @@ def test_reference_outputs_are_pinned(readme_dir, capsys, case):
 
 
 # Wire bytes of the README's quantize commands and what they dequantize to,
-# and two fading hulls, pinned as files in tests/data; CI compares the
+# two fading hulls and a k=100 dataset's stats, pinned as files in
+# tests/data; CI compares the
 # installed entry point with them.
 # The LQ k=100 files hold 383-bit indices, far wider than a machine word.
 SLQ_CODER = ["--scheme", "slq", "-k", "3", "--k-top", "2", "--delta", "0.01", "--beta-s", "0.15"]
@@ -732,6 +754,9 @@ WIRE_RUNS = {
                              "--input", "vectors_k100.jsonl"],
     "dequantize_uq_k100.csv": ["dequantize", "--scheme", "uq", "-k", "100", "--beta-s", "0.05",
                                "--input", "quantize_uq_k100.csv"],
+    # The top-mass curve and k_top recommendation of a k=100 dataset.
+    "stats_k100.csv": ["stats", "--input", "vectors_k100.jsonl"],
+    "stats_k100.json": ["stats", "--input", "vectors_k100.jsonl", "--format", "json"],
     # The fading families' normal approximations, 25 feasible budgets each.
     "hull_fading_csi.csv": ["hull", "--scheme", "lq", "-k", "100", "--channel", "fading-csi",
                             "--coherence", "20", "--gamma0-db", "10", "--b-hz", "320000",

@@ -110,6 +110,20 @@ class TestTopMassCurve:
         curve = top_mass_curve(ds)
         assert all(a >= b for a, b in zip(curve.delta_avg, curve.delta_avg[1:]))
 
+    @pytest.mark.parametrize("rows", [1, 7, 8, 9, 129, 300])
+    def test_matches_per_column_means(self, rows):
+        # numpy's pairwise sum changes at 8 and 128 rows; every mean must be
+        # bit for bit the mean of its own tail column.
+        k = 40
+        ds = make_dataset(np.random.default_rng(rows).dirichlet(np.full(k, 0.5), size=rows))
+        ascending = np.sort(ds.matrix, axis=1)
+        tail_cum = np.concatenate([np.zeros((rows, 1)), np.cumsum(ascending, axis=1)], axis=1)
+        for k_tops in (range(1, k + 1), [k, 3, 1, 3]):
+            curve = top_mass_curve(ds, k_tops)
+            expected = np.array([tail_cum[:, k - kt].mean() for kt in k_tops])
+            assert np.array_equal(curve.delta_avg, expected)
+            assert np.array_equal(curve.avg_top_mass, 1.0 - expected)
+
     def test_subset_of_k_tops(self):
         ds = make_dataset([[0.7, 0.2, 0.1]])
         curve = top_mass_curve(ds, [2])

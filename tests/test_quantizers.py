@@ -128,6 +128,37 @@ class TestUniform:
         assert enc.bin_ids == (2**62 - 1, 0)
         assert UQEncoding.from_bytes(enc.to_bytes(), 2, 62) == enc
 
+    def test_large_k_payload_pinned(self):
+        # k=5000 at the budget's width for beta_s = 0.05: 34-bit fields, each
+        # straddling byte boundaries.
+        k = 5000
+        j = uq_bits_per_entry(k, 0.05)
+        assert j == 34
+        p = ProbVector(np.random.default_rng(k).standard_exponential(k), normalize=True)
+        enc = uq_encode(p, j)
+        payload = enc.to_bytes()
+        assert len(payload) == (k * j + 7) // 8
+        assert hashlib.sha256(payload).hexdigest() == (
+            "5b0fa7ee2c0997237daab7bd7a719c0efa4f95f2e2f61cbd981c778e493746c2"
+        )
+        assert UQEncoding.from_bytes(payload, k, j) == enc
+
+    def test_large_k_roundtrip(self):
+        # k = 10^5 at 42 bits per entry: 525,000 payload bytes.
+        k = 100_000
+        j = uq_bits_per_entry(k, 0.05)
+        assert j == 42
+        p = ProbVector(np.random.default_rng(k).standard_exponential(k), normalize=True)
+        enc = uq_encode(p, j)
+        data = enc.to_bytes()
+        assert len(data) == k * j // 8
+        assert hashlib.sha256(data).hexdigest() == (
+            "97ba447fbca551fd7873bdb16f99d50ec1271a2a8daa02c223c20a61e7a375da"
+        )
+        back = UQEncoding.from_bytes(data, k, j)
+        assert back == enc
+        assert uq_decode(back) == uq_decode(enc)
+
 
 class TestLattice:
     def test_worked_example_with_intermediates(self):
