@@ -4,8 +4,8 @@
 delta) once, at construction, and gives at any source distortion the
 lattice denominator, the real-valued bound (smooth in beta_s for the latency
 optimizer, and elementwise over a whole grid) and the integer bits the
-codecs send. ``budget_uq``, ``budget_lq``, ``budget_slq`` and
-``uq_bits_per_entry`` are views over it.
+codecs send. ``budget_uq``, ``budget_lq`` and ``budget_slq`` are views over
+it; ``BudgetFn.setting`` gives a UQ coder's width in bits per entry.
 """
 
 from __future__ import annotations
@@ -140,11 +140,6 @@ def budget_uq(k: int, beta_s: float) -> float:
     Elementwise over an array of beta_s.
     """
     return BudgetFn(Scheme.UQ, k).bits_real(beta_s)
-
-
-def uq_bits_per_entry(k: int, beta_s: float) -> int:
-    """Integer per-entry width implementing the uniform budget."""
-    return BudgetFn(Scheme.UQ, k).bits_int(beta_s) // k
 
 
 def budget_lq(k: int, beta_s: float) -> tuple[int, int]:

@@ -73,6 +73,8 @@ class UQEncoding:
     @classmethod
     def from_bytes(cls, data: bytes, k: int, bits_per_entry: int) -> "UQEncoding":
         """Inverse of to_bytes; nonzero padding is refused, so one payload is one encoding."""
+        if k < 0:
+            raise DimensionMismatch(f"need k >= 0 entries, got {k}")
         total_bits = k * bits_per_entry
         expected = (total_bits + 7) // 8
         if len(data) != expected:

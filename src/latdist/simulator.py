@@ -6,17 +6,20 @@ error model, since the distortion bound only needs failures to cost at
 most total variation 1.
 
 Reproducibility contract: every random number of trial i comes from its own
-generator, ``numpy.random.default_rng([seed, i])``, so a report depends on
-its config alone. Trials are quantized and measured in blocks of rows, and
-the report bytes depend neither on the block size nor on the order of the
-trials within a block.
+stream, exactly that of ``numpy.random.default_rng([seed, i])``, so a report
+depends on its config alone. The streams are seeded a block of trials at a
+time: ``_trial_states`` restates numpy's seeding on arrays, and one generator
+is set to each trial's state in turn. Trials are quantized and measured in
+blocks of rows, and the report bytes depend neither on the block size nor on
+the order of the trials within a block.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+import operator
+from dataclasses import asdict, dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -28,7 +31,6 @@ from .prob import ProbVector, tv_distance
 from .quantizers import (
     SLQEncoding,
     UQEncoding,
-    lq_decode,
     round_to_lattice,
     slq_counts,
     slq_decode,
@@ -41,6 +43,17 @@ from .quantizers import (
 # Trials are quantized, corrupted and measured this many rows at a time, so
 # memory stays O(_BLOCK * k) whatever the number of trials.
 _BLOCK = 256
+
+# The constants of numpy's SeedSequence (a pool of four 32-bit words) and of
+# PCG64's seeding, which _trial_states restates on arrays.
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 class ErrorModel(Enum):
@@ -72,6 +85,8 @@ class SimConfig:
         object.__setattr__(self, "error_model", ErrorModel(self.error_model))
         if self.trials < 1:
             raise DomainError(f"need at least one trial, got {self.trials}")
+        if self.seed < 0:  # numpy's seeding takes nonnegative integers only
+            raise DomainError(f"seed must be >= 0, got {self.seed}")
         if self.k < 2:  # every source draw has k >= 2 entries
             raise DomainError(f"need k >= 2, got {self.k}")
         if not 0.0 <= self.eps_target <= 1.0:
@@ -94,18 +109,17 @@ class SimConfig:
         given = self.bits_per_entry if self.scheme is Scheme.UQ else self.ell
         return BudgetFn(self.scheme, self.k, self.k_top, self.delta).setting(self.beta_s, given)
 
-    def resolved_ell(self) -> int | None:
-        return None if self.scheme is Scheme.UQ else self._setting()
-
-    def resolved_bits_per_entry(self) -> int | None:
-        return self._setting() if self.scheme is Scheme.UQ else None
-
     def to_dict(self) -> dict:
-        out = asdict(self)
+        return self._as_dict(self._setting())
+
+    def _as_dict(self, setting: int) -> dict:
+        """The fields, enums as their values, and the coder's resolved setting."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
         out["error_model"] = self.error_model.value
         out["scheme"] = self.scheme.value
-        out["resolved_ell"] = self.resolved_ell()
-        out["resolved_bits_per_entry"] = self.resolved_bits_per_entry()
+        uq = self.scheme is Scheme.UQ
+        out["resolved_ell"] = None if uq else setting
+        out["resolved_bits_per_entry"] = setting if uq else None
         return out
 
 
@@ -181,34 +195,129 @@ def _uniform_below(rng: np.random.Generator, bound: int) -> int:
             return value
 
 
-def _garbled(coder: SimConfig, rng: np.random.Generator) -> np.ndarray:
+def _words(n: int) -> list[int]:
+    """The 32-bit words of a nonnegative integer, least significant first; [0] for 0."""
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+def _hash_constants(init: int, mult: int, calls: int) -> tuple[np.ndarray, np.ndarray]:
+    """Columns of the hash constant before and after each of ``calls`` hash updates."""
+    consts = [init]
+    for _ in range(calls):
+        consts.append(consts[-1] * mult & _MASK32)
+    table = np.array(consts, dtype=np.uint32)[:, None]
+    return table[:-1], table[1:]
+
+
+# The pool is filled by 4 hashes and mixed by 12; the output takes 8 more.
+_FILL_AND_MIX = _hash_constants(_INIT_A, _MULT_A, _POOL * _POOL)
+_OUTPUT = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL)
+_OTHERS = [[dst for dst in range(_POOL) if dst != src] for src in range(_POOL)]
+
+
+def _hashmix(values: np.ndarray, xors: np.ndarray, mults: np.ndarray) -> np.ndarray:
+    mixed = (values ^ xors) * mults
+    return mixed ^ (mixed >> _XSHIFT)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    mixed = _MIX_L * x - _MIX_R * y
+    return mixed ^ (mixed >> _XSHIFT)
+
+
+def _trial_states(seed: int, start: int, stop: int) -> list[dict]:
+    """``default_rng([seed, i]).bit_generator.state`` for each trial i in [start, stop).
+
+    numpy's seeding, one uint32 lane per trial: a SeedSequence hashes the
+    32-bit words of seed and then of i into its pool and draws four 64-bit
+    words, and PCG64 is seeded with them. Trials whose index has the same
+    number of words share one pass; indices must stay below 2**64.
+    """
+    seed_words = _words(operator.index(seed))
+    states = []
+    while start < stop:
+        width = len(_words(start))
+        end = min(stop, 1 << (32 * width))
+        trials = np.arange(start, end, dtype=np.uint64)
+        states += _pcg64_states(_seed_sequence_words(seed_words, trials, width))
+        start = end
+    return states
+
+
+def _seed_sequence_words(seed_words: list[int], trials: np.ndarray, width: int) -> np.ndarray:
+    """``SeedSequence([seed, i]).generate_state(8)`` per trial, as (8, trials) uint32."""
+    entropy = np.empty((len(seed_words) + width, trials.size), dtype=np.uint32)
+    entropy[: len(seed_words)] = np.array(seed_words, dtype=np.uint32)[:, None]
+    for j in range(width):
+        entropy[len(seed_words) + j] = trials >> np.uint64(32 * j)  # keeps the low 32 bits
+    extra = len(entropy) - _POOL
+    xors, mults = _FILL_AND_MIX
+    if extra > 0:
+        xors, mults = _hash_constants(_INIT_A, _MULT_A, _POOL * _POOL + _POOL * extra)
+    # The first four words, zero-padded, fill the pool; every word then mixes
+    # into every other, in order; each further word mixes into all four.
+    pool = np.zeros((_POOL, trials.size), dtype=np.uint32)
+    pool[: len(entropy)] = entropy[:_POOL]
+    pool = _hashmix(pool, xors[:_POOL], mults[:_POOL])
+    call = _POOL
+    for src, dst in enumerate(_OTHERS):
+        hashed = _hashmix(pool[src], xors[call : call + 3], mults[call : call + 3])
+        pool[dst] = _mix(pool[dst], hashed)
+        call += 3
+    for word in entropy[_POOL:]:
+        pool = _mix(pool, _hashmix(word, xors[call : call + _POOL], mults[call : call + _POOL]))
+        call += _POOL
+    return _hashmix(np.concatenate((pool, pool)), *_OUTPUT)
+
+
+def _pcg64_states(words: np.ndarray) -> list[dict]:
+    """The state of PCG64 seeded with each column of generate_state words."""
+    wide = words.astype(np.uint64)
+    # Little-endian pairs: (high, low) 64-bit halves of the state, then of the stream.
+    halves = wide[0::2] | (wide[1::2] << np.uint64(32))
+    states = []
+    for state_hi, state_lo, seq_hi, seq_lo in halves.T.tolist():
+        inc = ((seq_hi << 65) | (seq_lo << 1) | 1) & _MASK128
+        # From state 0, one step gives inc; add the initial state and step again.
+        state = ((((state_hi << 64) | state_lo) + inc) * _PCG_MULT + inc) & _MASK128
+        states.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                       "has_uint32": 0, "uinteger": 0})
+    return states
+
+
+def _garbled(cfg: SimConfig, setting: int, rng: np.random.Generator) -> np.ndarray:
     """Receiver output for a uniformly random valid payload index."""
-    k, ell = coder.k, coder.ell
-    if coder.scheme is Scheme.UQ:
-        j = coder.bits_per_entry
-        ids = tuple(rng.integers(0, 1 << j, size=k).tolist())
-        return uq_decode(_trusted(UQEncoding, ids, j)).values
-    if coder.scheme is Scheme.LQ:
-        idx = _uniform_below(rng, composition_count(k, ell))
-        return lq_decode(unrank_composition(idx, k, ell)).values
-    subset_idx = _uniform_below(rng, math.comb(k, coder.k_top))
-    lattice_idx = _uniform_below(rng, composition_count(coder.k_top, ell))
-    positions = unrank_subset(subset_idx, k, coder.k_top)
-    point = unrank_composition(lattice_idx, coder.k_top, ell)
+    k = cfg.k
+    if cfg.scheme is Scheme.UQ:
+        ids = tuple(rng.integers(0, 1 << setting, size=k).tolist())
+        return uq_decode(_trusted(UQEncoding, ids, setting)).values
+    if cfg.scheme is Scheme.LQ:
+        idx = _uniform_below(rng, composition_count(k, setting))
+        # lq_decode's values, normalized as ProbVector does, without building one.
+        values = np.array(unrank_composition(idx, k, setting).counts, dtype=float) / setting
+        total = values.sum()
+        return values if total == 1.0 else values / total
+    subset_idx = _uniform_below(rng, math.comb(k, cfg.k_top))
+    lattice_idx = _uniform_below(rng, composition_count(cfg.k_top, setting))
+    positions = unrank_subset(subset_idx, k, cfg.k_top)
+    point = unrank_composition(lattice_idx, cfg.k_top, setting)
     return slq_decode(SLQEncoding(positions, point)).values
 
 
-def _decoded(coder: SimConfig, sources: np.ndarray) -> np.ndarray:
+def _decoded(cfg: SimConfig, setting: int, sources: np.ndarray) -> np.ndarray:
     """Each row coded and decoded by the quantizers' rules, normalized as ProbVector does."""
-    if coder.scheme is Scheme.UQ:
-        received = uq_midpoints(uq_bins(sources, coder.bits_per_entry), coder.bits_per_entry)
-    elif coder.scheme is Scheme.LQ:
-        received = round_to_lattice(sources, coder.ell).counts / coder.ell
+    if cfg.scheme is Scheme.UQ:
+        received = uq_midpoints(uq_bins(sources, setting), setting)
+    elif cfg.scheme is Scheme.LQ:
+        received = round_to_lattice(sources, setting).counts / setting
     else:
-        top = top_indices(sources, coder.k_top)
-        counts = slq_counts(np.take_along_axis(sources, top, axis=1), coder.ell)
+        top = top_indices(sources, cfg.k_top)
+        counts = slq_counts(np.take_along_axis(sources, top, axis=1), setting)
         received = np.zeros_like(sources)
-        np.put_along_axis(received, top, counts / coder.ell, axis=1)
+        np.put_along_axis(received, top, counts / setting, axis=1)
     return received / received.sum(axis=1, keepdims=True)
 
 
@@ -222,18 +331,21 @@ def simulate_end_to_end(cfg: SimConfig) -> SimReport:
     decodes. Quantization, corruption and the total variation to what the
     receiver reconstructs are then computed on a block of rows at a time.
     """
-    # The coder depends on the config alone: resolve it once, not per trial.
-    coder = replace(
-        cfg, ell=cfg.resolved_ell(), bits_per_entry=cfg.resolved_bits_per_entry()
-    )
+    # The coder depends on the config alone: its width or denominator is
+    # resolved once, not per trial.
+    setting = cfg._setting()
     garble = cfg.error_model is ErrorModel.UNIFORM_INDEX
     distortions = np.empty(cfg.trials)
+    # One generator, set to each trial's state in turn; seeded explicitly so
+    # that building it reads no OS entropy.
+    bitgen = np.random.PCG64(0)
+    rng = np.random.Generator(bitgen)
     for start in range(0, cfg.trials, _BLOCK):
-        block = range(start, min(start + _BLOCK, cfg.trials))
-        sources = np.empty((len(block), cfg.k))
+        stop = min(start + _BLOCK, cfg.trials)
+        sources = np.empty((stop - start, cfg.k))
         failed, garbled = [], []
-        for row, trial in enumerate(block):
-            rng = np.random.default_rng([cfg.seed, trial])
+        for row, state in enumerate(_trial_states(cfg.seed, start, stop)):
+            bitgen.state = state
             if cfg.scheme is Scheme.SLQ:
                 tail = rng.uniform(0.0, cfg.tail_bound)
                 sources[row] = _sparse_simplex_draws(cfg.k, cfg.k_top, tail, rng)
@@ -243,16 +355,16 @@ def simulate_end_to_end(cfg: SimConfig) -> SimReport:
             if rng.random() < cfg.eps_target:
                 failed.append(row)
                 if garble:
-                    garbled.append(_garbled(coder, rng))
+                    garbled.append(_garbled(cfg, setting, rng))
         sources /= sources.sum(axis=1, keepdims=True)
-        received = _decoded(coder, sources)
+        received = _decoded(cfg, setting, sources)
         if failed and garble:
             received[failed] = garbled
         elif failed:
             # The vertex farthest in total variation sits at the smallest entry.
             received[failed] = 0.0
             received[failed, sources[failed].argmin(axis=1)] = 1.0
-        distortions[start : block.stop] = tv_distance(sources, received)
+        distortions[start:stop] = tv_distance(sources, received)
 
     mean = float(np.sum(distortions) / cfg.trials)
     if cfg.trials > 1:
@@ -268,5 +380,5 @@ def simulate_end_to_end(cfg: SimConfig) -> SimReport:
         violations=violations,
         within_bound=mean <= bound + 3.0 * std_error,
         trials=cfg.trials,
-        config=cfg.to_dict(),
+        config=cfg._as_dict(setting),
     )

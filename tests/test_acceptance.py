@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from latdist.budget import BudgetFn, Scheme, budget_lq, budget_slq, budget_uq, uq_bits_per_entry
+from latdist.budget import BudgetFn, Scheme, budget_lq, budget_slq, budget_uq
 from latdist.channel import (
     ChannelFamily,
     ChannelSpec,
@@ -292,7 +292,7 @@ def test_c10_end_to_end_source_distortion_budgets():
         rng = np.random.default_rng(1010)
         k = 20
         for beta_s in (0.02, 0.05, 0.1):
-            j = uq_bits_per_entry(k, beta_s)
+            j = BudgetFn(Scheme.UQ, k).setting(beta_s)
             for _ in range(10_000):
                 p = flat_simplex(rng, k)
                 assert tv_distance(p, uq_decode(uq_encode(p, j))) <= beta_s

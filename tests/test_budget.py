@@ -9,7 +9,6 @@ from latdist.budget import (
     budget_lq,
     budget_slq,
     budget_uq,
-    uq_bits_per_entry,
 )
 from latdist.errors import BetaNotAboveDelta, DomainError
 
@@ -29,7 +28,7 @@ class TestUniformBudget:
 
     def test_bits_per_entry_ceils(self):
         k, beta = 10, 0.05
-        j = uq_bits_per_entry(k, beta)
+        j = BudgetFn(Scheme.UQ, k).setting(beta)
         assert j == math.ceil(budget_uq(k, beta) / k)
 
 

@@ -459,6 +459,13 @@ class TestSimulateCommand:
         assert doc["within_bound"] is True
         assert doc["config"]["seed"] == 9
 
+    def test_negative_seed_is_usage_error(self, capsys):
+        # numpy's seeding takes nonnegative seeds only; the run is refused
+        # before its first trial.
+        code, out, err = run(self.ARGS[:-1] + ["-1"], capsys)
+        assert code == 2 and out == ""
+        assert "seed must be >= 0, got -1" in err
+
     def test_jobs_flag_rejected(self):
         with pytest.raises(SystemExit) as exc:
             main(self.ARGS + ["--jobs", "2"])
@@ -727,9 +734,8 @@ def test_reference_outputs_are_pinned(readme_dir, capsys, case):
 
 
 # Wire bytes of the README's quantize commands and what they dequantize to,
-# two fading hulls and a k=100 dataset's stats, pinned as files in
-# tests/data; CI compares the
-# installed entry point with them.
+# two fading hulls, a k=100 dataset's stats and a simulate report, pinned as
+# files in tests/data; CI compares the installed entry point with them.
 # The LQ k=100 files hold 383-bit indices, far wider than a machine word.
 SLQ_CODER = ["--scheme", "slq", "-k", "3", "--k-top", "2", "--delta", "0.01", "--beta-s", "0.15"]
 SLQ_K100 = ["--scheme", "slq", "-k", "100", "--k-top", "5", "--delta", "0.01", "--beta-s", "0.05"]
@@ -765,6 +771,9 @@ WIRE_RUNS = {
                               "--channel", "fading-nocsi", "--coherence", "20",
                               "--gamma0-db", "25", "--b-hz", "320000",
                               "--beta-t", "lin:0.02:0.5:25"],
+    # The README simulate run at 20,000 trials: the per-(seed, trial) streams.
+    "simulate_lq_k8.json": ["simulate", "--scheme", "lq", "-k", "8", "--beta-s", "0.1",
+                            "--eps-target", "0.2", "--trials", "20000", "--seed", "42"],
 }
 
 

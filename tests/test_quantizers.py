@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from latdist.budget import budget_slq, uq_bits_per_entry
+from latdist.budget import BudgetFn, Scheme, budget_slq
 from latdist.codec import (
     LatticePoint,
     PositionSet,
@@ -78,7 +78,7 @@ class TestUniform:
     def test_prescribed_budget_randomized(self):
         rng = np.random.default_rng(21)
         k, beta_s = 10, 0.05
-        j = uq_bits_per_entry(k, beta_s)
+        j = BudgetFn(Scheme.UQ, k).setting(beta_s)
         for _ in range(2000):
             p = ProbVector(rng.standard_exponential(k), normalize=True)
             assert tv_distance(p, uq_decode(uq_encode(p, j))) <= beta_s
@@ -108,6 +108,13 @@ class TestUniform:
         with pytest.raises(IndexOutOfRange):
             UQEncoding.from_bytes(bytes.fromhex("ffff"), 3, 3)
 
+    @pytest.mark.parametrize("data", [b"", b"\x00"])
+    def test_negative_k_refused(self, data):
+        # An empty payload matched the 0 bytes that k=-1 implied, and numpy
+        # then refused the negative dimension with a bare ValueError.
+        with pytest.raises(DimensionMismatch, match="got -1"):
+            UQEncoding.from_bytes(data, -1, 5)
+
     def test_rejects_zero_width(self):
         with pytest.raises(DomainError):
             uq_encode(ProbVector([0.5, 0.5]), 0)
@@ -132,7 +139,7 @@ class TestUniform:
         # k=5000 at the budget's width for beta_s = 0.05: 34-bit fields, each
         # straddling byte boundaries.
         k = 5000
-        j = uq_bits_per_entry(k, 0.05)
+        j = BudgetFn(Scheme.UQ, k).setting(0.05)
         assert j == 34
         p = ProbVector(np.random.default_rng(k).standard_exponential(k), normalize=True)
         enc = uq_encode(p, j)
@@ -146,7 +153,7 @@ class TestUniform:
     def test_large_k_roundtrip(self):
         # k = 10^5 at 42 bits per entry: 525,000 payload bytes.
         k = 100_000
-        j = uq_bits_per_entry(k, 0.05)
+        j = BudgetFn(Scheme.UQ, k).setting(0.05)
         assert j == 42
         p = ProbVector(np.random.default_rng(k).standard_exponential(k), normalize=True)
         enc = uq_encode(p, j)

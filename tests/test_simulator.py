@@ -7,6 +7,7 @@ from scipy import stats
 
 from latdist import simulator
 from latdist.budget import Scheme, budget_lq
+from latdist.codec import composition_count, unrank_composition
 from latdist.errors import DomainError
 from latdist.prob import ProbVector
 from latdist.quantizers import (
@@ -324,11 +325,65 @@ class TestSimulation:
         report = simulate_end_to_end(cfg)
         assert report.violations == 0 and report.within_bound
 
+    def test_negative_seed_fails_at_construction(self):
+        # numpy's seeding refused it with a bare ValueError at the first trial.
+        with pytest.raises(DomainError, match="seed must be >= 0, got -1"):
+            lq_config(eps=0.25, trials=10, seed=-1)
+
     def test_validation(self):
         with pytest.raises(DomainError):
             SimConfig(0, 1, ErrorModel.UNIFORM_INDEX, Scheme.LQ, 8, 0.1, 0.1)
         with pytest.raises(DomainError):
             SimConfig(10, 1, ErrorModel.UNIFORM_INDEX, Scheme.SLQ, 8, 0.1, 0.1)
+
+
+def default_states(seed, start, stop):
+    return [np.random.default_rng([seed, i]).bit_generator.state for i in range(start, stop)]
+
+
+class TestTrialStates:
+    """The block seeding gives every trial exactly the stream of default_rng([seed, i])."""
+
+    # One to five 32-bit words of seed: the four-word pool and the words past it.
+    SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 9]
+
+    @pytest.mark.parametrize("start, stop", [(0, 300), (1000, 1010)])
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_equals_default_rng(self, seed, start, stop):
+        assert simulator._trial_states(seed, start, stop) == default_states(seed, start, stop)
+
+    @pytest.mark.parametrize("start, stop", [
+        (2**32 - 3, 2**32 + 3),  # a trial index takes a second word
+        (2**64 - 2, 2**64),  # the largest indices
+    ])
+    @pytest.mark.parametrize("seed", [7, 2**130 + 9])
+    def test_equals_default_rng_where_the_index_widens(self, seed, start, stop):
+        assert simulator._trial_states(seed, start, stop) == default_states(seed, start, stop)
+
+    def test_reused_generator_draws_each_stream(self):
+        # A 32-bit draw leaves half a word buffered; setting the state drops it.
+        rng = np.random.Generator(np.random.PCG64(0))
+        for i, state in enumerate(simulator._trial_states(2024, 0, 20)):
+            rng.integers(0, 10, dtype=np.uint32)
+            rng.bit_generator.state = state
+            fresh = np.random.default_rng([2024, i])
+            assert rng.integers(0, 10, size=3, dtype=np.uint32).tolist() == (
+                fresh.integers(0, 10, size=3, dtype=np.uint32).tolist()
+            )
+            assert rng.standard_exponential(5).tolist() == fresh.standard_exponential(5).tolist()
+
+
+@pytest.mark.parametrize("k, ell", [(8, 20), (5, 3), (30, 7)])
+def test_garbled_lattice_rows_equal_lq_decode(k, ell):
+    cfg = SimConfig(trials=1, seed=0, error_model=ErrorModel.UNIFORM_INDEX, scheme=Scheme.LQ,
+                    k=k, beta_s=0.1, eps_target=0.5, ell=ell)
+    rng = np.random.default_rng(k)
+    for _ in range(300):
+        state = rng.bit_generator.state
+        row = simulator._garbled(cfg, ell, rng)
+        rng.bit_generator.state = state
+        idx = simulator._uniform_below(rng, composition_count(k, ell))
+        assert np.array_equal(row, lq_decode(unrank_composition(idx, k, ell)).values)
 
 
 # Rows for _decoded: dyadic rows with exact lattice residual ties, entries on
@@ -361,6 +416,6 @@ def test_block_decoding_equals_the_coders(coder, code):
     vectors = [ProbVector(row, normalize=True) for row in [*_EXACT_ROWS, *drawn]]
     cfg = SimConfig(trials=1, seed=0, error_model=ErrorModel.UNIFORM_INDEX, k=5,
                     beta_s=0.1, eps_target=0.0, **coder)
-    block = simulator._decoded(cfg, np.stack([p.values for p in vectors]))
+    block = simulator._decoded(cfg, cfg._setting(), np.stack([p.values for p in vectors]))
     for p, received in zip(vectors, block):
         assert np.array_equal(received, code(p).values)
