@@ -9,7 +9,7 @@ simulator validates the distortion bound, and an ingest layer derives the
 sparse retention size from real classifier outputs.
 """
 
-from .budget import BudgetFn, Scheme, budget_lq, budget_slq, budget_uq
+from .budget import BudgetFn, Scheme, budget_lq, budget_slq
 from .channel import (
     ChannelFamily,
     ChannelSpec,

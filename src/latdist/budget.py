@@ -4,8 +4,9 @@
 delta) once, at construction, and gives at any source distortion the
 lattice denominator, the real-valued bound (smooth in beta_s for the latency
 optimizer, and elementwise over a whole grid) and the integer bits the
-codecs send. ``budget_uq``, ``budget_lq`` and ``budget_slq`` are views over
-it; ``BudgetFn.setting`` gives a UQ coder's width in bits per entry.
+codecs send. ``BudgetFn.coder`` builds the scheme's coder at a source
+distortion, and is the one place that maps a scheme to its coder.
+``budget_lq`` and ``budget_slq`` are views over it.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 from .codec import composition_count_bits, log2_comb, subset_count_bits
 from .elementwise import brief, log2, to_int
 from .errors import BetaNotAboveDelta, DomainError
-from .quantizers import _check_denominator, _check_width
+from .quantizers import LQCoder, SLQCoder, UQCoder
 
 # Relative slack for snapping float ratios that land a few ulps above an
 # integer before taking the ceiling.
@@ -100,19 +101,24 @@ class BudgetFn:
         # ceil(parts / (4*slack)) keeps the lattice distortion under the slack beta_s - delta.
         return _guarded_ceil(np.maximum(1.0, self._parts / (4.0 * (beta_s - self.lower_edge))))
 
-    def setting(self, beta_s: float, given: int | None = None) -> int:
-        """The coder's width in bits per entry (UQ) or lattice denominator.
+    def coder(self, beta_s: float | None, given: int | None = None):
+        """The scheme's coder: a ``UQCoder``, ``LQCoder`` or ``SLQCoder``.
 
-        ``given`` if it is not None, else the budget's at beta_s; refused
-        past what the coder can send either way.
+        Its width in bits per entry (UQ) or lattice denominator is ``given``
+        if that is not None, else the budget's at beta_s. A beta_s that is
+        not None is checked either way, and the coder refuses a width or
+        denominator past what it can send.
         """
+        if beta_s is not None:
+            self._admit(beta_s)
+        elif given is None:
+            raise DomainError("a coder needs beta_s or a given width or denominator")
         if self.scheme is Scheme.UQ:
-            width = self.bits_int(beta_s) // self.k if given is None else given
-            _check_width(width)
-            return width
+            return UQCoder(self.k, self.bits_int(beta_s) // self.k if given is None else given)
         ell = self.ell(beta_s) if given is None else given
-        _check_denominator(ell, "ell")
-        return ell
+        if self.scheme is Scheme.LQ:
+            return LQCoder(self.k, ell)
+        return SLQCoder(self.k, self.k_top, ell)
 
     def bits_int(self, beta_s: float) -> int:
         if self.scheme is Scheme.UQ:
@@ -132,14 +138,6 @@ class BudgetFn:
         if self.scheme is Scheme.LQ:
             return lattice
         return log2_comb(self.k, self.k_top) + lattice
-
-
-def budget_uq(k: int, beta_s: float) -> float:
-    """Bits sufficient for uniform quantization: 2k*log2(k/beta_s).
-
-    Elementwise over an array of beta_s.
-    """
-    return BudgetFn(Scheme.UQ, k).bits_real(beta_s)
 
 
 def budget_lq(k: int, beta_s: float) -> tuple[int, int]:

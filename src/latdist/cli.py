@@ -30,18 +30,6 @@ from .ingest import (
     top_mass_curve,
 )
 from .optimizer import sweep_beta_s, sweep_beta_t
-from .quantizers import (
-    SLQEncoding,
-    UQEncoding,
-    lq_decode,
-    lq_encode,
-    lq_from_payload,
-    lq_payload,
-    slq_decode,
-    slq_encode,
-    uq_decode,
-    uq_encode,
-)
 from .simulator import ErrorModel, SimConfig, simulate_end_to_end
 
 _REQUIRED = object()
@@ -219,33 +207,25 @@ def cmd_hull(cfg: dict, output) -> int:
     return _run_sweep(cfg, output, sweep_beta_t, betas, with_best=False)
 
 
-def _resolve_coder_params(cfg: dict) -> None:
-    """Check the coder; fill in ell or bits_per_entry from its budget at beta_s if not given."""
-    budget = _budget_fn(cfg)
-    if budget.scheme is Scheme.UQ:
+def _coder(cfg: dict):
+    """The config's coder; ell or bits_per_entry, if not given, is filled in from it."""
+    if Scheme(cfg["scheme"]) is Scheme.UQ:
         key, need = "bits_per_entry", "uniform coder needs --bits-per-entry"
     else:
         key, need = "ell", "lattice coders need --ell"
     if cfg[key] is None and cfg["beta_s"] is None:
         raise UsageError(f"{need} or --beta-s")
-    cfg[key] = budget.setting(cfg["beta_s"], cfg[key])
+    coder = _budget_fn(cfg).coder(cfg["beta_s"], cfg[key])
+    cfg[key] = getattr(coder, key)
+    return coder
 
 
 def cmd_quantize(cfg: dict, output) -> int:
-    _resolve_coder_params(cfg)
-    scheme = Scheme(cfg["scheme"])
+    coder = _coder(cfg)
     ds = load_dataset(cfg.pop("input"))
     if ds.k != cfg["k"]:
         raise UsageError(f"dataset dimension {ds.k} does not match --k {cfg['k']}")
-    payloads = []
-    for v in ds.vectors:
-        if scheme is Scheme.UQ:
-            data = uq_encode(v, cfg["bits_per_entry"]).to_bytes()
-        elif scheme is Scheme.LQ:
-            data = lq_payload(lq_encode(v, cfg["ell"]))
-        else:
-            data = slq_encode(v, cfg["k_top"], cfg["ell"]).to_bytes()
-        payloads.append(data.hex())
+    payloads = [coder.to_bytes(v).hex() for v in ds.vectors]
     if cfg["format"] == "json":
         _write(output, _json_document(cfg, {"payloads": payloads}))
     else:
@@ -254,8 +234,7 @@ def cmd_quantize(cfg: dict, output) -> int:
 
 
 def cmd_dequantize(cfg: dict, output) -> int:
-    _resolve_coder_params(cfg)
-    scheme = Scheme(cfg["scheme"])
+    coder = _coder(cfg)
     k = cfg["k"]
     lines = Path(cfg.pop("input")).read_text().splitlines()
     payloads = [
@@ -269,13 +248,7 @@ def cmd_dequantize(cfg: dict, output) -> int:
             data = bytes.fromhex(hexline)
         except ValueError as exc:
             raise UsageError(f"invalid payload line {hexline!r}: {exc}") from exc
-        if scheme is Scheme.UQ:
-            vec = uq_decode(UQEncoding.from_bytes(data, k, cfg["bits_per_entry"]))
-        elif scheme is Scheme.LQ:
-            vec = lq_decode(lq_from_payload(data, k, cfg["ell"]))
-        else:
-            vec = slq_decode(SLQEncoding.from_bytes(data, k, cfg["k_top"], cfg["ell"]))
-        vectors.append([float(x) for x in vec.values])
+        vectors.append([float(x) for x in coder.from_bytes(data).values])
     if cfg["format"] == "json":
         _write(output, _json_document(cfg, {"vectors": vectors}))
     else:

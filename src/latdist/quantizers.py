@@ -2,12 +2,18 @@
 
 Each scheme is an encode/decode pair. Encoders are deterministic: all ties
 (rounding residuals, top-k selection) break toward the lower index.
-Each quantization rule is stated once and works row by row, so the coders
-apply it to one vector and the simulator to a block of trials.
+Each quantization rule is stated once and works row by row, so it applies
+to one vector and to a block of trials alike.
+
+``UQCoder``, ``LQCoder`` and ``SLQCoder``, built by ``BudgetFn.coder``, fix a
+scheme's dimension and width or denominator. Each writes and reads one
+vector's payload, and codes a block of rows or decodes a random payload index
+into rows that its caller renormalizes; no caller branches on the scheme.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from numbers import Integral
 from typing import NamedTuple
@@ -19,6 +25,7 @@ from .codec import (
     LexIndex,
     PositionSet,
     _trusted,
+    composition_count,
     composition_count_bits,
     rank_composition,
     rank_subset,
@@ -54,14 +61,6 @@ class UQEncoding:
         _check_width(j)
         if any(r < 0 or r >= (1 << j) for r in self.bin_ids):
             raise DomainError(f"bin ids outside [0, 2^{j})")
-
-    @property
-    def k(self) -> int:
-        return len(self.bin_ids)
-
-    @property
-    def payload_bits(self) -> int:
-        return self.k * self.bits_per_entry
 
     def to_bytes(self) -> bytes:
         """Fields packed big-endian, first entry in the most significant bits, zero-padded."""
@@ -197,19 +196,8 @@ class SLQEncoding:
         return self.positions.dimension
 
     @property
-    def k_top(self) -> int:
-        return self.positions.size
-
-    @property
     def denominator(self) -> int:
         return self.point.denominator
-
-    @property
-    def payload_bits(self) -> int:
-        return (
-            subset_count_bits(self.dimension, self.k_top)
-            + composition_count_bits(self.k_top, self.denominator)
-        )
 
     def to_bytes(self) -> bytes:
         """Subset index bytes followed by composition index bytes."""
@@ -281,3 +269,103 @@ def slq_decode(enc: SLQEncoding) -> ProbVector:
     values = np.zeros(enc.dimension)
     values[list(enc.positions.indices)] = np.array(enc.point.counts, dtype=float) / enc.denominator
     return ProbVector(values, _owned=True)
+
+
+def _uniform_below(rng: np.random.Generator, bound: int) -> int:
+    """Uniform integer in [0, bound) that works beyond 64-bit cardinalities."""
+    if bound <= 0:
+        raise DomainError(f"need a positive bound, got {bound}")
+    if bound <= (1 << 63):
+        return int(rng.integers(bound))
+    nbits = bound.bit_length()
+    nbytes = (nbits + 7) // 8
+    while True:
+        value = int.from_bytes(rng.bytes(nbytes), "big") >> (8 * nbytes - nbits)
+        if value < bound:
+            return value
+
+
+@dataclass(frozen=True)
+class UQCoder:
+    """Uniform coder: k entries of bits_per_entry bits each."""
+
+    k: int
+    bits_per_entry: int
+    ell = None
+
+    def __post_init__(self):
+        _check_width(self.bits_per_entry)
+
+    def to_bytes(self, p: ProbVector) -> bytes:
+        return uq_encode(p, self.bits_per_entry).to_bytes()
+
+    def from_bytes(self, data: bytes) -> ProbVector:
+        return uq_decode(UQEncoding.from_bytes(data, self.k, self.bits_per_entry))
+
+    def decode_rows(self, rows: np.ndarray) -> np.ndarray:
+        return uq_midpoints(uq_bins(rows, self.bits_per_entry), self.bits_per_entry)
+
+    def garbled(self, rng: np.random.Generator) -> np.ndarray:
+        ids = rng.integers(0, 1 << self.bits_per_entry, size=self.k)
+        return uq_midpoints(ids, self.bits_per_entry)
+
+
+@dataclass(frozen=True)
+class LQCoder:
+    """Lattice coder: the composition index of a point with denominator ell."""
+
+    k: int
+    ell: int
+    bits_per_entry = None
+
+    def __post_init__(self):
+        _check_denominator(self.ell, "ell")
+
+    def to_bytes(self, p: ProbVector) -> bytes:
+        return lq_payload(lq_encode(p, self.ell))
+
+    def from_bytes(self, data: bytes) -> ProbVector:
+        return lq_decode(lq_from_payload(data, self.k, self.ell))
+
+    def decode_rows(self, rows: np.ndarray) -> np.ndarray:
+        return round_to_lattice(rows, self.ell).counts / self.ell
+
+    def garbled(self, rng: np.random.Generator) -> np.ndarray:
+        idx = _uniform_below(rng, composition_count(self.k, self.ell))
+        return np.array(unrank_composition(idx, self.k, self.ell).counts, dtype=float) / self.ell
+
+
+@dataclass(frozen=True)
+class SLQCoder:
+    """Sparse lattice coder: k_top positions of k and a lattice point over them."""
+
+    k: int
+    k_top: int
+    ell: int
+    bits_per_entry = None
+
+    def __post_init__(self):
+        _check_denominator(self.ell, "ell")
+
+    def to_bytes(self, p: ProbVector) -> bytes:
+        return slq_encode(p, self.k_top, self.ell).to_bytes()
+
+    def from_bytes(self, data: bytes) -> ProbVector:
+        return slq_decode(SLQEncoding.from_bytes(data, self.k, self.k_top, self.ell))
+
+    def decode_rows(self, rows: np.ndarray) -> np.ndarray:
+        top = top_indices(rows, self.k_top)
+        counts = slq_counts(np.take_along_axis(rows, top, axis=-1), self.ell)
+        received = np.zeros_like(rows)
+        np.put_along_axis(received, top, counts / self.ell, axis=-1)
+        return received
+
+    def garbled(self, rng: np.random.Generator) -> np.ndarray:
+        # Subset index first, then lattice index: simulate reports pin this order.
+        subset_idx = _uniform_below(rng, math.comb(self.k, self.k_top))
+        lattice_idx = _uniform_below(rng, composition_count(self.k_top, self.ell))
+        received = np.zeros(self.k)
+        positions = unrank_subset(subset_idx, self.k, self.k_top).indices
+        counts = unrank_composition(lattice_idx, self.k_top, self.ell).counts
+        received[list(positions)] = np.array(counts, dtype=float) / self.ell
+        return received

@@ -11,7 +11,8 @@ depends on its config alone. The streams are seeded a block of trials at a
 time: ``_trial_states`` restates numpy's seeding on arrays, and one generator
 is set to each trial's state in turn. Trials are quantized and measured in
 blocks of rows, and the report bytes depend neither on the block size nor on
-the order of the trials within a block.
+the order of the trials within a block. One coder, from ``BudgetFn.coder``,
+codes every block and decodes its garbled payloads.
 """
 
 from __future__ import annotations
@@ -21,24 +22,13 @@ import math
 import operator
 from dataclasses import asdict, dataclass, fields
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
 from .budget import BudgetFn, Scheme
-from .codec import _trusted, composition_count, unrank_composition, unrank_subset
 from .errors import DomainError
 from .prob import ProbVector, tv_distance
-from .quantizers import (
-    SLQEncoding,
-    UQEncoding,
-    round_to_lattice,
-    slq_counts,
-    slq_decode,
-    top_indices,
-    uq_bins,
-    uq_decode,
-    uq_midpoints,
-)
 
 # Trials are quantized, corrupted and measured this many rows at a time, so
 # memory stays O(_BLOCK * k) whatever the number of trials.
@@ -91,35 +81,32 @@ class SimConfig:
             raise DomainError(f"need k >= 2, got {self.k}")
         if not 0.0 <= self.eps_target <= 1.0:
             raise DomainError(f"error probability must be in [0, 1], got {self.eps_target}")
-        # The coder's k, k_top and delta, and beta_s against them, are checked
-        # where its budget is stated, also when ell or bits_per_entry is given.
-        BudgetFn(self.scheme, self.k, self.k_top, self.delta)._admit(self.beta_s)
+        if self.beta_s is None:  # the bound needs it, also when the coder's setting is given
+            raise DomainError("need a source distortion beta_s, got None")
+        # Building the coder checks k, k_top, delta, beta_s and the width or
+        # denominator, given or from the budget, before any trial.
+        self.coder
         if self.scheme is Scheme.SLQ and not 0.0 <= self.tail_bound < 1.0:  # also NaN
             raise DomainError(f"source tail mass must be in [0, 1), got {self.tail_bound}")
-        # A width or denominator the coder would refuse, given or from the
-        # budget, fails before any trial.
-        self._setting()
 
     @property
     def tail_bound(self) -> float:
         """Largest tail mass of a generated sparse input: source_tail_mass, else delta."""
         return self.source_tail_mass if self.source_tail_mass is not None else self.delta
 
-    def _setting(self) -> int:
+    @cached_property
+    def coder(self):
+        """The run's coder, built once: ell or bits_per_entry if given, else the budget's."""
         given = self.bits_per_entry if self.scheme is Scheme.UQ else self.ell
-        return BudgetFn(self.scheme, self.k, self.k_top, self.delta).setting(self.beta_s, given)
+        return BudgetFn(self.scheme, self.k, self.k_top, self.delta).coder(self.beta_s, given)
 
-    def to_dict(self) -> dict:
-        return self._as_dict(self._setting())
-
-    def _as_dict(self, setting: int) -> dict:
+    def _as_dict(self) -> dict:
         """The fields, enums as their values, and the coder's resolved setting."""
         out = {f.name: getattr(self, f.name) for f in fields(self)}
         out["error_model"] = self.error_model.value
         out["scheme"] = self.scheme.value
-        uq = self.scheme is Scheme.UQ
-        out["resolved_ell"] = None if uq else setting
-        out["resolved_bits_per_entry"] = setting if uq else None
+        out["resolved_ell"] = self.coder.ell
+        out["resolved_bits_per_entry"] = self.coder.bits_per_entry
         return out
 
 
@@ -179,20 +166,6 @@ def random_sparse_simplex(
     spread over the other coordinates the same way.
     """
     return ProbVector(_sparse_simplex_draws(k, top, tail_mass, rng), normalize=True)
-
-
-def _uniform_below(rng: np.random.Generator, bound: int) -> int:
-    """Uniform integer in [0, bound) that works beyond 64-bit cardinalities."""
-    if bound <= 0:
-        raise DomainError(f"need a positive bound, got {bound}")
-    if bound <= (1 << 63):
-        return int(rng.integers(bound))
-    nbits = bound.bit_length()
-    nbytes = (nbits + 7) // 8
-    while True:
-        value = int.from_bytes(rng.bytes(nbytes), "big") >> (8 * nbytes - nbits)
-        if value < bound:
-            return value
 
 
 def _words(n: int) -> list[int]:
@@ -288,39 +261,6 @@ def _pcg64_states(words: np.ndarray) -> list[dict]:
     return states
 
 
-def _garbled(cfg: SimConfig, setting: int, rng: np.random.Generator) -> np.ndarray:
-    """Receiver output for a uniformly random valid payload index."""
-    k = cfg.k
-    if cfg.scheme is Scheme.UQ:
-        ids = tuple(rng.integers(0, 1 << setting, size=k).tolist())
-        return uq_decode(_trusted(UQEncoding, ids, setting)).values
-    if cfg.scheme is Scheme.LQ:
-        idx = _uniform_below(rng, composition_count(k, setting))
-        # lq_decode's values, normalized as ProbVector does, without building one.
-        values = np.array(unrank_composition(idx, k, setting).counts, dtype=float) / setting
-        total = values.sum()
-        return values if total == 1.0 else values / total
-    subset_idx = _uniform_below(rng, math.comb(k, cfg.k_top))
-    lattice_idx = _uniform_below(rng, composition_count(cfg.k_top, setting))
-    positions = unrank_subset(subset_idx, k, cfg.k_top)
-    point = unrank_composition(lattice_idx, cfg.k_top, setting)
-    return slq_decode(SLQEncoding(positions, point)).values
-
-
-def _decoded(cfg: SimConfig, setting: int, sources: np.ndarray) -> np.ndarray:
-    """Each row coded and decoded by the quantizers' rules, normalized as ProbVector does."""
-    if cfg.scheme is Scheme.UQ:
-        received = uq_midpoints(uq_bins(sources, setting), setting)
-    elif cfg.scheme is Scheme.LQ:
-        received = round_to_lattice(sources, setting).counts / setting
-    else:
-        top = top_indices(sources, cfg.k_top)
-        counts = slq_counts(np.take_along_axis(sources, top, axis=1), setting)
-        received = np.zeros_like(sources)
-        np.put_along_axis(received, top, counts / setting, axis=1)
-    return received / received.sum(axis=1, keepdims=True)
-
-
 def simulate_end_to_end(cfg: SimConfig) -> SimReport:
     """Run the trials and compare mean distortion with the analytical bound.
 
@@ -331,9 +271,6 @@ def simulate_end_to_end(cfg: SimConfig) -> SimReport:
     decodes. Quantization, corruption and the total variation to what the
     receiver reconstructs are then computed on a block of rows at a time.
     """
-    # The coder depends on the config alone: its width or denominator is
-    # resolved once, not per trial.
-    setting = cfg._setting()
     garble = cfg.error_model is ErrorModel.UNIFORM_INDEX
     distortions = np.empty(cfg.trials)
     # One generator, set to each trial's state in turn; seeded explicitly so
@@ -355,15 +292,17 @@ def simulate_end_to_end(cfg: SimConfig) -> SimReport:
             if rng.random() < cfg.eps_target:
                 failed.append(row)
                 if garble:
-                    garbled.append(_garbled(cfg, setting, rng))
+                    garbled.append(cfg.coder.garbled(rng))
         sources /= sources.sum(axis=1, keepdims=True)
-        received = _decoded(cfg, setting, sources)
+        received = cfg.coder.decode_rows(sources)
         if failed and garble:
             received[failed] = garbled
         elif failed:
             # The vertex farthest in total variation sits at the smallest entry.
             received[failed] = 0.0
             received[failed, sources[failed].argmin(axis=1)] = 1.0
+        # Each row renormalized as ProbVector would renormalize it alone.
+        received /= received.sum(axis=1, keepdims=True)
         distortions[start:stop] = tv_distance(sources, received)
 
     mean = float(np.sum(distortions) / cfg.trials)
@@ -380,5 +319,5 @@ def simulate_end_to_end(cfg: SimConfig) -> SimReport:
         violations=violations,
         within_bound=mean <= bound + 3.0 * std_error,
         trials=cfg.trials,
-        config=cfg._as_dict(setting),
+        config=cfg._as_dict(),
     )

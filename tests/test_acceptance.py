@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from latdist.budget import BudgetFn, Scheme, budget_lq, budget_slq, budget_uq
+from latdist.budget import BudgetFn, Scheme, budget_lq, budget_slq
 from latdist.channel import (
     ChannelFamily,
     ChannelSpec,
@@ -106,7 +106,7 @@ def test_c01_lattice_rounding_worked_example():
 
 def test_c02_bit_budget_reductions():
     with Budgeted(2, "sparse coder cuts bits by ~96% vs uniform, ~80% vs lattice", 1.0):
-        j_uq = budget_uq(50, 0.05)
+        j_uq = BudgetFn(Scheme.UQ, 50).bits_real(0.05)
         _, j_lq = budget_lq(50, 0.05)
         _, j_slq = budget_slq(50, 5, 1e-5, 0.05)
         vs_uniform = 1 - j_slq / j_uq
@@ -292,7 +292,7 @@ def test_c10_end_to_end_source_distortion_budgets():
         rng = np.random.default_rng(1010)
         k = 20
         for beta_s in (0.02, 0.05, 0.1):
-            j = BudgetFn(Scheme.UQ, k).setting(beta_s)
+            j = BudgetFn(Scheme.UQ, k).coder(beta_s).bits_per_entry
             for _ in range(10_000):
                 p = flat_simplex(rng, k)
                 assert tv_distance(p, uq_decode(uq_encode(p, j))) <= beta_s

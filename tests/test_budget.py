@@ -8,28 +8,28 @@ from latdist.budget import (
     Scheme,
     budget_lq,
     budget_slq,
-    budget_uq,
 )
 from latdist.errors import BetaNotAboveDelta, DomainError
+from latdist.quantizers import LQCoder, SLQCoder, UQCoder
 
 
 class TestUniformBudget:
     def test_formula(self):
-        assert budget_uq(10, 0.1) == pytest.approx(132.877123795, rel=1e-9)
-        assert budget_uq(50, 0.05) == pytest.approx(996.578428466, rel=1e-9)
+        assert BudgetFn(Scheme.UQ, 10).bits_real(0.1) == pytest.approx(132.877123795, rel=1e-9)
+        assert BudgetFn(Scheme.UQ, 50).bits_real(0.05) == pytest.approx(996.578428466, rel=1e-9)
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            budget_uq(10, 10.0)  # beta_s = k is far out of (0, 1)
+            BudgetFn(Scheme.UQ, 10).bits_real(10.0)  # beta_s = k is far out of (0, 1)
         with pytest.raises(DomainError):
-            budget_uq(10, 0.0)
+            BudgetFn(Scheme.UQ, 10).bits_real(0.0)
         with pytest.raises(DomainError):
-            budget_uq(1, 0.1)
+            BudgetFn(Scheme.UQ, 1).bits_real(0.1)
 
     def test_bits_per_entry_ceils(self):
         k, beta = 10, 0.05
-        j = BudgetFn(Scheme.UQ, k).setting(beta)
-        assert j == math.ceil(budget_uq(k, beta) / k)
+        j = BudgetFn(Scheme.UQ, k).coder(beta).bits_per_entry
+        assert j == math.ceil(BudgetFn(Scheme.UQ, k).bits_real(beta) / k)
 
 
 class TestLatticeBudget:
@@ -68,7 +68,7 @@ class TestSparseBudget:
 
 class TestReductionClaims:
     def test_bit_budget_reductions_at_reference_point(self):
-        j_uq = budget_uq(50, 0.05)
+        j_uq = BudgetFn(Scheme.UQ, 50).bits_real(0.05)
         _, j_lq = budget_lq(50, 0.05)
         _, j_slq = budget_slq(50, 5, 1e-5, 0.05)
         assert 0.94 <= 1 - j_slq / j_uq <= 0.98
@@ -78,7 +78,7 @@ class TestReductionClaims:
         ratios = []
         gaps = []
         for k in (64, 128, 256):
-            gap = budget_uq(k, 0.05) - budget_lq(k, 0.05)[1]
+            gap = BudgetFn(Scheme.UQ, k).bits_real(0.05) - budget_lq(k, 0.05)[1]
             gaps.append(gap)
             ratios.append(gap / (k * math.log2(k)))
         assert gaps == sorted(gaps)
@@ -86,6 +86,16 @@ class TestReductionClaims:
 
 
 class TestBudgetFn:
+    def test_coder_from_beta_s_or_a_given_setting(self):
+        # The budget's setting at beta_s, or the given one, with beta_s checked either way.
+        assert BudgetFn(Scheme.LQ, 3).coder(0.15) == LQCoder(3, 5)
+        assert BudgetFn(Scheme.UQ, 10).coder(None, 9) == UQCoder(10, 9)
+        assert BudgetFn(Scheme.SLQ, 10, 3, 0.01).coder(0.2, 7) == SLQCoder(10, 3, 7)
+        with pytest.raises(DomainError, match="needs beta_s or a given"):
+            BudgetFn(Scheme.LQ, 3).coder(None)
+        with pytest.raises(BetaNotAboveDelta):
+            BudgetFn(Scheme.SLQ, 10, 3, 0.2).coder(0.2, 7)
+
     @pytest.mark.parametrize(
         "fn",
         [

@@ -411,6 +411,32 @@ class TestCodecCommands:
         assert code == 2 and out == ""
         assert message in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["quantize", "--scheme", "lq", "-k", "3", "--beta-s", "5", "--ell", "5",
+              "--input", "vectors.jsonl"], "source distortion must be in (0, 1), got 5.0"),
+            (["dequantize", "--scheme", "uq", "-k", "3", "--beta-s", "nan",
+              "--bits-per-entry", "9", "--input", "quantize_uq.csv"],
+             "source distortion must be in (0, 1), got nan"),
+            (["quantize", "--scheme", "uq", "-k", "3", "--beta-s", "0", "--bits-per-entry", "9",
+              "--input", "vectors.jsonl"], "source distortion must be in (0, 1), got 0.0"),
+            (["dequantize", "--scheme", "slq", "-k", "3", "--k-top", "2", "--delta", "0.15",
+              "--beta-s", "0.15", "--ell", "5", "--input", "quantize_slq.csv"],
+             "source distortion 0.15 must exceed tail mass 0.15"),
+        ],
+        ids=["lq-beta-5", "uq-beta-nan", "uq-beta-0", "slq-beta-at-delta"],
+    )
+    def test_refused_beta_s_with_given_setting_is_usage_error(
+        self, monkeypatch, capsys, argv, message
+    ):
+        # With --ell or --bits-per-entry given, beta_s went unchecked: each
+        # exited 0 and echoed it, nan as a NaN that JSON does not allow.
+        monkeypatch.chdir(DATA_DIR)
+        code, out, err = run(argv, capsys)
+        assert code == 2 and out == ""
+        assert message in err
+
     def test_dequantize_width_past_its_limit_is_usage_error(self, tmp_path, capsys):
         # Three 63-bit fields fill 24 bytes.
         payloads = tmp_path / "payloads.csv"
@@ -774,6 +800,10 @@ WIRE_RUNS = {
     # The README simulate run at 20,000 trials: the per-(seed, trial) streams.
     "simulate_lq_k8.json": ["simulate", "--scheme", "lq", "-k", "8", "--beta-s", "0.1",
                             "--eps-target", "0.2", "--trials", "20000", "--seed", "42"],
+    # Garbled SLQ payloads whose subset indices, below C(1000, 10), are past 2**63.
+    "simulate_slq_k1000.json": ["simulate", "--scheme", "slq", "-k", "1000", "--k-top", "10",
+                                "--delta", "0.001", "--beta-s", "0.05", "--eps-target", "0.25",
+                                "--trials", "2000", "--seed", "3"],
 }
 
 

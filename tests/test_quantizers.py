@@ -78,13 +78,16 @@ class TestUniform:
     def test_prescribed_budget_randomized(self):
         rng = np.random.default_rng(21)
         k, beta_s = 10, 0.05
-        j = BudgetFn(Scheme.UQ, k).setting(beta_s)
+        j = BudgetFn(Scheme.UQ, k).coder(beta_s).bits_per_entry
         for _ in range(2000):
             p = ProbVector(rng.standard_exponential(k), normalize=True)
             assert tv_distance(p, uq_decode(uq_encode(p, j))) <= beta_s
 
     def test_payload_bits(self):
-        assert uq_encode(ProbVector([0.5, 0.5]), 7).payload_bits == 14
+        # Width 7 at beta_s = 0.2, since 2 log2(2 / 0.2) = 6.6: two entries send 14 bits.
+        budget = BudgetFn(Scheme.UQ, 2)
+        assert budget.coder(0.2).bits_per_entry == 7
+        assert budget.bits_int(0.2) == 14
 
     def test_bytes_roundtrip(self):
         rng = np.random.default_rng(22)
@@ -139,7 +142,7 @@ class TestUniform:
         # k=5000 at the budget's width for beta_s = 0.05: 34-bit fields, each
         # straddling byte boundaries.
         k = 5000
-        j = BudgetFn(Scheme.UQ, k).setting(0.05)
+        j = BudgetFn(Scheme.UQ, k).coder(0.05).bits_per_entry
         assert j == 34
         p = ProbVector(np.random.default_rng(k).standard_exponential(k), normalize=True)
         enc = uq_encode(p, j)
@@ -153,7 +156,7 @@ class TestUniform:
     def test_large_k_roundtrip(self):
         # k = 10^5 at 42 bits per entry: 525,000 payload bytes.
         k = 100_000
-        j = BudgetFn(Scheme.UQ, k).setting(0.05)
+        j = BudgetFn(Scheme.UQ, k).coder(0.05).bits_per_entry
         assert j == 42
         p = ProbVector(np.random.default_rng(k).standard_exponential(k), normalize=True)
         enc = uq_encode(p, j)
@@ -333,14 +336,14 @@ class TestSparseLattice:
         decoded = slq_decode(enc)
         assert np.allclose(decoded.values, [0.0, 0.6, 0.0, 0.4])
         # Retained entries renormalize to [5/9, 4/9] before lattice rounding.
-        assert enc.payload_bits == math.ceil(math.log2(math.comb(4, 2))) + math.ceil(
-            math.log2(composition_count(2, 10))
-        )
+        bits = math.ceil(math.log2(math.comb(4, 2))) + math.ceil(math.log2(composition_count(2, 10)))
+        assert subset_count_bits(4, 2) + composition_count_bits(2, 10) == bits
 
     def test_full_retention_costs_no_position_bits(self):
         p = ProbVector([0.18, 0.52, 0.3])
         enc = slq_encode(p, 3, 5)
-        assert enc.payload_bits == 5  # position term is log2 C(3,3) = 0
+        # The position term is log2 C(3,3) = 0.
+        assert subset_count_bits(3, 3) + composition_count_bits(3, 5) == 5
         assert np.array_equal(slq_decode(enc).values, lq_decode(lq_encode(p, 5)).values)
 
     def test_uniform_tie_break_keeps_lowest_index(self):
@@ -470,7 +473,7 @@ class TestSparseLattice:
             data = enc.to_bytes()
             subset_bits = subset_count_bits(k, k_top)
             comp_bits = composition_count_bits(k_top, ell)
-            assert enc.payload_bits == subset_bits + comp_bits == bits
+            assert subset_bits + comp_bits == bits
             assert len(data) == (subset_bits + 7) // 8 + (comp_bits + 7) // 8
             back = SLQEncoding.from_bytes(data, k, k_top, ell)
             assert back == enc

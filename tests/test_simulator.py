@@ -1,4 +1,5 @@
 import hashlib
+import math
 import tracemalloc
 
 import numpy as np
@@ -7,17 +8,10 @@ from scipy import stats
 
 from latdist import simulator
 from latdist.budget import Scheme, budget_lq
-from latdist.codec import composition_count, unrank_composition
+from latdist.codec import LexIndex, composition_count, composition_count_bits, subset_count_bits
 from latdist.errors import DomainError
 from latdist.prob import ProbVector
-from latdist.quantizers import (
-    lq_decode,
-    lq_encode,
-    slq_decode,
-    slq_encode,
-    uq_decode,
-    uq_encode,
-)
+from latdist.quantizers import LQCoder, SLQCoder, UQCoder, UQEncoding, _uniform_below
 from latdist.simulator import (
     ErrorModel,
     SimConfig,
@@ -335,6 +329,9 @@ class TestSimulation:
             SimConfig(0, 1, ErrorModel.UNIFORM_INDEX, Scheme.LQ, 8, 0.1, 0.1)
         with pytest.raises(DomainError):
             SimConfig(10, 1, ErrorModel.UNIFORM_INDEX, Scheme.SLQ, 8, 0.1, 0.1)
+        # A given ell does not make beta_s optional: the bound is stated in it.
+        with pytest.raises(DomainError, match="got None"):
+            SimConfig(10, 1, ErrorModel.UNIFORM_INDEX, Scheme.LQ, 8, None, 0.1, ell=5)
 
 
 def default_states(seed, start, stop):
@@ -373,21 +370,56 @@ class TestTrialStates:
             assert rng.standard_exponential(5).tolist() == fresh.standard_exponential(5).tolist()
 
 
-@pytest.mark.parametrize("k, ell", [(8, 20), (5, 3), (30, 7)])
-def test_garbled_lattice_rows_equal_lq_decode(k, ell):
-    cfg = SimConfig(trials=1, seed=0, error_model=ErrorModel.UNIFORM_INDEX, scheme=Scheme.LQ,
-                    k=k, beta_s=0.1, eps_target=0.5, ell=ell)
-    rng = np.random.default_rng(k)
-    for _ in range(300):
+def _renormalized(rows):
+    """Rows renormalized as simulate_end_to_end renormalizes its block."""
+    rows = np.atleast_2d(rows)
+    return rows / rows.sum(axis=1, keepdims=True)
+
+
+def _uq_index(coder, rng):
+    ids = rng.integers(0, 1 << coder.bits_per_entry, size=coder.k)
+    return UQEncoding(tuple(ids.tolist()), coder.bits_per_entry).to_bytes()
+
+
+def _lq_index(coder, rng):
+    width = composition_count_bits(coder.k, coder.ell)
+    return LexIndex(_uniform_below(rng, composition_count(coder.k, coder.ell)), width).to_bytes()
+
+
+def _slq_index(coder, rng):
+    k, k_top, ell = coder.k, coder.k_top, coder.ell
+    subset = _uniform_below(rng, math.comb(k, k_top))
+    lattice = _uniform_below(rng, composition_count(k_top, ell))
+    return (LexIndex(subset, subset_count_bits(k, k_top)).to_bytes()
+            + LexIndex(lattice, composition_count_bits(k_top, ell)).to_bytes())
+
+
+@pytest.mark.parametrize(
+    "coder, payload, draws",
+    [
+        (LQCoder(8, 20), _lq_index, 300),
+        (LQCoder(5, 3), _lq_index, 300),
+        (LQCoder(30, 7), _lq_index, 300),
+        (UQCoder(6, 3), _uq_index, 300),
+        (SLQCoder(10, 3, 7), _slq_index, 300),
+        # C(1000, 10) is past 2**63: the subset index is drawn from bytes.
+        (SLQCoder(1000, 10, 52), _slq_index, 50),
+    ],
+    ids=["lq-8-20", "lq-5-3", "lq-30-7", "uq-6-3", "slq-10-3-7", "slq-1000-10-52"],
+)
+def test_garbled_rows_equal_the_decoded_index(coder, payload, draws):
+    # A garbled row is the decode of a uniformly random payload index, drawn
+    # from the same stream in the same order.
+    rng = np.random.default_rng(coder.k)
+    for _ in range(draws):
         state = rng.bit_generator.state
-        row = simulator._garbled(cfg, ell, rng)
+        row = _renormalized(coder.garbled(rng))[0]
         rng.bit_generator.state = state
-        idx = simulator._uniform_below(rng, composition_count(k, ell))
-        assert np.array_equal(row, lq_decode(unrank_composition(idx, k, ell)).values)
+        assert np.array_equal(row, coder.from_bytes(payload(coder, rng)).values)
 
 
-# Rows for _decoded: dyadic rows with exact lattice residual ties, entries on
-# UQ bin edges and equal entries straddling the k_top boundary, then draws.
+# Rows for decode_rows: dyadic rows with exact lattice residual ties, entries
+# on UQ bin edges and equal entries straddling the k_top boundary, then draws.
 _EXACT_ROWS = [
     [0.25, 0.125, 0.25, 0.125, 0.25],
     [0.5, 0.25, 0.25, 0.0, 0.0],
@@ -398,24 +430,15 @@ _EXACT_ROWS = [
 
 
 @pytest.mark.parametrize(
-    "coder, code",
-    [
-        (dict(scheme=Scheme.UQ, bits_per_entry=2),
-         lambda p: uq_decode(uq_encode(p, 2))),
-        (dict(scheme=Scheme.UQ, bits_per_entry=7),
-         lambda p: uq_decode(uq_encode(p, 7))),
-        (dict(scheme=Scheme.LQ, ell=4), lambda p: lq_decode(lq_encode(p, 4))),
-        (dict(scheme=Scheme.LQ, ell=13), lambda p: lq_decode(lq_encode(p, 13))),
-        (dict(scheme=Scheme.SLQ, k_top=2, ell=3), lambda p: slq_decode(slq_encode(p, 2, 3))),
-        (dict(scheme=Scheme.SLQ, k_top=4, ell=10), lambda p: slq_decode(slq_encode(p, 4, 10))),
-    ],
+    "coder",
+    [UQCoder(5, 2), UQCoder(5, 7), LQCoder(5, 4), LQCoder(5, 13), SLQCoder(5, 2, 3),
+     SLQCoder(5, 4, 10)],
     ids=["uq-2", "uq-7", "lq-4", "lq-13", "slq-2-3", "slq-4-10"],
 )
-def test_block_decoding_equals_the_coders(coder, code):
+def test_block_decoding_equals_the_coders(coder):
+    # Each renormalized row of the block decode is the payload round trip of its vector.
     drawn = np.random.default_rng(32).standard_exponential((300, 5)) ** 3
     vectors = [ProbVector(row, normalize=True) for row in [*_EXACT_ROWS, *drawn]]
-    cfg = SimConfig(trials=1, seed=0, error_model=ErrorModel.UNIFORM_INDEX, k=5,
-                    beta_s=0.1, eps_target=0.0, **coder)
-    block = simulator._decoded(cfg, cfg._setting(), np.stack([p.values for p in vectors]))
+    block = _renormalized(coder.decode_rows(np.stack([p.values for p in vectors])))
     for p, received in zip(vectors, block):
-        assert np.array_equal(received, code(p).values)
+        assert np.array_equal(received, coder.from_bytes(coder.to_bytes(p)).values)
