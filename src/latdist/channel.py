@@ -17,6 +17,13 @@ information and dispersion per coherence block of F channel uses):
 The error models and the blocklength solver in ``optimizer`` read the same
 row. Blocklengths always count channel uses, so latency is n / (2B) for
 every family.
+
+Q and its inverse come from the standard library, one element at a time:
+Q(x) = erfc(x / sqrt(2)) / 2 from libm, and Q^-1 from Wichura's AS241,
+which ``statistics`` implements with libm's log and sqrt. Arrays and
+scalars thus round alike, the rule ``elementwise`` states, and latdist
+needs no scipy. ``_z`` gives the argument of Q alone: the solver's refine
+compares it with Q^-1 of the target and never evaluates Q.
 """
 
 from __future__ import annotations
@@ -25,15 +32,17 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from itertools import repeat
 from numbers import Integral
 
 import numpy as np
 
-from .elementwise import brief, log1p, log2
+from .elementwise import _per_element, brief, log1p, log2
 from .errors import DomainError
 
 LOG2_E = math.log2(math.e)
 LN_2 = math.log(2.0)
+_SQRT_HALF = math.sqrt(0.5)
 EULER_GAMMA = float(np.euler_gamma)
 
 # Exp-sinh rule (Takahasi & Mori, 1974) for E[f(Z)], Z a unit-mean
@@ -106,23 +115,27 @@ class ChannelSpec:
         return self.gamma0 * self.bandwidth0_hz / self.bandwidth_hz
 
 
+def _q(x: float) -> float:
+    return 0.5 * math.erfc(x * _SQRT_HALF)
+
+
 def q_func(x: float) -> float:
     """Complementary CDF of the standard Gaussian; elementwise on an array."""
-    # Imported here, so that commands that never evaluate Q start without scipy.
-    from scipy.special import ndtr
-
-    q = ndtr(-x)
-    return q if isinstance(x, np.ndarray) else float(q)
+    return _per_element(_q, x)
 
 
 def q_inv(p: float) -> float:
     """Inverse of q_func on (0, 1); elementwise on an array."""
     if not np.all((0.0 < p) & (p < 1.0)):
         raise DomainError(f"q_inv needs p in (0, 1), got {brief(p)}")
-    from scipy.special import ndtri
+    # AS241, in C where CPython builds _statistics. Imported here, so that
+    # `import latdist` does not load statistics.
+    from statistics import _normal_dist_inv_cdf as inv_cdf
 
-    q = -ndtri(p)
-    return q if isinstance(p, np.ndarray) else float(q)
+    if isinstance(p, np.ndarray):
+        values = map(inv_cdf, p.ravel().tolist(), repeat(0.0), repeat(1.0))
+        return -np.fromiter(values, float, p.size).reshape(p.shape)
+    return -inv_cdf(p, 0.0, 1.0)
 
 
 def awgn_coeffs(gamma: float) -> tuple[float, float]:
@@ -195,8 +208,8 @@ def _model_row(family: ChannelFamily, gamma: float, j_bits, coherence: int | Non
     return info, coherence, disp, j_bits * coherence * LN_2
 
 
-def _epsilon(family: ChannelFamily, n, gamma: float, j_bits, coherence: int | None = None):
-    """The family's block error probability, from its row; elementwise over n and j_bits.
+def _z(family: ChannelFamily, n, gamma: float, j_bits, coherence: int | None = None):
+    """The family's normal-approximation argument z, with eps = Q(z); elementwise over n and j_bits.
 
     Blocklengths too large for floats to count exactly come as Python ints
     in an object array. Their products turn into floats only at the
@@ -210,7 +223,12 @@ def _epsilon(family: ChannelFamily, n, gamma: float, j_bits, coherence: int | No
         margin = margin + 0.5 * log2(n)
     if isinstance(margin, np.ndarray) and margin.dtype == object:
         margin, scale = margin.astype(float), scale.astype(float)
-    return q_func(margin / np.sqrt(scale))
+    return margin / np.sqrt(scale)
+
+
+def _epsilon(family: ChannelFamily, n, gamma: float, j_bits, coherence: int | None = None):
+    """The family's block error probability Q(z); elementwise over n and j_bits."""
+    return q_func(_z(family, n, gamma, j_bits, coherence))
 
 
 def epsilon_awgn(n: int, gamma: float, j_bits: float) -> float:

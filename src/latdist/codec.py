@@ -231,16 +231,21 @@ def _ceil_log2_comb(n: int, r: int) -> int:
 def log2_comb(n: int, r: int) -> float:
     """Real-valued log2(C(n, r)) from log-gamma, without big integers.
 
-    Elementwise over an integer array of n, evaluated once per distinct n:
-    on a budget grid n is a lattice size, and sizes repeat.
+    Elementwise over an integer array of n, evaluated once per run of equal
+    consecutive n: on a budget grid n is a lattice size, monotone along each
+    grid row, so every distinct size is one run, and no sort is needed.
     """
     if r < 0 or np.any(r > n):
         raise ValueError(f"C({brief(n)}, {r}) undefined")
-    distinct, where = n, None
+    distinct, runs = n, None
     if isinstance(n, np.ndarray):
-        distinct, where = np.unique(n, return_inverse=True)
+        flat = n.ravel()
+        starts = np.ones(flat.size, bool)
+        starts[1:] = flat[1:] != flat[:-1]
+        distinct = flat[starts]
+        runs = np.diff(np.flatnonzero(np.append(starts, True)))
     bits = (lgamma(distinct + 1) - lgamma(r + 1) - lgamma(distinct - r + 1)) / math.log(2)
-    return bits if where is None else bits[where].reshape(n.shape)
+    return bits if runs is None else np.repeat(bits, runs).reshape(n.shape)
 
 
 @lru_cache(maxsize=_WIDTH_CACHE)

@@ -1,13 +1,15 @@
 """Scalar math that also takes arrays, bit-identical to the scalar results.
 
 The planner evaluates its formulas on whole grids. numpy's log2 and log1p
-and scipy's gammaln do not round like math.log2, math.log1p and
-math.lgamma: numpy's log2 can differ in the last bit (on some builds, at
-integers such as 1621), which moves blocklengths and the golden hull, and
-its log1p can differ from build to build, which would move the fading
-moments. So the array forms call the math functions once per element.
-Callers whose arguments repeat deduplicate them first: ``codec.log2_comb``
-evaluates its log-gamma terms once per distinct lattice size.
+do not round like math.log2 and math.log1p: numpy's log2 can differ in the
+last bit (on some builds, at integers such as 1621), which moves
+blocklengths and the golden hull, and its log1p can differ from build to
+build, which would move the fading moments. numpy has no log-gamma, and a
+port of one onto numpy's SIMD functions would round by the CPU. So the
+array forms call the math functions once per element, as ``channel`` does
+for Q and its inverse. Callers whose arguments repeat deduplicate them
+first: ``codec.log2_comb`` evaluates its log-gamma terms once per run of
+equal lattice sizes.
 """
 
 from __future__ import annotations

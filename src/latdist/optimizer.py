@@ -20,10 +20,11 @@ exceptions, and all of them go to ``solve_blocklength`` at once. The solver
 then makes one numpy pass: Q^-1 of the whole eps column, the root and the
 guarded ceiling. With ``refine`` on AWGN it then seeds each point near its
 exact answer, the closed form with the (1/2)log2(n) term put back, and walks
-the whole array from there. Each pass evaluates the AWGN error model from
-``channel`` once, at m and m - 1 of every live point; most points stop on
-the first pass. The walk assumes, as a bisection would, that the exact error
-falls as n grows; under it the result is the smallest n whose exact error
+the whole array from there. Each pass evaluates the AWGN model's argument of
+Q from ``channel`` once, at m and m - 1 of every live point, and compares it
+with the Q^-1 the closed form already took; most points stop on the first
+pass. The walk assumes, as a bisection would, that the exact error falls as
+n grows; under it the result is the smallest n whose exact error
 meets the target. An argmin per row picks each budget's best split. Points
 outside the mask stay infeasible. Inputs that no grid point can satisfy,
 such as beta_t > 1, an empty grid or a non-positive eps cap, raise as they
@@ -43,7 +44,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .budget import BudgetFn
-from .channel import ChannelFamily, ChannelSpec, _model_row, epsilon_awgn, q_inv
+from .channel import ChannelFamily, ChannelSpec, _model_row, _z, q_inv
 from .elementwise import brief, to_int
 from .errors import DomainError, EpsilonOutOfRange, NoFeasibleN
 
@@ -99,18 +100,22 @@ def _n_root(rate, r, payload):
     return root * root
 
 
-def _refine(gamma, rate, n, eps, j_bits, r) -> np.ndarray:
+def _refine(gamma, rate, n, q, j_bits, r) -> np.ndarray:
     """Smallest m in [1, n] whose exact AWGN error stays within target, per point.
 
-    The seed is two fixed-point steps of the closed form with payload
-    J - log2(x)/2, from the closed-form n. Each pass evaluates the exact error
-    at m and m - 1 of every live point in one call; a point steps up where
-    eps(m) exceeds the target, down where eps(m - 1) does not, and stops where
-    neither holds. Steps double while a point keeps its direction but stay
-    inside its bracket of candidates left, halving it once both ends are
-    probed, so every pass shrinks the bracket and a far seed costs a search,
-    not a walk. Where the error falls as n grows (it does for positive
-    payloads), the result is what a bisection over [1, n] gives.
+    q is Q^-1 of each target and r = sqrt(V) * q. Q falls, so the exact
+    error Q(z(m)) meets its target where z(m) >= q: each pass compares the
+    argument ``channel._z`` with q and never evaluates Q. Only float ties
+    within a few ulps could decide otherwise. The seed is two fixed-point
+    steps of the closed form with payload J - log2(x)/2, from the
+    closed-form n. Each pass evaluates z at m and m - 1 of every live point
+    in one call; a point steps up where z(m) < q, down where z(m - 1) >= q,
+    and stops where neither holds. Steps double while a point keeps its
+    direction but stay inside its bracket of candidates left, halving it
+    once both ends are probed, so every pass shrinks the bracket and a far
+    seed costs a search, not a walk. Where the error falls as n grows (it
+    does for positive payloads), the result is what a bisection over [1, n]
+    gives.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         x = n
@@ -126,8 +131,8 @@ def _refine(gamma, rate, n, eps, j_bits, r) -> np.ndarray:
     while live.size:
         a, bottom, top = m[live], lo[live], hi[live]
         below = np.where(a > 1, a - 1, a)
-        err = epsilon_awgn(np.concatenate([a, below]), gamma, np.tile(j_bits[live], 2))
-        ok = err <= np.tile(eps[live], 2)
+        z = _z(ChannelFamily.AWGN, np.concatenate([a, below]), gamma, np.tile(j_bits[live], 2))
+        ok = z >= np.tile(q[live], 2)
         up = ~ok[: a.size] & (a < top)
         down = ok[a.size :] & (a > bottom)
         lo[live] = bottom = np.where(up, a + 1, bottom)
@@ -177,7 +182,8 @@ def solve_blocklength(
             f"block information {rate} is not positive at SNR {spec.gamma}; "
             "the high-SNR model does not apply"
         )
-    r = math.sqrt(f * v) * q_inv(eps)
+    q = q_inv(eps)
+    r = math.sqrt(f * v) * q
     # An infinite or NaN n fails when it becomes an int, as math.ceil does.
     with np.errstate(over="ignore", invalid="ignore"):
         n_real = _n_root(rate, r, payload)
@@ -185,7 +191,7 @@ def solve_blocklength(
         # ulps), so exact-integer solutions do not get bumped up a step.
         n = np.maximum(1.0, np.ceil(n_real - 1e-12 * np.maximum(1.0, n_real)))
     if refine and spec.family is ChannelFamily.AWGN:
-        args = np.broadcast_arrays(*map(np.atleast_1d, (n, eps, j_bits, r)))
+        args = np.broadcast_arrays(*map(np.atleast_1d, (n, q, j_bits, r)))
         n = _refine(spec.gamma, rate, *args).reshape(np.shape(n))
     if not np.ndim(n_real):
         n_real = float(n_real)

@@ -3,11 +3,12 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from statistics import NormalDist
 
 import numpy as np
 import pytest
 from scipy import integrate
-from scipy.special import exp1
+from scipy.special import exp1, ndtr, ndtri
 
 import latdist
 from latdist.channel import (
@@ -25,6 +26,18 @@ from latdist.channel import (
     q_inv,
 )
 from latdist.errors import DomainError
+
+
+# Log-spaced p across (0, 1), with AS241's branch edges (0.075, 0.925 and
+# e^-25) and their float neighbours.
+_AS241_EDGES = np.array([0.075, 0.925, math.exp(-25.0), 1.0 - math.exp(-25.0)])
+TAIL_P = np.concatenate([
+    np.geomspace(1e-300, 0.5, 1000),
+    1.0 - np.geomspace(1e-16, 0.5, 300),
+    _AS241_EDGES,
+    np.nextafter(_AS241_EDGES, 0.0),
+    np.nextafter(_AS241_EDGES, 1.0),
+])
 
 
 class TestGaussianTail:
@@ -56,6 +69,20 @@ class TestGaussianTail:
         for p in 1 - np.geomspace(1e-12, 0.5, 60):
             exact = float(-mpmath.sqrt(2) * mpmath.erfinv(2 * mpmath.mpf(float(p)) - 1))
             assert q_inv(float(p)) == pytest.approx(exact, rel=1e-10, abs=1e-10)
+
+    def test_inverse_is_the_standard_library_inv_cdf(self):
+        # q_inv calls statistics' private AS241; this ties it to the public API.
+        assert q_inv(TAIL_P).tolist() == [-NormalDist().inv_cdf(p) for p in TAIL_P.tolist()]
+
+    def test_within_ulps_of_scipy(self):
+        x = -ndtri(TAIL_P)
+        assert np.all(np.abs(q_inv(TAIL_P) - x) <= 8 * np.spacing(np.abs(x)))
+        # Both sides round x / sqrt(2) alike. scipy's erfc then loses about x^2
+        # ulps in the upper tail (467 at x = 37 against exact erfc of that
+        # argument), where libm's stays within 2, so the bound widens there.
+        x = np.concatenate([x, np.linspace(-9.0, 37.5, 2001)])
+        q = ndtr(-x)
+        assert np.all(np.abs(q_func(x) - q) <= 8 * np.maximum(1.0, x * x) * np.spacing(q))
 
     def test_domain(self):
         for bad in (0.0, 1.0, -0.1, 1.1):

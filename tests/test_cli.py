@@ -874,17 +874,22 @@ print("scipy" in sys.modules)
 
 
 @pytest.mark.parametrize(
-    "argv, loads_scipy",
+    "argv",
     [
-        ([], False),
-        (["quantize", "--scheme", "lq", "-k", "3", "--beta-s", "0.15"], False),
-        (["tradeoff", "--scheme", "lq", "-k", "3", "--gamma0-db", "5", "--b-hz", "1e5",
-          "--beta-t", "0.1", "--grid-points", "5"], True),
+        [],
+        ["quantize", "--scheme", "lq", "-k", "3", "--beta-s", "0.15"],
+        ["tradeoff", "--scheme", "lq", "-k", "3", "--gamma0-db", "5", "--b-hz", "1e5",
+         "--beta-t", "0.1", "--grid-points", "5"],
+        ["hull", "--scheme", "lq", "-k", "100", "--gamma0-db", "5", "--b-hz", "320000",
+         "--beta-t", "lin:0.02:0.5:5", "--grid-points", "50", "--refine"],
+        ["hull", "--scheme", "lq", "-k", "100", "--channel", "fading-csi", "--coherence", "20",
+         "--gamma0-db", "10", "--b-hz", "320000", "--beta-t", "lin:0.02:0.5:5",
+         "--grid-points", "50"],
     ],
-    ids=["import", "quantize", "tradeoff"],
+    ids=["import", "quantize", "tradeoff", "hull-refine", "hull-fading-csi"],
 )
-def test_scipy_is_loaded_only_to_evaluate_q(tmp_path, argv, loads_scipy):
-    # A fresh process: only commands that reach the error models need scipy.
+def test_cli_never_loads_scipy(tmp_path, argv):
+    # A fresh process: Q and its inverse come from the standard library.
     if argv[:1] == ["quantize"]:
         argv = argv + ["--input", str(write_vectors(tmp_path, [[0.18, 0.52, 0.3]]))]
     env = {**os.environ, "PYTHONPATH": str(Path(latdist.__file__).resolve().parents[1])}
@@ -892,4 +897,4 @@ def test_scipy_is_loaded_only_to_evaluate_q(tmp_path, argv, loads_scipy):
         [sys.executable, "-c", SCIPY_PROBE, *argv],
         env=env, capture_output=True, text=True, check=True,
     )
-    assert done.stdout.splitlines()[-1] == str(loads_scipy)
+    assert done.stdout.splitlines()[-1] == "False"

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from latdist.budget import BudgetFn, Scheme
 from latdist.codec import (
     LatticePoint,
     LexIndex,
@@ -17,7 +18,9 @@ from latdist.codec import (
     unrank_composition,
     unrank_subset,
 )
+from latdist.elementwise import lgamma
 from latdist.errors import IndexOutOfRange, InvalidSubset, SumMismatch
+from latdist.optimizer import beta_s_grid
 
 
 def enumerate_compositions(k, total):
@@ -337,13 +340,27 @@ class TestBitWidths:
         )
 
     def test_log2_comb_on_repeated_values_equals_scalar(self):
-        # Arrays are evaluated once per distinct n, then spread back.
+        # Arrays are evaluated once per run of equal n, then spread back.
         ints = np.random.default_rng(48).integers(10, 60, size=(4, 200))
         big = np.array([2**62, 2**70, 2**62, 11], dtype=object)
         for n in (ints, big):
             got = log2_comb(n, 7)
             assert got.shape == n.shape
             assert got.ravel().tolist() == [log2_comb(v, 7) for v in n.ravel().tolist()]
+
+    def test_log2_comb_runs_give_the_bits_of_a_sorted_dedup(self):
+        def by_unique(n, r):
+            distinct, where = np.unique(n, return_inverse=True)
+            bits = (lgamma(distinct + 1) - lgamma(r + 1) - lgamma(distinct - r + 1)) / math.log(2)
+            return bits[where].reshape(n.shape)
+
+        budget = BudgetFn(Scheme.LQ, 100)
+        row = budget.ell(beta_s_grid(0.3, budget)) + 99
+        # One row per beta_t, as sweep_beta_t lays them out.
+        grid = budget.ell(beta_s_grid(np.array([0.05, 0.2, 0.5]), budget, 400)) + 99
+        shuffled = np.random.default_rng(49).permutation(row)
+        for n in (row, grid, shuffled, row[:0]):
+            assert log2_comb(n, 99).tobytes() == by_unique(n, 99).tobytes()
 
 
 class TestLexIndexSerialization:
