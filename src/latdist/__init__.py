@@ -20,7 +20,6 @@ from .channel import (
     epsilon_fading_nocsi,
     fading_csi_coeffs,
     fading_nocsi_coeffs,
-    linear_to_db,
     q_func,
     q_inv,
 )
@@ -44,7 +43,6 @@ from .ingest import (
 from .optimizer import (
     TradeoffCurve,
     TradeoffPoint,
-    lower_convex_hull,
     solve_blocklength,
     sweep_beta_s,
     sweep_beta_t,
@@ -64,8 +62,6 @@ from .simulator import (
     ErrorModel,
     SimConfig,
     SimReport,
-    random_simplex,
-    random_sparse_simplex,
     simulate_end_to_end,
 )
 

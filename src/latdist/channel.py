@@ -72,12 +72,6 @@ def db_to_linear(db: float) -> float:
         raise DomainError(f"{db} dB overflows a linear ratio") from None
 
 
-def linear_to_db(x: float) -> float:
-    if x <= 0:
-        raise DomainError(f"need a positive ratio, got {x}")
-    return 10.0 * math.log10(x)
-
-
 @dataclass(frozen=True)
 class ChannelSpec:
     """A channel family with its reference SNR, bandwidths, and coherence interval.

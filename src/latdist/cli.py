@@ -272,34 +272,23 @@ def cmd_stats(cfg: dict, output) -> int:
     rec = recommend_ktop(ds, cfg["delta_target"])
     violation = tail_violation_fraction(ds, rec.k_top, cfg["delta_target"])
     cfg.update(dataset_label=ds.source_label, k=ds.k, n_vectors=len(ds))
+    summary = {
+        "recommended_k_top": rec.k_top,
+        "recommended_delta_avg": rec.delta_avg,
+        "satisfied": rec.satisfied,
+        "tail_violation_fraction": violation,
+    }
     if cfg["format"] == "json":
-        _write(
-            output,
-            _json_document(
-                cfg,
-                {
-                    "k_top": list(curve.k_top_values),
-                    "avg_top_mass": [float(x) for x in curve.avg_top_mass],
-                    "delta_avg": [float(x) for x in curve.delta_avg],
-                    "recommended_k_top": rec.k_top,
-                    "recommended_delta_avg": rec.delta_avg,
-                    "satisfied": rec.satisfied,
-                    "tail_violation_fraction": violation,
-                },
-            ),
-        )
+        curves = {
+            "k_top": list(curve.k_top_values),
+            "avg_top_mass": [float(x) for x in curve.avg_top_mass],
+            "delta_avg": [float(x) for x in curve.delta_avg],
+        }
+        _write(output, _json_document(cfg, {**curves, **summary}))
     else:
-        rows = [
-            (kt, float(d))
-            for kt, d in zip(curve.k_top_values, curve.delta_avg)
-        ]
+        rows = [(kt, float(d)) for kt, d in zip(curve.k_top_values, curve.delta_avg)]
         doc = _csv_document(cfg, ("k_top", "delta_avg"), rows)
-        doc += (
-            f"# recommended_k_top = {rec.k_top}\n"
-            f"# recommended_delta_avg = {_fmt(rec.delta_avg)}\n"
-            f"# satisfied = {_fmt(rec.satisfied)}\n"
-            f"# tail_violation_fraction = {_fmt(violation)}\n"
-        )
+        doc += "".join(f"# {key} = {_fmt(value)}\n" for key, value in summary.items())
         _write(output, doc)
     return 0
 

@@ -10,8 +10,10 @@ One codec ranks two kinds of object:
   on the count sequence, first count most significant.
 
 Both orders are codec conventions pinned for determinism; any fixed total
-order would be a valid codec. Indices are arbitrary-precision integers and
-serialize as big-endian byte strings sized by their declared bit width.
+order would be a valid codec. Indices are arbitrary-precision integers.
+``rank_*`` return a ``LexIndex``, the index with the bit width of its set,
+which serializes as a big-endian byte string of that width; ``unrank_*``
+take the integer, and a reader turns bytes into it with ``int.from_bytes``.
 
 Stars and bars. A composition c_0, ..., c_(k-1) is the (k-1)-subset of its
 N = total + k - 1 slots that holds its bars, r_j = c_(k-1) + ... + c_(k-1-j) + j
@@ -56,9 +58,10 @@ Validation happens at the boundary. The public constructors of
 ``LatticePoint`` and ``PositionSet`` check input from outside, with one
 integer rule: Python and NumPy integers pass, and anything else, floats
 included, is refused. ``unrank_*`` check that the index lies within its
-set. What the codec derives itself, the results of ``rank_*`` and
-``unrank_*``, is built by ``_trusted`` without a second check, and so are
-the quantizers' own encodings.
+set, which also refuses any index wider than the set's bit width. What the
+codec derives itself, the results of ``rank_*`` and ``unrank_*``, is built
+by ``_trusted`` without a second check, and so are the quantizers' own
+encodings.
 """
 
 from __future__ import annotations
@@ -173,15 +176,6 @@ class LexIndex:
         """Big-endian bytes, sized by the bit width. No header; framing is the caller's job."""
         return self.value.to_bytes((self.bit_width + 7) // 8, "big")
 
-    @classmethod
-    def from_bytes(cls, data: bytes, bit_width: int) -> "LexIndex":
-        expected = (bit_width + 7) // 8
-        if len(data) != expected:
-            raise IndexOutOfRange(
-                f"expected {expected} bytes for {bit_width} bits, got {len(data)}"
-            )
-        return cls(int.from_bytes(data, "big"), bit_width)
-
 
 def _trusted(cls, first, second):
     """An instance of a two-field codec dataclass, built without its checks.
@@ -279,10 +273,9 @@ def rank_composition(pt: LatticePoint) -> LexIndex:
     return _trusted(LexIndex, rank, bits)
 
 
-def unrank_composition(idx: LexIndex | int, k: int, total: int) -> LatticePoint:
+def unrank_composition(value: int, k: int, total: int) -> LatticePoint:
     """Inverse of rank_composition: the unique composition with the given rank."""
-    value = idx.value if isinstance(idx, LexIndex) else operator.index(idx)
-    k, total = operator.index(k), operator.index(total)
+    value, k, total = operator.index(value), operator.index(k), operator.index(total)
     slots = _slots(k, total)
     top = composition_count(k, total)
     if value < 0 or value >= top:
@@ -302,10 +295,9 @@ def rank_subset(s: PositionSet) -> LexIndex:
     return _trusted(LexIndex, _rank_subset(s.indices, bits), bits)
 
 
-def unrank_subset(idx: LexIndex | int, k: int, size: int) -> PositionSet:
+def unrank_subset(value: int, k: int, size: int) -> PositionSet:
     """Inverse of rank_subset over ``size``-subsets of ``{0..k-1}``."""
-    value = idx.value if isinstance(idx, LexIndex) else operator.index(idx)
-    k, size = operator.index(k), operator.index(size)
+    value, k, size = operator.index(value), operator.index(k), operator.index(size)
     cardinality = math.comb(k, size)
     if value < 0 or value >= cardinality:
         raise IndexOutOfRange(f"index {value} outside [0, {cardinality})")

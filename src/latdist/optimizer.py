@@ -178,10 +178,11 @@ def solve_blocklength(
         raise EpsilonOutOfRange(f"error target {brief(eps)} outside (0, {top}")
     rate, f, v, payload = _model_row(spec.family, spec.gamma, j_bits, spec.coherence)
     if rate <= 0:
-        raise NoFeasibleN(
-            f"block information {rate} is not positive at SNR {spec.gamma}; "
-            "the high-SNR model does not apply"
-        )
+        if spec.family is ChannelFamily.FADING_NOCSI:
+            name, why = "block information", "the high-SNR model does not apply"
+        else:  # log2(1 + SNR) rounds to 0 below an SNR of ~1e-16, the CSI moments below ~1e-323
+            name, why = "capacity", "the SNR is too low to resolve in floats"
+        raise NoFeasibleN(f"{name} {rate} is not positive at SNR {spec.gamma}; {why}")
     q = q_inv(eps)
     r = math.sqrt(f * v) * q
     # An infinite or NaN n fails when it becomes an int, as math.ceil does.

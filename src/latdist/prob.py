@@ -45,9 +45,11 @@ class ProbVector:
             )
         if np.any(values < 0):
             raise NegativeEntry(f"negative entries in {values!r}")
-        total = float(values.sum())
         # NaN entries pass the sign check and the sum tolerance, so the sum
-        # catches them, with infinities, at no extra pass.
+        # catches them, with infinities, at no extra pass; a sum that
+        # overflows is refused there too, without a warning.
+        with np.errstate(over="ignore"):
+            total = float(values.sum())
         if not math.isfinite(total):
             raise NonFiniteEntry(f"entries must be finite with a finite sum, got {values!r}")
         if total == 0.0:

@@ -22,7 +22,6 @@ import numpy as np
 
 from .codec import (
     LatticePoint,
-    LexIndex,
     PositionSet,
     _trusted,
     composition_count,
@@ -169,8 +168,11 @@ def lq_payload(pt: LatticePoint) -> bytes:
 
 def lq_from_payload(data: bytes, k: int, denominator: int) -> LatticePoint:
     """Inverse of lq_payload; a wrong length or an index beyond the lattice is refused."""
-    idx = LexIndex.from_bytes(data, composition_count_bits(k, denominator))
-    return unrank_composition(idx, k, denominator)
+    expected = (composition_count_bits(k, denominator) + 7) // 8
+    if len(data) != expected:
+        raise IndexOutOfRange(f"expected {expected} payload bytes, got {len(data)}")
+    # unrank_composition refuses an index beyond the lattice, so also one wider than its bits.
+    return unrank_composition(int.from_bytes(data, "big"), k, denominator)
 
 
 @dataclass(frozen=True)
@@ -190,14 +192,6 @@ class SLQEncoding:
             raise DimensionMismatch(
                 f"{self.positions.size} positions but {self.point.k} lattice counts"
             )
-
-    @property
-    def dimension(self) -> int:
-        return self.positions.dimension
-
-    @property
-    def denominator(self) -> int:
-        return self.point.denominator
 
     def to_bytes(self) -> bytes:
         """Subset index bytes followed by composition index bytes."""
@@ -247,27 +241,24 @@ def slq_counts(kept: np.ndarray, denominator: int) -> np.ndarray:
     return round_to_lattice(kept / kept.sum(axis=-1, keepdims=True), denominator).counts
 
 
-def top_positions(p: ProbVector, k_top: int) -> PositionSet:
-    """Positions of the k_top largest entries, ties broken toward the lower index."""
-    return _trusted(PositionSet, tuple(top_indices(p.values, k_top).tolist()), p.k)
-
-
 def slq_encode(p: ProbVector, k_top: int, denominator: int) -> SLQEncoding:
     """Keep the k_top largest entries, renormalize them, and lattice-quantize.
 
     The transmitted payload is the position-set index plus the composition
     index of the quantized retained entries, ranked by ``to_bytes``.
     """
-    positions = top_positions(p, k_top)
-    counts = slq_counts(p.values[list(positions.indices)], denominator)
+    top = top_indices(p.values, k_top)
+    positions = _trusted(PositionSet, tuple(top.tolist()), p.k)
+    counts = slq_counts(p.values[top], denominator)
     point = _trusted(LatticePoint, tuple(counts.tolist()), denominator)
     return _trusted(SLQEncoding, positions, point)
 
 
 def slq_decode(enc: SLQEncoding) -> ProbVector:
     """Zeros everywhere except the retained positions, which carry counts/denominator."""
-    values = np.zeros(enc.dimension)
-    values[list(enc.positions.indices)] = np.array(enc.point.counts, dtype=float) / enc.denominator
+    pt = enc.point
+    values = np.zeros(enc.positions.dimension)
+    values[list(enc.positions.indices)] = np.array(pt.counts, dtype=float) / pt.denominator
     return ProbVector(values, _owned=True)
 
 

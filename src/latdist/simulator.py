@@ -28,7 +28,7 @@ import numpy as np
 
 from .budget import BudgetFn, Scheme
 from .errors import DomainError
-from .prob import ProbVector, tv_distance
+from .prob import tv_distance
 
 # Trials are quantized, corrupted and measured this many rows at a time, so
 # memory stays O(_BLOCK * k) whatever the number of trials.
@@ -127,25 +127,20 @@ class SimReport:
 
 
 def _simplex_draws(k: int, rng: np.random.Generator) -> np.ndarray:
-    """The unnormalized draws behind random_simplex."""
-    if k < 2:
-        raise DomainError(f"need k >= 2, got {k}")
+    """k unit exponentials: normalized, a uniform draw from the simplex."""
     return rng.standard_exponential(k)
-
-
-def random_simplex(k: int, rng: np.random.Generator) -> ProbVector:
-    """Uniform simplex sample from normalized unit exponentials."""
-    return ProbVector(_simplex_draws(k, rng), normalize=True)
 
 
 def _sparse_simplex_draws(
     k: int, top: int, tail_mass: float, rng: np.random.Generator
 ) -> np.ndarray:
-    """The unnormalized draws behind random_sparse_simplex."""
-    if not 1 <= top <= k:
-        raise DomainError(f"need 1 <= top <= k, got top={top}, k={k}")
-    if not 0.0 <= tail_mass < 1.0:
-        raise DomainError(f"tail mass must be in [0, 1), got {tail_mass}")
+    """Draws whose smallest k - top entries carry ``tail_mass`` of their unit sum.
+
+    The heavy block of ``top`` coordinates is placed at random positions and
+    receives mass 1 - tail_mass spread as a flat Dirichlet; the remainder is
+    spread over the other coordinates the same way. ``SimConfig`` has checked
+    k, top and the tail bound.
+    """
     values = np.zeros(k)
     positions = rng.permutation(k)
     heavy = rng.standard_exponential(top)
@@ -154,18 +149,6 @@ def _sparse_simplex_draws(
         light = rng.standard_exponential(k - top)
         values[positions[top:]] = tail_mass * light / light.sum()
     return values
-
-
-def random_sparse_simplex(
-    k: int, top: int, tail_mass: float, rng: np.random.Generator
-) -> ProbVector:
-    """Simplex sample whose smallest k - top entries carry at most ``tail_mass``.
-
-    The heavy block of ``top`` coordinates is placed at random positions and
-    receives mass 1 - tail_mass spread as a flat Dirichlet; the remainder is
-    spread over the other coordinates the same way.
-    """
-    return ProbVector(_sparse_simplex_draws(k, top, tail_mass, rng), normalize=True)
 
 
 def _words(n: int) -> list[int]:
@@ -265,11 +248,12 @@ def simulate_end_to_end(cfg: SimConfig) -> SimReport:
     """Run the trials and compare mean distortion with the analytical bound.
 
     Each trial draws, from its own (seed, trial) stream and in this order,
-    an input (flat simplex draws, or tail-controlled draws for the sparse
-    scheme), a failure coin at the operating error probability and, for a
-    failure under the uniform-index model, the payload index the receiver
-    decodes. Quantization, corruption and the total variation to what the
-    receiver reconstructs are then computed on a block of rows at a time.
+    an input (``_simplex_draws``, or for the sparse scheme a tail mass below
+    the config's bound and ``_sparse_simplex_draws``), a failure coin at the
+    operating error probability and, for a failure under the uniform-index
+    model, the payload index the receiver decodes. Quantization, corruption
+    and the total variation to what the receiver reconstructs are then
+    computed on a block of rows at a time.
     """
     garble = cfg.error_model is ErrorModel.UNIFORM_INDEX
     distortions = np.empty(cfg.trials)

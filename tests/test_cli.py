@@ -154,6 +154,29 @@ class TestTradeoffCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "channel, message",
+        [
+            (["--gamma0-db", "-400"], "capacity 0.0 is not positive"),
+            (["--channel", "fading-csi", "--coherence", "20", "--gamma0-db", "-3225"],
+             "capacity 0.0 is not positive"),
+            (["--channel", "fading-nocsi", "--coherence", "20", "--gamma0-db", "-7"],
+             "the high-SNR model does not apply"),
+        ],
+        ids=["awgn", "fading-csi", "fading-nocsi"],
+    )
+    def test_non_positive_rate_is_infeasible(self, capsys, channel, message):
+        # AWGN and receiver-CSI capacities that rounded to 0 used to be blamed
+        # on the high-SNR model, which only the no-CSI family has.
+        code, out, err = run(
+            ["tradeoff", "--scheme", "lq", "-k", "10", *channel, "--b-hz", "10000",
+             "--beta-t", "0.1"],
+            capsys,
+        )
+        assert code == 3 and out == ""
+        assert err.startswith("infeasible: ") and message in err
+        assert ("high-SNR" in err) == ("fading-nocsi" in channel)
+
     def test_undefined_budget_is_usage_error(self, capsys):
         # UQ needs k >= 2; this used to report every grid point infeasible (exit 3).
         code, out, err = run(
@@ -436,6 +459,21 @@ class TestCodecCommands:
         code, out, err = run(argv, capsys)
         assert code == 2 and out == ""
         assert message in err
+
+    def test_overflowing_entries_give_one_error_line(self, tmp_path):
+        # A fresh process, so that numpy's warnings reach stderr. The refusal
+        # used to follow an overflow RuntimeWarning, and end in a traceback
+        # when warnings were errors.
+        vectors = write_vectors(tmp_path, [[1e308] * 3])
+        env = {**os.environ, "PYTHONPATH": str(Path(latdist.__file__).resolve().parents[1])}
+        argv = ["quantize", "--scheme", "lq", "-k", "3", "--beta-s", "0.15", "--input", str(vectors)]
+        for flags in ([], ["-W", "error::RuntimeWarning"]):
+            done = subprocess.run(
+                [sys.executable, *flags, "-m", "latdist.cli", *argv],
+                env=env, capture_output=True, text=True,
+            )
+            assert done.returncode == 2 and done.stdout == ""
+            assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
 
     def test_dequantize_width_past_its_limit_is_usage_error(self, tmp_path, capsys):
         # Three 63-bit fields fill 24 bytes.

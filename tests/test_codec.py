@@ -158,7 +158,7 @@ class TestCompositionRanking:
         idx = rank_composition(LatticePoint((1, 3, 1), 5))
         assert oracle[idx.value] == (1, 3, 1)
         assert 0 <= idx.value < 21
-        assert unrank_composition(idx, 3, 5).counts == (1, 3, 1)
+        assert unrank_composition(idx.value, 3, 5).counts == (1, 3, 1)
 
     def test_exhaustive_roundtrip_k4_l6(self):
         oracle = enumerate_compositions(4, 6)
@@ -167,7 +167,7 @@ class TestCompositionRanking:
             pt = LatticePoint(counts, 6)
             idx = rank_composition(pt)
             assert idx.value == expected_rank
-            assert unrank_composition(idx, 4, 6) == pt
+            assert unrank_composition(idx.value, 4, 6) == pt
 
     def test_empty_space_refused(self):
         # (0, 3, 0) used to give LatticePoint((0, 0, 0), 0), which lq_decode
@@ -238,7 +238,7 @@ class TestMatchesBisectionOracle:
             idx = rank_composition(unrank_composition(value, k, total))
             assert idx.value == value
             assert idx.bit_width == composition_count_bits(k, total)
-            assert LexIndex.from_bytes(idx.to_bytes(), idx.bit_width) == idx
+            assert int.from_bytes(idx.to_bytes(), "big") == value
 
 
 class TestSubsetRanking:
@@ -253,7 +253,7 @@ class TestSubsetRanking:
         for expected_rank, subset in enumerate(oracle):
             idx = rank_subset(PositionSet(subset, 5))
             assert idx.value == expected_rank
-            assert unrank_subset(idx, 5, 2).indices == subset
+            assert unrank_subset(idx.value, 5, 2).indices == subset
 
     def test_index_out_of_range(self):
         with pytest.raises(IndexOutOfRange):
@@ -370,23 +370,21 @@ class TestLexIndexSerialization:
 
     def test_zero_width(self):
         assert LexIndex(0, 0).to_bytes() == b""
-        assert LexIndex.from_bytes(b"", 0).value == 0
 
     def test_roundtrip_random(self):
+        # Readers take the index back with int.from_bytes; the LQ and SLQ
+        # readers check the length and the range (test_quantizers).
         rng = np.random.default_rng(14)
         for _ in range(200):
             width = int(rng.integers(1, 200))
             value = int(rng.integers(0, 1 << 62)) % (1 << width)
-            idx = LexIndex(value, width)
-            assert LexIndex.from_bytes(idx.to_bytes(), width) == idx
+            data = LexIndex(value, width).to_bytes()
+            assert len(data) == (width + 7) // 8
+            assert int.from_bytes(data, "big") == value
 
     def test_value_must_fit_width(self):
         with pytest.raises(IndexOutOfRange):
             LexIndex(4, 2)
-
-    def test_wrong_byte_count_rejected(self):
-        with pytest.raises(IndexOutOfRange):
-            LexIndex.from_bytes(b"\x01", 16)
 
 
 class TestExhaustiveBijection:
@@ -401,7 +399,7 @@ class TestExhaustiveBijection:
                 for expected_rank, counts in enumerate(oracle):
                     idx = rank_composition(LatticePoint(counts, total))
                     assert idx.value == expected_rank
-                    assert unrank_composition(idx, k, total).counts == counts
+                    assert unrank_composition(idx.value, k, total).counts == counts
 
     def test_subsets(self):
         for k in range(1, 13):
@@ -410,4 +408,4 @@ class TestExhaustiveBijection:
                 for expected_rank, subset in enumerate(oracle):
                     idx = rank_subset(PositionSet(subset, k))
                     assert idx.value == expected_rank
-                    assert unrank_subset(idx, k, size).indices == subset
+                    assert unrank_subset(idx.value, k, size).indices == subset

@@ -37,9 +37,10 @@ class TestConstruction:
         "raw", [[math.nan, 1.0], [0.5, math.nan, 0.5], [math.inf, 1.0], [1e308, 1e308]]
     )
     @pytest.mark.parametrize("normalize", [False, True])
-    @pytest.mark.filterwarnings("ignore:overflow encountered")  # numpy, on the last sum
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_rejected(self, raw, normalize):
-        # [nan, 1] used to pass every check and become [nan, nan].
+        # [nan, 1] used to pass every check and become [nan, nan]. The sum of
+        # [1e308, 1e308] used to overflow with a RuntimeWarning before the refusal.
         with pytest.raises(NonFiniteEntry):
             ProbVector(raw, normalize=normalize)
 

@@ -29,7 +29,6 @@ from latdist.quantizers import (
     slq_decode,
     slq_encode,
     top_indices,
-    top_positions,
     uq_bins,
     uq_decode,
     uq_encode,
@@ -277,13 +276,20 @@ class TestLattice:
         assert hashlib.sha256(payload).hexdigest() == digest
         assert lq_from_payload(payload, k, ell) == point
 
-    @pytest.mark.parametrize("k, ell", [(3, 5), (100, 500)])
+    @pytest.mark.parametrize("k, ell", [(3, 5), (100, 500), (1000, 5000), (3, 2**53)])
     def test_index_beyond_lattice_refused(self, k, ell):
         # Right length, index at or beyond the lattice size: the boundary's own check.
         width = (composition_count_bits(k, ell) + 7) // 8
         cardinality = composition_count(k, ell)
         assert int.from_bytes(b"\xff" * width, "big") >= cardinality
         for data in (b"\xff" * width, cardinality.to_bytes(width, "big")):
+            with pytest.raises(IndexOutOfRange):
+                lq_from_payload(data, k, ell)
+
+    @pytest.mark.parametrize("k, ell", [(3, 5), (100, 500)])
+    def test_wrong_length_refused(self, k, ell):
+        payload = lq_payload(lq_encode(ProbVector(np.ones(k), normalize=True), ell))
+        for data in (payload[:-1], payload + b"\x00", b""):
             with pytest.raises(IndexOutOfRange):
                 lq_from_payload(data, k, ell)
 
@@ -352,9 +358,9 @@ class TestSparseLattice:
         assert enc.positions.indices == (0,)
         assert np.array_equal(slq_decode(enc).values, [1.0, 0.0, 0.0, 0.0])
 
-    def test_top_positions_tie_break(self):
+    def test_retained_positions_tie_break(self):
         p = ProbVector([0.3, 0.1, 0.3, 0.3])
-        assert top_positions(p, 2).indices == (0, 2)
+        assert slq_encode(p, 2, 10).positions.indices == (0, 2)
 
     def test_roundtrip_on_own_output(self):
         rng = np.random.default_rng(27)
@@ -565,7 +571,7 @@ class TestDecodedVectorsMatchPublicConstructor:
             assert np.array_equal(lq_decode(pt).values, expected.values)
             enc = slq_encode(p, k_top, 63)
             values = np.zeros(k)
-            values[list(enc.positions.indices)] = np.array(enc.point.counts) / enc.denominator
+            values[list(enc.positions.indices)] = np.array(enc.point.counts) / 63
             decoded = slq_decode(enc)
             assert np.array_equal(decoded.values, ProbVector(values).values)
             assert not decoded.values.flags.writeable

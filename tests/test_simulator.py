@@ -12,13 +12,7 @@ from latdist.codec import LexIndex, composition_count, composition_count_bits, s
 from latdist.errors import DomainError
 from latdist.prob import ProbVector
 from latdist.quantizers import LQCoder, SLQCoder, UQCoder, UQEncoding, _uniform_below
-from latdist.simulator import (
-    ErrorModel,
-    SimConfig,
-    random_simplex,
-    random_sparse_simplex,
-    simulate_end_to_end,
-)
+from latdist.simulator import ErrorModel, SimConfig, simulate_end_to_end
 
 
 # One run down each decoding path, the last one block plus one trial long.
@@ -60,39 +54,44 @@ def lq_config(eps, trials=3000, seed=42, model=ErrorModel.UNIFORM_INDEX):
     )
 
 
+def _source(draws):
+    """Draws normalized as simulate_end_to_end normalizes its source rows."""
+    return draws / draws.sum()
+
+
 class TestRandomSimplex:
+    """The flat source draws; SimConfig refuses k < 2 before any draw."""
+
     def test_always_sums_to_one(self):
         rng = np.random.default_rng(50)
         for _ in range(200):
-            p = random_simplex(int(rng.integers(2, 40)), rng)
-            assert abs(p.values.sum() - 1.0) < 1e-12
-            assert (p.values >= 0).all()
+            p = _source(simulator._simplex_draws(int(rng.integers(2, 40)), rng))
+            assert abs(p.sum() - 1.0) < 1e-12
+            assert (p >= 0).all()
 
     def test_two_class_marginal_is_uniform(self):
         rng = np.random.default_rng(51)
-        samples = np.array([random_simplex(2, rng)[0] for _ in range(4000)])
+        samples = np.array([_source(simulator._simplex_draws(2, rng))[0] for _ in range(4000)])
         assert stats.kstest(samples, "uniform").pvalue > 1e-3
-
-    def test_needs_two_classes(self):
-        with pytest.raises(DomainError):
-            random_simplex(1, np.random.default_rng(0))
 
 
 class TestRandomSparseSimplex:
+    """The sparse scheme's source draws; SimConfig checks k_top and the tail bound."""
+
     def test_tail_mass_respected(self):
         rng = np.random.default_rng(53)
         for _ in range(200):
             k = int(rng.integers(4, 30))
             top = int(rng.integers(1, k))
             bound = float(rng.uniform(0, 0.2))
-            p = random_sparse_simplex(k, top, bound, rng)
-            tail = np.sort(p.values)[: k - top].sum()
+            p = _source(simulator._sparse_simplex_draws(k, top, bound, rng))
+            tail = np.sort(p)[: k - top].sum()
             assert tail <= bound + 1e-12
 
     def test_zero_tail_is_exactly_sparse(self):
         rng = np.random.default_rng(54)
-        p = random_sparse_simplex(10, 3, 0.0, rng)
-        assert np.count_nonzero(p.values) == 3
+        p = _source(simulator._sparse_simplex_draws(10, 3, 0.0, rng))
+        assert np.count_nonzero(p) == 3
 
 
 class TestSimulation:
