@@ -47,6 +47,10 @@ class VectorDataset:
         return out
 
 
+# The types json.loads gives a JSON number.
+_NUMBERS = {int, float}
+
+
 def _parse_jsonl(lines: list[str], path: str) -> list[list[float]]:
     rows = []
     for lineno, line in enumerate(lines, 1):
@@ -56,6 +60,9 @@ def _parse_jsonl(lines: list[str], path: str) -> list[list[float]]:
             raise ParseError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
         if not isinstance(row, list):
             raise ParseError(f"{path}:{lineno}: expected a JSON array")
+        if not set(map(type, row)) <= _NUMBERS:  # bool, a subclass of int, is refused
+            bad = next(x for x in row if type(x) not in _NUMBERS)
+            raise ParseError(f"{path}:{lineno}: expected numbers, got {json.dumps(bad)}")
         rows.append(row)
     return rows
 

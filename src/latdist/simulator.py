@@ -9,10 +9,10 @@ Reproducibility contract: every random number of trial i comes from its own
 stream, exactly that of ``numpy.random.default_rng([seed, i])``, so a report
 depends on its config alone. The streams are seeded a block of trials at a
 time: ``_trial_states`` restates numpy's seeding on arrays, and one generator
-is set to each trial's state in turn. Trials are quantized and measured in
-blocks of rows, and the report bytes depend neither on the block size nor on
-the order of the trials within a block. One coder, from ``BudgetFn.coder``,
-codes every block and decodes its garbled payloads.
+is set to each trial's state in turn. A trial only draws, into the block's
+arrays; sources are built, quantized and measured a block at a time, and the
+report bytes depend neither on the block size nor on the trials' order in a
+block. One coder, from ``BudgetFn.coder``, codes and garbles every block.
 """
 
 from __future__ import annotations
@@ -126,29 +126,21 @@ class SimReport:
         return json.dumps(asdict(self), sort_keys=True)
 
 
-def _simplex_draws(k: int, rng: np.random.Generator) -> np.ndarray:
-    """k unit exponentials: normalized, a uniform draw from the simplex."""
-    return rng.standard_exponential(k)
+def _sparse_sources(draws: np.ndarray, tails: np.ndarray, perms: np.ndarray, top: int):
+    """Sparse source rows, before normalization, from a block of raw draws.
 
-
-def _sparse_simplex_draws(
-    k: int, top: int, tail_mass: float, rng: np.random.Generator
-) -> np.ndarray:
-    """Draws whose smallest k - top entries carry ``tail_mass`` of their unit sum.
-
-    The heavy block of ``top`` coordinates is placed at random positions and
-    receives mass 1 - tail_mass spread as a flat Dirichlet; the remainder is
-    spread over the other coordinates the same way. ``SimConfig`` has checked
-    k, top and the tail bound.
+    Row i of ``draws`` holds ``top`` heavy unit exponentials, then k - top
+    light ones if ``tails[i]`` > 0, else zeros. In place, the heavy part is
+    scaled to carry 1 - tail of a unit sum and the light part the tail; entry
+    j of row i then goes to position ``perms[i, j]``.
     """
-    values = np.zeros(k)
-    positions = rng.permutation(k)
-    heavy = rng.standard_exponential(top)
-    values[positions[:top]] = (1.0 - tail_mass) * heavy / heavy.sum()
-    if top < k and tail_mass > 0:
-        light = rng.standard_exponential(k - top)
-        values[positions[top:]] = tail_mass * light / light.sum()
-    return values
+    heavy, light = draws[:, :top], draws[:, top:]
+    tails = tails[:, None]
+    heavy[:] = (1.0 - tails) * heavy / heavy.sum(axis=1, keepdims=True)
+    np.divide(tails * light, light.sum(axis=1, keepdims=True), out=light, where=tails > 0)
+    sources = np.empty_like(draws)
+    np.put_along_axis(sources, perms, draws, axis=1)
+    return sources
 
 
 def _words(n: int) -> list[int]:
@@ -247,13 +239,14 @@ def _pcg64_states(words: np.ndarray) -> list[dict]:
 def simulate_end_to_end(cfg: SimConfig) -> SimReport:
     """Run the trials and compare mean distortion with the analytical bound.
 
-    Each trial draws, from its own (seed, trial) stream and in this order,
-    an input (``_simplex_draws``, or for the sparse scheme a tail mass below
-    the config's bound and ``_sparse_simplex_draws``), a failure coin at the
-    operating error probability and, for a failure under the uniform-index
-    model, the payload index the receiver decodes. Quantization, corruption
-    and the total variation to what the receiver reconstructs are then
-    computed on a block of rows at a time.
+    Each trial draws, from its own (seed, trial) stream and in this order:
+    for the sparse scheme, a tail mass below the config's bound and a
+    permutation of the k positions; k unit exponentials, or k_top when the
+    tail is 0; a failure coin at the operating error probability; and, for a
+    failure under the uniform-index model, the payload index the receiver
+    decodes. The sources, their quantization and corruption, and the total
+    variation to what the receiver reconstructs are then computed on a block
+    of rows at a time.
     """
     garble = cfg.error_model is ErrorModel.UNIFORM_INDEX
     distortions = np.empty(cfg.trials)
@@ -261,22 +254,29 @@ def simulate_end_to_end(cfg: SimConfig) -> SimReport:
     # that building it reads no OS entropy.
     bitgen = np.random.PCG64(0)
     rng = np.random.Generator(bitgen)
+    sparse = cfg.scheme is Scheme.SLQ
+    top = cfg.k_top if sparse else cfg.k
+    tail_bound, tail = cfg.tail_bound, 0.0
     for start in range(0, cfg.trials, _BLOCK):
         stop = min(start + _BLOCK, cfg.trials)
-        sources = np.empty((stop - start, cfg.k))
+        draws = np.zeros((stop - start, cfg.k))
+        if sparse:
+            tails = np.empty(stop - start)
+            perms = np.tile(np.arange(cfg.k), (stop - start, 1))
         failed, garbled = [], []
         for row, state in enumerate(_trial_states(cfg.seed, start, stop)):
             bitgen.state = state
-            if cfg.scheme is Scheme.SLQ:
-                tail = rng.uniform(0.0, cfg.tail_bound)
-                sources[row] = _sparse_simplex_draws(cfg.k, cfg.k_top, tail, rng)
-            else:
-                sources[row] = _simplex_draws(cfg.k, rng)
-            # random() draws what uniform() draws, without its argument handling.
+            # random() draws what uniform() draws, and shuffling an arange what
+            # permutation() does, without their argument handling.
+            if sparse:
+                tails[row] = tail = tail_bound * rng.random()
+                rng.shuffle(perms[row])
+            rng.standard_exponential(out=draws[row, : cfg.k if tail else top])
             if rng.random() < cfg.eps_target:
                 failed.append(row)
                 if garble:
                     garbled.append(cfg.coder.garbled(rng))
+        sources = _sparse_sources(draws, tails, perms, top) if sparse else draws
         sources /= sources.sum(axis=1, keepdims=True)
         received = cfg.coder.decode_rows(sources)
         if failed and garble:

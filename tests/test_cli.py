@@ -673,6 +673,14 @@ class TestStatsCommand:
         assert code == 2 and out == ""
         assert "must be finite" in err
 
+    def test_non_numeric_entry_is_usage_error(self, tmp_path, capsys):
+        # A bool used to load as 1 and 0, and the stats ran with exit 0.
+        path = tmp_path / "vectors.jsonl"
+        path.write_text("[0.5, 0.5]\n[true, false]\n")
+        code, out, err = run(["stats", "--input", str(path)], capsys)
+        assert code == 2 and out == ""
+        assert err == f"error: {path}:2: expected numbers, got true\n"
+
 
 class TestConfigFile:
     def test_flags_override_file(self, tmp_path, capsys):
@@ -842,6 +850,11 @@ WIRE_RUNS = {
     "simulate_slq_k1000.json": ["simulate", "--scheme", "slq", "-k", "1000", "--k-top", "10",
                                 "--delta", "0.001", "--beta-s", "0.05", "--eps-target", "0.25",
                                 "--trials", "2000", "--seed", "3"],
+    # Sparse sources with no tail, each failure decoded as the farthest vertex.
+    "simulate_slq_adversarial.json": ["simulate", "--scheme", "slq", "-k", "100", "--k-top", "5",
+                                      "--delta", "0", "--error-model", "adversarial",
+                                      "--beta-s", "0.05", "--eps-target", "0.25",
+                                      "--trials", "2000", "--seed", "5"],
 }
 
 

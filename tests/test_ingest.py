@@ -68,6 +68,28 @@ class TestLoading:
         with pytest.raises(ParseError):
             load_dataset(empty)
 
+    @pytest.mark.parametrize("row, shown", [
+        ('["0.5", "0.5"]', '"0.5"'),
+        ("[true, false]", "true"),
+        ("[0.5, 0.5, {}]", "{}"),
+        ('[0.5, "x"]', '"x"'),
+        ("[0.5, null]", "null"),
+        ("[0.5, [0.5]]", "[0.5]"),
+    ], ids=["strings", "bools", "object", "string", "null", "nested"])
+    def test_json_entry_that_is_not_a_number(self, tmp_path, row, shown):
+        # Strings and bools used to load as numbers, an object raised a
+        # TypeError, and a string's error named no line.
+        path = tmp_path / "bad.jsonl"
+        path.write_text(f"[0.5, 0.5]\n{row}\n")
+        with pytest.raises(ParseError) as info:
+            load_dataset(path)
+        assert str(info.value) == f"{path}:2: expected numbers, got {shown}"
+
+    def test_json_integers_are_numbers(self, tmp_path):
+        path = tmp_path / "counts.jsonl"
+        path.write_text("[1, 3]\n[0.5, 1]\n")
+        assert load_dataset(path).matrix.tolist() == [[0.25, 0.75], [1 / 3, 2 / 3]]
+
     @pytest.mark.parametrize("fmt", ["jsonl", "delimited"])
     def test_save_load_roundtrip(self, tmp_path, fmt):
         # Values survive up to one renormalization ulp: rows whose stored

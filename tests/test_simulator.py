@@ -39,6 +39,24 @@ PINNED_PATHS = {
         error_model=ErrorModel.UNIFORM_INDEX, scheme=Scheme.LQ, k=8, beta_s=0.1,
         eps_target=0.25,
     ), "e26e135b00a79585772ce00761e8ef07b00a0cb0bb400716a0c6b51b7efbbc6a"),
+    # The sparse sources' other paths: the farthest vertex, no light draw
+    # (no tail bound, or no tail when k_top = k) and a tail above delta.
+    "slq-k100-adversarial": (300, dict(
+        error_model=ErrorModel.ADVERSARIAL_VERTEX, scheme=Scheme.SLQ, k=100, beta_s=0.05,
+        eps_target=0.25, k_top=5, delta=1e-3,
+    ), "58b276da90a7b05ac7f9194ad6207fd77b268aa2424dd2217cbb38683b009030"),
+    "slq-k100-zero-tail": (300, dict(
+        error_model=ErrorModel.UNIFORM_INDEX, scheme=Scheme.SLQ, k=100, beta_s=0.05,
+        eps_target=0.25, k_top=5,
+    ), "8b4a598045fd887c49caf3b48d470f8b03a7fef9194a15dee527444a97e6c5a1"),
+    "slq-k8-top-is-k": (300, dict(
+        error_model=ErrorModel.UNIFORM_INDEX, scheme=Scheme.SLQ, k=8, beta_s=0.1,
+        eps_target=0.25, k_top=8,
+    ), "31669675020ee7872922b2de0d8ca611ba0eb75474d2dbb2f202c50c90ef22f6"),
+    "slq-k100-source-tail": (300, dict(
+        error_model=ErrorModel.UNIFORM_INDEX, scheme=Scheme.SLQ, k=100, beta_s=0.05,
+        eps_target=0.25, k_top=5, delta=1e-3, source_tail_mass=0.2,
+    ), "5cd276076e8a57cd18dd7bdc6c552598d44ab93e525f336d276efe211f52c9d7"),
 }
 
 
@@ -54,44 +72,64 @@ def lq_config(eps, trials=3000, seed=42, model=ErrorModel.UNIFORM_INDEX):
     )
 
 
-def _source(draws):
-    """Draws normalized as simulate_end_to_end normalizes its source rows."""
-    return draws / draws.sum()
+def _sources(rng, rows, k, top, tail_bound):
+    """A block of sparse sources, drawn and normalized as simulate_end_to_end does.
+
+    A row draws its light entries only if its tail is positive, and every
+    other row is given no tail, so each block mixes both kinds of row.
+    """
+    tails = tail_bound * rng.random(rows)
+    tails[::2] = 0.0
+    draws = np.zeros((rows, k))
+    for row, tail in enumerate(tails):
+        rng.standard_exponential(out=draws[row, : k if tail else top])
+    perms = rng.permuted(np.tile(np.arange(k), (rows, 1)), axis=1)
+    sources = simulator._sparse_sources(draws, tails, perms, top)
+    return sources / sources.sum(axis=1, keepdims=True), tails, perms
 
 
 class TestRandomSimplex:
-    """The flat source draws; SimConfig refuses k < 2 before any draw."""
+    """Sources with k_top = k: normalized exponentials, as the flat schemes draw."""
 
     def test_always_sums_to_one(self):
         rng = np.random.default_rng(50)
-        for _ in range(200):
-            p = _source(simulator._simplex_draws(int(rng.integers(2, 40)), rng))
-            assert abs(p.sum() - 1.0) < 1e-12
-            assert (p >= 0).all()
+        for _ in range(50):
+            k = int(rng.integers(2, 40))
+            p, _, _ = _sources(rng, 8, k, k, float(rng.uniform(0, 0.2)))
+            np.testing.assert_allclose(p.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+            assert (p > 0).all()
 
     def test_two_class_marginal_is_uniform(self):
         rng = np.random.default_rng(51)
-        samples = np.array([_source(simulator._simplex_draws(2, rng))[0] for _ in range(4000)])
-        assert stats.kstest(samples, "uniform").pvalue > 1e-3
+        p, _, _ = _sources(rng, 4000, 2, 2, 0.0)
+        assert stats.kstest(p[:, 0], "uniform").pvalue > 1e-3
 
 
 class TestRandomSparseSimplex:
-    """The sparse scheme's source draws; SimConfig checks k_top and the tail bound."""
+    """The sparse scheme's sources; SimConfig checks k_top and the tail bound."""
 
     def test_tail_mass_respected(self):
         rng = np.random.default_rng(53)
-        for _ in range(200):
+        for _ in range(50):
             k = int(rng.integers(4, 30))
             top = int(rng.integers(1, k))
             bound = float(rng.uniform(0, 0.2))
-            p = _source(simulator._sparse_simplex_draws(k, top, bound, rng))
-            tail = np.sort(p)[: k - top].sum()
-            assert tail <= bound + 1e-12
+            p, tails, perms = _sources(rng, 8, k, top, bound)
+            np.testing.assert_allclose(p.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+            assert (tails <= bound).all()
+            tail = np.sort(p, axis=1)[:, : k - top].sum(axis=1)
+            assert (tail <= tails + 1e-12).all()
+            # The light entries sit where the permutation sends them.
+            light = np.take_along_axis(p, perms[:, top:], axis=1).sum(axis=1)
+            np.testing.assert_allclose(light, tails, rtol=0, atol=1e-12)
 
     def test_zero_tail_is_exactly_sparse(self):
         rng = np.random.default_rng(54)
-        p = _source(simulator._sparse_simplex_draws(10, 3, 0.0, rng))
-        assert np.count_nonzero(p) == 3
+        p, tails, _ = _sources(rng, 20, 10, 3, 0.1)
+        assert (tails[::2] == 0).all() and (tails[1::2] > 0).all()
+        assert (np.count_nonzero(p[::2], axis=1) == 3).all()
+        assert (np.count_nonzero(p[1::2], axis=1) == 10).all()
+        np.testing.assert_allclose(p.sum(axis=1), 1.0, rtol=0, atol=1e-12)
 
 
 class TestSimulation:
@@ -219,11 +257,12 @@ class TestSimulation:
 
     def test_memory_does_not_grow_with_trials(self):
         # Only the distortions (8 bytes a trial) grow with the trial count;
-        # the (block x k) matrices do not.
-        def peak_bytes(trials):
+        # the (block x k) matrices do not. The sparse block also holds a
+        # tail per row and an intp permutation matrix.
+        def peak_bytes(trials, extra):
             cfg = SimConfig(
                 trials=trials, seed=3, error_model=ErrorModel.ADVERSARIAL_VERTEX,
-                scheme=Scheme.LQ, k=1000, beta_s=0.1, eps_target=0.25,
+                k=1000, beta_s=0.1, eps_target=0.25, **extra,
             )
             tracemalloc.start()
             try:
@@ -232,8 +271,9 @@ class TestSimulation:
             finally:
                 tracemalloc.stop()
 
-        small = peak_bytes(512)
-        assert peak_bytes(4 * 512) <= 1.25 * small
+        for extra in dict(scheme=Scheme.LQ), dict(scheme=Scheme.SLQ, k_top=10, delta=1e-3):
+            small = peak_bytes(512, extra)
+            assert peak_bytes(4 * 512, extra) <= 1.25 * small, extra
 
     def test_same_config_same_report(self):
         cfg = lq_config(eps=0.25, trials=800)
