@@ -5,9 +5,10 @@ Each option is declared once, as an argparse flag with its default; an
 option that must be given has the ``_REQUIRED`` default. A JSON config file
 (``--config``) is read as flags placed before the explicit ones, so explicit
 flags win and a file value is parsed and checked as the flag's text would
-be. Every output embeds the parsed options, as comment lines in CSV or a
-sibling object in JSON, so a run is reproducible from its artifact alone.
-Exit codes: 0 success, 2 usage error, 3 infeasible.
+be. Each handler returns its document, and ``main`` writes it once, to
+stdout or ``--output``. Every document embeds the parsed options, as a
+comment line in CSV or a sibling object in JSON, so a run is reproducible
+from its artifact alone. Exit codes: 0 success, 2 usage error, 3 infeasible.
 """
 
 from __future__ import annotations
@@ -127,26 +128,16 @@ def _budget_fn(cfg: dict) -> BudgetFn:
     return BudgetFn(cfg["scheme"], cfg["k"], cfg["k_top"], cfg["delta"])
 
 
-def _write(output, text: str):
-    if output:
-        Path(output).write_text(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _csv_document(cfg: dict, header: tuple[str, ...], rows: list[tuple]) -> str:
-    lines = [f"# config = {json.dumps(cfg, sort_keys=True)}"]
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_fmt(x) for x in row))
+def _document(cfg: dict, header: tuple[str, ...], rows: list, payload: dict) -> str:
+    """The run's artifact in its format: header and rows in CSV, or payload in JSON."""
+    if cfg["format"] == "json":
+        return json.dumps({"config": cfg, **payload}, sort_keys=True) + "\n"
+    lines = [f"# config = {json.dumps(cfg, sort_keys=True)}", ",".join(header)]
+    lines += (",".join(map(_fmt, row)) for row in rows)
     return "\n".join(lines) + "\n"
 
 
-def _json_document(cfg: dict, payload: dict) -> str:
-    return json.dumps({"config": cfg, **payload}, sort_keys=True) + "\n"
-
-
-def cmd_budget(cfg: dict, output) -> int:
+def cmd_budget(cfg: dict) -> str:
     uq, lq, slq = (BudgetFn(s, cfg["k"], cfg["k_top"], cfg["delta"]) for s in Scheme)
     grid = parse_value_list(cfg["beta_s"])
     if not grid:
@@ -158,16 +149,11 @@ def cmd_budget(cfg: dict, output) -> int:
             ell_slq, j_slq = slq.ell(bs), slq.bits_int(bs)
         rows.append((bs, uq.bits_real(bs), lq.bits_int(bs), j_slq, lq.ell(bs), ell_slq))
     header = ("beta_s", "J_uq_bits", "J_lq_bits", "J_slq_bits", "ell_lq", "ell_slq")
-    if cfg["format"] == "json":
-        objs = [dict(zip(header, row)) for row in rows]
-        _write(output, _json_document(cfg, {"rows": objs}))
-    else:
-        _write(output, _csv_document(cfg, header, rows))
-    return 0
+    return _document(cfg, header, rows, {"rows": [dict(zip(header, row)) for row in rows]})
 
 
-def _run_sweep(cfg: dict, output, sweep, beta_t, *, with_best: bool) -> int:
-    """Run ``sweep`` at beta_t on the config's coder and channel; write its rows."""
+def _run_sweep(cfg: dict, sweep, beta_t, *, with_best: bool) -> str:
+    """Run ``sweep`` at beta_t on the config's coder and channel; its rows as a document."""
     cfg["beta_t"] = beta_t
     curve = sweep(
         beta_t,
@@ -184,27 +170,23 @@ def _run_sweep(cfg: dict, output, sweep, beta_t, *, with_best: bool) -> int:
     )
     # The CSV columns, then latency_s for JSON, as Python scalars.
     rows = list(zip(*(column.tolist() for column in columns)))
-    if cfg["format"] == "json":
-        objs = [dict(zip(CSV_COLUMNS + ("latency_s",), row)) for row in rows]
-        payload = {"rows": objs, "best": objs[curve.best_index]} if with_best else {"rows": objs}
-        _write(output, _json_document(cfg, payload))
-    else:
-        _write(output, _csv_document(cfg, CSV_COLUMNS, [row[:-1] for row in rows]))
-    return 0
+    objs = [dict(zip(CSV_COLUMNS + ("latency_s",), row)) for row in rows]
+    payload = {"rows": objs, "best": objs[curve.best_index]} if with_best else {"rows": objs}
+    return _document(cfg, CSV_COLUMNS, [row[:-1] for row in rows], payload)
 
 
-def cmd_tradeoff(cfg: dict, output) -> int:
+def cmd_tradeoff(cfg: dict) -> str:
     betas = parse_value_list(cfg["beta_t"])
     if len(betas) != 1:
         raise UsageError("tradeoff sweeps a single beta_t; give one value")
-    return _run_sweep(cfg, output, sweep_beta_s, betas[0], with_best=True)
+    return _run_sweep(cfg, sweep_beta_s, betas[0], with_best=True)
 
 
-def cmd_hull(cfg: dict, output) -> int:
+def cmd_hull(cfg: dict) -> str:
     betas = parse_value_list(cfg["beta_t"])
     if not betas:
         raise UsageError("empty beta_t list")
-    return _run_sweep(cfg, output, sweep_beta_t, betas, with_best=False)
+    return _run_sweep(cfg, sweep_beta_t, betas, with_best=False)
 
 
 def _coder(cfg: dict):
@@ -220,22 +202,17 @@ def _coder(cfg: dict):
     return coder
 
 
-def cmd_quantize(cfg: dict, output) -> int:
+def cmd_quantize(cfg: dict) -> str:
     coder = _coder(cfg)
     ds = load_dataset(cfg.pop("input"))
     if ds.k != cfg["k"]:
         raise UsageError(f"dataset dimension {ds.k} does not match --k {cfg['k']}")
     payloads = [coder.to_bytes(v).hex() for v in ds.vectors]
-    if cfg["format"] == "json":
-        _write(output, _json_document(cfg, {"payloads": payloads}))
-    else:
-        _write(output, _csv_document(cfg, ("payload_hex",), [(p,) for p in payloads]))
-    return 0
+    return _document(cfg, ("payload_hex",), [(p,) for p in payloads], {"payloads": payloads})
 
 
-def cmd_dequantize(cfg: dict, output) -> int:
+def cmd_dequantize(cfg: dict) -> str:
     coder = _coder(cfg)
-    k = cfg["k"]
     lines = Path(cfg.pop("input")).read_text().splitlines()
     payloads = [
         ln.strip()
@@ -249,23 +226,17 @@ def cmd_dequantize(cfg: dict, output) -> int:
         except ValueError as exc:
             raise UsageError(f"invalid payload line {hexline!r}: {exc}") from exc
         vectors.append([float(x) for x in coder.from_bytes(data).values])
-    if cfg["format"] == "json":
-        _write(output, _json_document(cfg, {"vectors": vectors}))
-    else:
-        header = tuple(f"p{i}" for i in range(k))
-        _write(output, _csv_document(cfg, header, [tuple(v) for v in vectors]))
-    return 0
+    header = tuple(f"p{i}" for i in range(cfg["k"]))
+    return _document(cfg, header, vectors, {"vectors": vectors})
 
 
-def cmd_simulate(cfg: dict, output) -> int:
+def cmd_simulate(cfg: dict) -> str:
     if Scheme(cfg["scheme"]) is not Scheme.SLQ:
         cfg["delta"] = 0.0
-    report = simulate_end_to_end(SimConfig(**cfg))
-    _write(output, report.to_json() + "\n")
-    return 0
+    return simulate_end_to_end(SimConfig(**cfg)).to_json() + "\n"
 
 
-def cmd_stats(cfg: dict, output) -> int:
+def cmd_stats(cfg: dict) -> str:
     ds = load_dataset(cfg.pop("input"))
     k_tops = [cfg["k_top"]] if cfg["k_top"] is not None else None
     curve = top_mass_curve(ds, k_tops)
@@ -278,19 +249,15 @@ def cmd_stats(cfg: dict, output) -> int:
         "satisfied": rec.satisfied,
         "tail_violation_fraction": violation,
     }
-    if cfg["format"] == "json":
-        curves = {
-            "k_top": list(curve.k_top_values),
-            "avg_top_mass": [float(x) for x in curve.avg_top_mass],
-            "delta_avg": [float(x) for x in curve.delta_avg],
-        }
-        _write(output, _json_document(cfg, {**curves, **summary}))
-    else:
-        rows = [(kt, float(d)) for kt, d in zip(curve.k_top_values, curve.delta_avg)]
-        doc = _csv_document(cfg, ("k_top", "delta_avg"), rows)
-        doc += "".join(f"# {key} = {_fmt(value)}\n" for key, value in summary.items())
-        _write(output, doc)
-    return 0
+    curves = {
+        "k_top": list(curve.k_top_values),
+        "avg_top_mass": [float(x) for x in curve.avg_top_mass],
+        "delta_avg": [float(x) for x in curve.delta_avg],
+    }
+    rows = list(zip(curves["k_top"], curves["delta_avg"]))
+    # In CSV the summary follows the rows as comment lines.
+    rows += [(f"# {key} = {_fmt(value)}",) for key, value in summary.items()]
+    return _document(cfg, ("k_top", "delta_avg"), rows, {**curves, **summary})
 
 
 def _add_common(sub: argparse.ArgumentParser, *, formats: bool = True):
@@ -419,7 +386,12 @@ def main(argv=None) -> int:
         missing = [key for key, value in cfg.items() if value is _REQUIRED]
         if missing:
             raise UsageError(f"missing required option --{missing[0].replace('_', '-')}")
-        return args.handler(cfg, args.output)
+        text = args.handler(cfg)
+        if args.output:
+            Path(args.output).write_text(text)
+        else:
+            sys.stdout.write(text)
+        return 0
     except NoFeasibleN as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 3

@@ -125,10 +125,6 @@ class LatticePoint:
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "denominator", denominator)
 
-    @property
-    def k(self) -> int:
-        return len(self.counts)
-
 
 @dataclass(frozen=True)
 class PositionSet:
@@ -151,10 +147,6 @@ class PositionSet:
             raise InvalidSubset(f"indices {idx} outside [0, {dimension})")
         object.__setattr__(self, "indices", idx)
         object.__setattr__(self, "dimension", dimension)
-
-    @property
-    def size(self) -> int:
-        return len(self.indices)
 
 
 @dataclass(frozen=True)

@@ -225,10 +225,10 @@ _COLUMNS = tuple(f.name for f in fields(TradeoffPoint))
 class TradeoffCurve:
     """Sweep output: one numpy column per ``TradeoffPoint`` field, one row per point.
 
-    ``best_index`` is the row of least latency and ``hull_index`` the rows on
-    the lower convex hull, if the sweep marks one. ``points`` holds the rows
-    as ``TradeoffPoint`` objects with Python scalar fields, built on first
-    access; ``best`` and ``hull`` are taken from that same list.
+    ``best_index`` is the row of least latency. ``hull_member`` marks the
+    rows on the lower convex hull; only ``sweep_beta_t`` marks any.
+    ``points`` holds the rows as ``TradeoffPoint`` objects with Python scalar
+    fields, built on first access; ``best`` is taken from that same list.
     """
 
     beta_t: np.ndarray
@@ -241,7 +241,6 @@ class TradeoffCurve:
     feasible: np.ndarray
     hull_member: np.ndarray
     best_index: int
-    hull_index: np.ndarray | None = None
 
     @cached_property
     def points(self) -> list[TradeoffPoint]:
@@ -250,12 +249,6 @@ class TradeoffCurve:
     @property
     def best(self) -> TradeoffPoint:
         return self.points[self.best_index]
-
-    @property
-    def hull(self) -> list[TradeoffPoint] | None:
-        if self.hull_index is None:
-            return None
-        return [self.points[i] for i in self.hull_index.tolist()]
 
 
 def beta_s_grid(
@@ -397,13 +390,11 @@ def sweep_beta_t(
     beta_t, beta_s, eps, j_bits, n, n_real, latency, feasible = (c[rows, best] for c in columns)
     beta_s[~feasible] = math.nan
     feasible_rows = np.flatnonzero(feasible)
-    hull = feasible_rows[
-        lower_convex_hull(values[feasible_rows].tolist(), latency[feasible_rows].tolist())
-    ]
+    hull = lower_convex_hull(values[feasible_rows].tolist(), latency[feasible_rows].tolist())
     hull_member = np.zeros(values.size, bool)
-    hull_member[hull] = True
+    hull_member[feasible_rows[hull]] = True
     # Budgets are sorted, so the first of least latency has the smaller beta_t.
     best_row = int(np.argmin(latency))
     return TradeoffCurve(
-        beta_t, beta_s, eps, j_bits, n, n_real, latency, feasible, hull_member, best_row, hull
+        beta_t, beta_s, eps, j_bits, n, n_real, latency, feasible, hull_member, best_row
     )

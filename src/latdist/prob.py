@@ -38,7 +38,10 @@ class ProbVector:
         # this package, hands over. It is checked as any input, but normalized
         # in place and kept instead of copied, which spares a large mostly-zero
         # vector its page faults. The values are the same, bit for bit.
-        values = np.asarray(raw, dtype=float)
+        try:
+            values = np.asarray(raw, dtype=float)
+        except OverflowError:  # a Python int beyond the float range
+            raise NonFiniteEntry("entries must be finite; an integer overflows a float") from None
         if values.ndim != 1 or values.size < 2:
             raise DimensionMismatch(
                 f"need a 1-D vector with at least 2 entries, got shape {values.shape}"

@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from numbers import Integral
-from typing import NamedTuple
 
 import numpy as np
 
@@ -112,15 +111,7 @@ def uq_decode(enc: UQEncoding) -> ProbVector:
     return ProbVector(uq_midpoints(enc.bin_ids, enc.bits_per_entry), normalize=True, _owned=True)
 
 
-class LatticeRounding(NamedTuple):
-    """Output of the lattice rounding with its intermediate quantities."""
-
-    counts: np.ndarray
-    initial_counts: np.ndarray
-    residuals: np.ndarray
-
-
-def round_to_lattice(values: np.ndarray, denominator: int) -> LatticeRounding:
+def round_to_lattice(values: np.ndarray, denominator: int) -> np.ndarray:
     """Round a nonnegative unit-sum vector to integer counts summing to ``denominator``.
 
     Initial counts are floor(denominator*value + 1/2). If they oversum, the
@@ -133,11 +124,10 @@ def round_to_lattice(values: np.ndarray, denominator: int) -> LatticeRounding:
     scaled = np.asarray(values, dtype=float) * denominator
     rounded = np.floor(scaled + 0.5)
     counts = rounded.astype(np.int64)
-    residuals = rounded - scaled
     deficit = denominator - counts.sum(axis=-1)
-    initial = counts.copy()
     if not np.count_nonzero(deficit):
-        return LatticeRounding(counts, initial, residuals)
+        return counts
+    residuals = rounded - scaled
     # A stable sort by the residuals, negated where the counts oversum, puts
     # first the |deficit| entries that move one count toward the target,
     # ties at the lower index. Each row is sorted on its own.
@@ -147,12 +137,12 @@ def round_to_lattice(values: np.ndarray, denominator: int) -> LatticeRounding:
     # Entries picked for decrement always started positive: a positive
     # total residual forces at least -deficit entries above their target.
     assert counts.min() >= 0, "lattice rounding drove a count negative"
-    return LatticeRounding(counts, initial, residuals)
+    return counts
 
 
 def lq_encode(p: ProbVector, denominator: int) -> LatticePoint:
     """Nearest point on the fixed-denominator lattice, by residual rounding."""
-    counts = round_to_lattice(p.values, denominator).counts
+    counts = round_to_lattice(p.values, denominator)
     return _trusted(LatticePoint, tuple(counts.tolist()), denominator)
 
 
@@ -188,10 +178,9 @@ class SLQEncoding:
     point: LatticePoint
 
     def __post_init__(self):
-        if self.point.k != self.positions.size:
-            raise DimensionMismatch(
-                f"{self.positions.size} positions but {self.point.k} lattice counts"
-            )
+        size, k = len(self.positions.indices), len(self.point.counts)
+        if k != size:
+            raise DimensionMismatch(f"{size} positions but {k} lattice counts")
 
     def to_bytes(self) -> bytes:
         """Subset index bytes followed by composition index bytes."""
@@ -238,7 +227,7 @@ def top_indices(values: np.ndarray, k_top: int) -> np.ndarray:
 def slq_counts(kept: np.ndarray, denominator: int) -> np.ndarray:
     """Lattice counts of each row of kept entries, first renormalized to unit sum."""
     # Positive mass: the k_top >= 1 largest entries of a unit-sum row hold at least k_top/k.
-    return round_to_lattice(kept / kept.sum(axis=-1, keepdims=True), denominator).counts
+    return round_to_lattice(kept / kept.sum(axis=-1, keepdims=True), denominator)
 
 
 def slq_encode(p: ProbVector, k_top: int, denominator: int) -> SLQEncoding:
@@ -319,7 +308,7 @@ class LQCoder:
         return lq_decode(lq_from_payload(data, self.k, self.ell))
 
     def decode_rows(self, rows: np.ndarray) -> np.ndarray:
-        return round_to_lattice(rows, self.ell).counts / self.ell
+        return round_to_lattice(rows, self.ell) / self.ell
 
     def garbled(self, rng: np.random.Generator) -> np.ndarray:
         idx = _uniform_below(rng, composition_count(self.k, self.ell))

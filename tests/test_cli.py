@@ -233,16 +233,6 @@ class TestHullCommand:
         assert code == 0
         assert out == (DATA_DIR / "golden_hull.csv").read_text()
 
-    def test_refined_matches_pinned_file(self, capsys):
-        # The refined AWGN blocklengths of 25 budgets, 1000 grid points each.
-        code, out, _ = run(
-            ["hull", "--scheme", "lq", "-k", "100", "--gamma0-db", "5", "--b-hz", "320000",
-             "--beta-t", "lin:0.02:0.5:25", "--refine"],
-            capsys,
-        )
-        assert code == 0
-        assert out.encode() == (DATA_DIR / "hull_refined.csv").read_bytes()
-
     def test_jobs_flag_rejected(self):
         with pytest.raises(SystemExit) as exc:
             main(self.HULL_ARGS + ["--jobs", "2"])
@@ -665,7 +655,9 @@ class TestStatsCommand:
         assert exit_code(["stats", "--input", str(path), flag, value]) == 2
         assert capsys.readouterr().out == ""
 
-    @pytest.mark.parametrize("bad", ["NaN", "Infinity"])
+    @pytest.mark.parametrize(
+        "bad", ["NaN", "Infinity", pytest.param("1" + "0" * 400, id="10**400")]
+    )
     def test_non_finite_row_is_usage_error(self, tmp_path, capsys, bad):
         path = tmp_path / "vectors.jsonl"
         path.write_text(f"[0.5, 0.5]\n[{bad}, 1.0]\n")
@@ -806,8 +798,9 @@ def test_reference_outputs_are_pinned(readme_dir, capsys, case):
 
 
 # Wire bytes of the README's quantize commands and what they dequantize to,
-# two fading hulls, a k=100 dataset's stats and a simulate report, pinned as
-# files in tests/data; CI compares the installed entry point with them.
+# two fading hulls, a refined AWGN hull, a k=100 dataset's stats and simulate
+# reports, pinned as files in tests/data; CI compares the installed entry
+# point with them.
 # The LQ k=100 files hold 383-bit indices, far wider than a machine word.
 SLQ_CODER = ["--scheme", "slq", "-k", "3", "--k-top", "2", "--delta", "0.01", "--beta-s", "0.15"]
 SLQ_K100 = ["--scheme", "slq", "-k", "100", "--k-top", "5", "--delta", "0.01", "--beta-s", "0.05"]
@@ -843,6 +836,9 @@ WIRE_RUNS = {
                               "--channel", "fading-nocsi", "--coherence", "20",
                               "--gamma0-db", "25", "--b-hz", "320000",
                               "--beta-t", "lin:0.02:0.5:25"],
+    # The refined AWGN blocklengths of 25 budgets, 1000 grid points each.
+    "hull_refined.csv": ["hull", "--scheme", "lq", "-k", "100", "--gamma0-db", "5",
+                         "--b-hz", "320000", "--beta-t", "lin:0.02:0.5:25", "--refine"],
     # The README simulate run at 20,000 trials: the per-(seed, trial) streams.
     "simulate_lq_k8.json": ["simulate", "--scheme", "lq", "-k", "8", "--beta-s", "0.1",
                             "--eps-target", "0.2", "--trials", "20000", "--seed", "42"],
@@ -858,12 +854,25 @@ WIRE_RUNS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(WIRE_RUNS))
-def test_wire_files_are_pinned(monkeypatch, capsys, name):
+# Each run once to stdout, and once to a file that --output names.
+@pytest.mark.parametrize(
+    "name, to_file",
+    [
+        pytest.param(name, to_file, id=name + ("-output" if to_file else ""))
+        for to_file in (False, True)
+        for name in sorted(WIRE_RUNS)
+    ],
+)
+def test_wire_files_are_pinned(monkeypatch, tmp_path, capsys, name, to_file):
     monkeypatch.chdir(DATA_DIR)
-    code, out, err = run(WIRE_RUNS[name], capsys)
+    target = tmp_path / name
+    code, out, err = run(WIRE_RUNS[name] + (["--output", str(target)] if to_file else []), capsys)
     assert code == 0 and err == ""
-    assert out == (DATA_DIR / name).read_text()
+    pinned = (DATA_DIR / name).read_bytes()
+    if to_file:
+        assert out == "" and target.read_bytes() == pinned
+    else:
+        assert out.encode() == pinned
 
 
 # The same options as flags and as a config file. Between them they use

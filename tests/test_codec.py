@@ -103,7 +103,7 @@ class TestLatticePoint:
 
     def test_valid(self):
         pt = LatticePoint((1, 3, 1), 5)
-        assert pt.k == 3
+        assert len(pt.counts) == 3
 
     def test_integers_only(self):
         # Floats used to pass here and fail later in rank_composition with a TypeError.

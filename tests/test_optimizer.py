@@ -599,18 +599,17 @@ class TestHull:
     def test_two_points_form_their_own_hull(self):
         bf = BudgetFn(Scheme.LQ, 10)
         curve = sweep_beta_t([0.1, 0.3], bf, WIDEBAND_SPEC, grid_points=50)
-        assert len(curve.hull) == 2
-        assert all(pt.hull_member for pt in curve.hull)
+        assert curve.hull_member.tolist() == [True, True]
 
     def test_hull_convex_and_nonincreasing(self):
         bf = BudgetFn(Scheme.SLQ, 50, 5, 1e-5)
         curve = sweep_beta_t(
             np.linspace(0.02, 0.5, 12), bf, WIDEBAND_SPEC, grid_points=150
         )
-        _assert_convex_nonincreasing(curve.hull)
-        assert all(pt.hull_member for pt in curve.hull)
-        non_hull = [pt for pt in curve.points if not pt.hull_member]
-        assert len(non_hull) + len(curve.hull) == len(curve.points)
+        _assert_convex_nonincreasing([pt for pt in curve.points if pt.hull_member])
+        xs, ys = zip(*((pt.beta_t, pt.latency_s) for pt in curve.points))
+        hull = lower_convex_hull(xs, ys)
+        assert curve.hull_member.tolist() == [i in hull for i in range(len(xs))]
 
     def test_lower_convex_hull_filters_upticks(self):
         xs = [1.0, 2.0, 3.0, 4.0]
@@ -626,7 +625,7 @@ class TestHull:
         curve = sweep_beta_t([0.1, 0.5], bf, WIDEBAND_SPEC, grid_points=40, eps_cap=0.01)
         flags = {pt.beta_t: pt.feasible for pt in curve.points}
         assert flags[0.1] and not flags[0.5]
-        assert all(pt.feasible for pt in curve.hull)
+        assert all(pt.feasible for pt in curve.points if pt.hull_member)
 
     def test_every_budget_infeasible_raises(self):
         bf = BudgetFn(Scheme.LQ, 10)
@@ -708,7 +707,6 @@ def test_grid_sweep_matches_one_sweep_per_budget():
         assert [repr(dataclasses.astuple(pt)[:-1]) for pt in curve.points] == [
             repr(dataclasses.astuple(pt)[:-1]) for pt in rows
         ]
-        assert curve.hull_index.tolist() == hull
         assert curve.hull_member.tolist() == [i in hull for i in range(len(rows))]
         assert curve.best_index == best
         outcomes["solved"] += 1
@@ -740,7 +738,6 @@ def test_sweeps_build_points_only_when_read(monkeypatch, capsys, read):
         before = CountingPoint.made
         getattr(curve, read)
         getattr(curve, read)
-        curve.hull
         assert CountingPoint.made - before == len(curve.n)
         assert curve.best is curve.points[curve.best_index]
 

@@ -34,13 +34,15 @@ class TestConstruction:
             ProbVector([1, -0.1], normalize=True)
 
     @pytest.mark.parametrize(
-        "raw", [[math.nan, 1.0], [0.5, math.nan, 0.5], [math.inf, 1.0], [1e308, 1e308]]
+        "raw",
+        [[math.nan, 1.0], [0.5, math.nan, 0.5], [math.inf, 1.0], [1e308, 1e308], [10**400, 1]],
     )
     @pytest.mark.parametrize("normalize", [False, True])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_rejected(self, raw, normalize):
         # [nan, 1] used to pass every check and become [nan, nan]. The sum of
         # [1e308, 1e308] used to overflow with a RuntimeWarning before the refusal.
+        # An int past the float range used to escape as an OverflowError.
         with pytest.raises(NonFiniteEntry):
             ProbVector(raw, normalize=normalize)
 
