@@ -25,6 +25,7 @@ from .budget import BudgetFn, Scheme
 from .channel import ChannelFamily, ChannelSpec, db_to_linear
 from .errors import LatdistError, NoFeasibleN
 from .ingest import (
+    data_lines,
     load_dataset,
     recommend_ktop,
     tail_violation_fraction,
@@ -213,19 +214,17 @@ def cmd_quantize(cfg: dict) -> str:
 
 def cmd_dequantize(cfg: dict) -> str:
     coder = _coder(cfg)
-    lines = Path(cfg.pop("input")).read_text().splitlines()
-    payloads = [
-        ln.strip()
-        for ln in lines
-        if ln.strip() and not ln.startswith("#") and ln.strip() != "payload_hex"
-    ]
+    path = cfg.pop("input")
     vectors = []
-    for hexline in payloads:
-        try:
-            data = bytes.fromhex(hexline)
-        except ValueError as exc:
-            raise UsageError(f"invalid payload line {hexline!r}: {exc}") from exc
-        vectors.append([float(x) for x in coder.from_bytes(data).values])
+    with open(path) as lines:
+        for lineno, line in data_lines(lines):
+            if line == "payload_hex":
+                continue
+            try:
+                data = bytes.fromhex(line)
+            except ValueError as exc:
+                raise UsageError(f"{path}:{lineno}: invalid payload line {line!r}: {exc}") from exc
+            vectors.append([float(x) for x in coder.from_bytes(data).values])
     header = tuple(f"p{i}" for i in range(cfg["k"]))
     return _document(cfg, header, vectors, {"vectors": vectors})
 

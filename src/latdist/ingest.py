@@ -1,81 +1,98 @@
 """Load externally produced probability vectors and pick a retention size.
 
 Datasets are newline-delimited JSON arrays or delimited numeric rows, one
-vector per line. Rows are renormalized on load to absorb rounding from
+vector per line. A file is read one line at a time into one float64
+matrix, and its rows are renormalized once loaded, to absorb rounding from
 upstream softmax outputs.
 """
 
 from __future__ import annotations
 
 import json
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DomainError, ParseError, RaggedRows
-from .prob import ProbVector
+from .errors import DimensionMismatch, DomainError, NonFiniteEntry, ParseError, RaggedRows
+from .prob import ProbVector, checked_sums, float_array
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VectorDataset:
-    """Probability vectors of a common dimension, with a provenance label."""
+    """Probability vectors of a common dimension, the rows of one matrix, with a provenance label.
 
-    vectors: tuple[ProbVector, ...]
+    Each row must pass as a probability vector. A writable matrix is copied
+    and the copy made read-only; a read-only one is held as it is.
+    """
+
+    matrix: np.ndarray
     source_label: str = ""
 
     def __post_init__(self):
-        if not self.vectors:
+        try:
+            matrix = float_array(self.matrix)
+        except NonFiniteEntry:
+            raise
+        except ValueError as exc:  # numpy's refusal of rows of differing lengths
+            raise RaggedRows(f"rows do not form a matrix: {exc}") from None
+        if not matrix.size:
             raise ParseError("dataset is empty")
-        k = self.vectors[0].k
-        if any(v.k != k for v in self.vectors):
-            raise RaggedRows("vectors have differing dimensions")
+        if matrix.ndim != 2:
+            raise DimensionMismatch(f"need one vector per row of a matrix, got shape {matrix.shape}")
+        checked_sums(matrix)
+        if matrix.flags.writeable:
+            matrix = matrix.copy()
+            matrix.flags.writeable = False
+        object.__setattr__(self, "matrix", matrix)
 
     @property
     def k(self) -> int:
-        return self.vectors[0].k
+        return self.matrix.shape[1]
 
     def __len__(self) -> int:
-        return len(self.vectors)
+        return len(self.matrix)
 
     @cached_property
-    def matrix(self) -> np.ndarray:
-        out = np.stack([v.values for v in self.vectors])
-        out.flags.writeable = False
-        return out
+    def vectors(self) -> tuple[ProbVector, ...]:
+        """The rows as ProbVectors, as they are: no copy and no second division."""
+        return tuple(map(ProbVector._wrap, self.matrix))
+
+
+def data_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
+    """(line number, text) of each data line: stripped, and neither blank nor a # comment."""
+    for lineno, line in enumerate(lines, 1):
+        line = line.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line
 
 
 # The types json.loads gives a JSON number.
 _NUMBERS = {int, float}
 
 
-def _parse_jsonl(lines: list[str], path: str) -> list[list[float]]:
-    rows = []
-    for lineno, line in enumerate(lines, 1):
-        try:
-            row = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-        if not isinstance(row, list):
-            raise ParseError(f"{path}:{lineno}: expected a JSON array")
-        if not set(map(type, row)) <= _NUMBERS:  # bool, a subclass of int, is refused
-            bad = next(x for x in row if type(x) not in _NUMBERS)
-            raise ParseError(f"{path}:{lineno}: expected numbers, got {json.dumps(bad)}")
-        rows.append(row)
-    return rows
+def _json_row(line: str, where: str) -> list[float]:
+    try:
+        row = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{where}invalid JSON: {exc}") from exc
+    if not isinstance(row, list):
+        raise ParseError(f"{where}expected a JSON array")
+    if not set(map(type, row)) <= _NUMBERS:  # bool, a subclass of int, is refused
+        bad = next(x for x in row if type(x) not in _NUMBERS)
+        raise ParseError(f"{where}expected numbers, got {json.dumps(bad)}")
+    return row
 
 
-def _parse_delimited(lines: list[str], path: str) -> list[list[float]]:
-    rows = []
-    for lineno, line in enumerate(lines, 1):
-        fields = line.split(",") if "," in line else line.split()
-        try:
-            rows.append([float(f) for f in fields])
-        except ValueError as exc:
-            raise ParseError(f"{path}:{lineno}: non-numeric field: {exc}") from exc
-    return rows
+def _delimited_row(line: str, where: str) -> list[float]:
+    fields = line.split(",") if "," in line else line.split()
+    try:
+        return [float(f) for f in fields]
+    except ValueError as exc:
+        raise ParseError(f"{where}non-numeric field: {exc}") from exc
 
 
 def load_dataset(path: str | Path) -> VectorDataset:
@@ -83,22 +100,49 @@ def load_dataset(path: str | Path) -> VectorDataset:
 
     A .jsonl or .json file holds JSON arrays and a .csv, .txt or .tsv file
     delimited rows; any other file is JSON when its first data line starts
-    with "[". The dataset is labelled with the file name.
+    with "[". The dataset is labelled with the file name. Blank lines and
+    lines starting with "#" are skipped, and each refusal names the file
+    line of the first offending row: a parse error on any line comes first,
+    then rows of differing lengths, then the first row that is not a
+    probability vector.
     """
     path = Path(path)
-    text = path.read_text()
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not lines:
-        raise ParseError(f"{path}: no data rows")
     delimited = path.suffix in (".csv", ".txt", ".tsv")
-    jsonl = path.suffix in (".jsonl", ".json") or (not delimited and lines[0].startswith("["))
-    rows = (_parse_jsonl if jsonl else _parse_delimited)(lines, str(path))
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise RaggedRows(f"{path}: rows have differing lengths")
-    vectors = tuple(ProbVector(r, normalize=True) for r in rows)
-    return VectorDataset(vectors, path.name)
+    parse = width = ragged = refused = None
+    values = array("d")  # the matrix, row after row
+    linenos = array("q")  # the file line of each row in values
+    with open(path) as lines:
+        for lineno, line in data_lines(lines):
+            if parse is None:
+                jsonl = path.suffix in (".jsonl", ".json") or (
+                    not delimited and line.startswith("[")
+                )
+                parse = _json_row if jsonl else _delimited_row
+            row = parse(line, f"{path}:{lineno}: ")
+            if width is None:
+                width = len(row)
+            if len(row) != width:
+                ragged = ragged or lineno
+            elif not (ragged or refused):
+                # Past a ragged or refused row, rows are parsed but not kept:
+                # a parse error still comes first, and then a ragged row.
+                try:
+                    values.frombytes(float_array(row).tobytes())
+                except NonFiniteEntry as exc:  # a JSON integer beyond the float range
+                    refused = NonFiniteEntry(f"{path}:{lineno}: {exc}")
+                else:
+                    linenos.append(lineno)
+    if width is None:
+        raise ParseError(f"{path}: no data rows")
+    if ragged:
+        raise RaggedRows(f"{path}:{ragged}: rows have differing lengths")
+    matrix = np.frombuffer(values, dtype=float).reshape(len(linenos), width)
+    totals = checked_sums(matrix, normalize=True, where=lambda i: f"{path}:{linenos[i]}: ")
+    if refused:
+        raise refused
+    np.divide(matrix, totals[:, None], out=matrix)
+    matrix.flags.writeable = False
+    return VectorDataset(matrix, path.name)
 
 
 class TopMassCurve(NamedTuple):
@@ -121,12 +165,15 @@ def top_mass_curve(ds: VectorDataset, k_top_values: Sequence[int] | None = None)
     k_tops = tuple(int(kt) for kt in k_top_values)
     if any(kt < 1 or kt > k for kt in k_tops):
         raise DomainError(f"k_top values must lie in [1, {k}]")
-    ascending = np.sort(ds.matrix, axis=1)
-    tail_cum = np.concatenate(
-        [np.zeros((len(ds), 1)), np.cumsum(ascending, axis=1)], axis=1
-    )
-    # One contiguous row per k_top, so that each mean sums as its column alone would.
-    delta = np.ascontiguousarray(tail_cum[:, k - np.array(k_tops, dtype=int)].T).mean(axis=1)
+    # The one sorted copy, transposed, so that after the in-place sum row j
+    # holds each vector's j+1 smallest entries summed, and its mean sums one
+    # contiguous row, as that column of tail masses alone would be summed.
+    tail_cum = ds.matrix.T.copy()
+    tail_cum.sort(axis=0)
+    np.cumsum(tail_cum, axis=0, out=tail_cum)
+    discarded = k - np.array(k_tops, dtype=int)
+    # k_top = k discards nothing: its tail mass is the constant 0.
+    delta = np.where(discarded > 0, tail_cum.mean(axis=1)[discarded - 1], 0.0)
     return TopMassCurve(k_tops, 1.0 - delta, delta)
 
 

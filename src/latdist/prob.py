@@ -22,6 +22,49 @@ from .errors import (
 SUM_TOLERANCE = 1e-9
 
 
+def float_array(raw: Sequence[float] | np.ndarray) -> np.ndarray:
+    """``raw`` as a float array; a Python int beyond the float range is refused as non-finite."""
+    try:
+        return np.asarray(raw, dtype=float)
+    except OverflowError:
+        raise NonFiniteEntry("entries must be finite; an integer overflows a float") from None
+
+
+def checked_sums(rows: np.ndarray, *, normalize: bool = False, where=lambda i: "") -> np.ndarray:
+    """The sum of each row of ``rows``, once every row passes as a probability vector.
+
+    A probability vector is 1-D with at least 2 entries, none negative, and
+    has a finite nonzero sum, within SUM_TOLERANCE of 1 unless
+    ``normalize``. ProbVector checks its one vector as a one-row matrix, so
+    the first row that fails raises the error ProbVector raises for that
+    row alone, its message led by ``where(i)`` for row i.
+    """
+    if len(rows) and (rows.ndim != 2 or rows.shape[1] < 2):
+        raise DimensionMismatch(
+            f"{where(0)}need a 1-D vector with at least 2 entries, got shape {rows.shape[1:]}"
+        )
+    # NaN entries pass the sign check, so the sum catches them, with
+    # infinities, at no extra pass: a NaN sum is in no range. A sum that
+    # overflows is refused there too, without a warning.
+    with np.errstate(over="ignore"):
+        totals = rows.sum(axis=1)
+    if normalize:
+        in_range = (totals > 0.0) & (totals < math.inf)
+    else:
+        in_range = abs(totals - 1.0) <= SUM_TOLERANCE
+    if not in_range.all() or (rows < 0).any():
+        i = int((~in_range | (rows < 0).any(axis=1)).argmax())
+        row, total = rows[i], float(totals[i])
+        if (row < 0).any():
+            raise NegativeEntry(f"{where(i)}negative entries in {row!r}")
+        if not math.isfinite(total):
+            raise NonFiniteEntry(f"{where(i)}entries must be finite with a finite sum, got {row!r}")
+        if total == 0.0:
+            raise ZeroMass(f"{where(i)}entries sum to zero")
+        raise NotNormalized(f"{where(i)}entries sum to {total!r}, not 1")
+    return totals
+
+
 class ProbVector:
     """A validated point on the k-dimensional probability simplex.
 
@@ -38,33 +81,26 @@ class ProbVector:
         # this package, hands over. It is checked as any input, but normalized
         # in place and kept instead of copied, which spares a large mostly-zero
         # vector its page faults. The values are the same, bit for bit.
-        try:
-            values = np.asarray(raw, dtype=float)
-        except OverflowError:  # a Python int beyond the float range
-            raise NonFiniteEntry("entries must be finite; an integer overflows a float") from None
-        if values.ndim != 1 or values.size < 2:
-            raise DimensionMismatch(
-                f"need a 1-D vector with at least 2 entries, got shape {values.shape}"
-            )
-        if np.any(values < 0):
-            raise NegativeEntry(f"negative entries in {values!r}")
-        # NaN entries pass the sign check and the sum tolerance, so the sum
-        # catches them, with infinities, at no extra pass; a sum that
-        # overflows is refused there too, without a warning.
-        with np.errstate(over="ignore"):
-            total = float(values.sum())
-        if not math.isfinite(total):
-            raise NonFiniteEntry(f"entries must be finite with a finite sum, got {values!r}")
-        if total == 0.0:
-            raise ZeroMass("entries sum to zero")
-        if not normalize and abs(total - 1.0) > SUM_TOLERANCE:
-            raise NotNormalized(f"entries sum to {total!r}, not 1")
+        values = float_array(raw)
+        total = float(checked_sums(values[None], normalize=normalize)[0])
         if total != 1.0:
             values = np.divide(values, total, out=values if _owned else None)
         elif not _owned:
             values = values.copy()
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
+
+    @classmethod
+    def _wrap(cls, values: np.ndarray) -> ProbVector:
+        """A ProbVector over ``values`` as they are: no check, no copy, no division.
+
+        Only for a read-only row that ``checked_sums`` passed, such as a row
+        of a dataset, which was divided by its sum once; a second division
+        would move last bits.
+        """
+        p = object.__new__(cls)
+        object.__setattr__(p, "values", values)
+        return p
 
     def __setattr__(self, name, value):
         raise AttributeError("ProbVector is immutable")

@@ -393,6 +393,26 @@ class TestCodecCommands:
         assert code == 2 and out == ""
         assert "padding bits must be zero" in err
 
+    def test_dequantize_skips_indented_comments(self, tmp_path, capsys):
+        # "  # note" was refused as an invalid payload line, while the
+        # dataset reader skipped it.
+        pinned = (DATA_DIR / "quantize_lq.csv").read_text()
+        payloads = tmp_path / "payloads.csv"
+        payloads.write_text("  # note\n" + pinned + "\n\t# end\n")
+        code, out, err = run(WIRE_RUNS["dequantize_lq.csv"][:-1] + [str(payloads)], capsys)
+        assert code == 0 and err == ""
+        assert out == (DATA_DIR / "dequantize_lq.csv").read_text()
+
+    def test_invalid_payload_names_its_line(self, tmp_path, capsys):
+        payloads = tmp_path / "payloads.csv"
+        payloads.write_text("payload_hex\n\n  # note\nzz\n")
+        code, out, err = run(
+            ["dequantize", "--scheme", "lq", "-k", "3", "--ell", "5", "--input", str(payloads)],
+            capsys,
+        )
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {payloads}:4: invalid payload line 'zz': ")
+
     def test_missing_coder_parameters(self, tmp_path, capsys):
         vectors = write_vectors(tmp_path, [[0.5, 0.5]])
         code, _, err = run(

@@ -1,9 +1,21 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from latdist.errors import DomainError, NegativeEntry, ParseError, RaggedRows
+from latdist.errors import (
+    DimensionMismatch,
+    DomainError,
+    NegativeEntry,
+    NonFiniteEntry,
+    NotNormalized,
+    ParseError,
+    RaggedRows,
+    ZeroMass,
+)
 from latdist.ingest import (
     VectorDataset,
     load_dataset,
@@ -16,7 +28,16 @@ from latdist.prob import ProbVector
 
 
 def make_dataset(rows, label="test"):
-    return VectorDataset(tuple(ProbVector(r, normalize=True) for r in rows), label)
+    return VectorDataset(np.stack([ProbVector(r, normalize=True).values for r in rows]), label)
+
+
+def write_rows(path, rows, fmt):
+    """One row per line, as JSON arrays (fmt "jsonl") or comma-separated; ints stay ints."""
+    if fmt == "jsonl":
+        lines = (json.dumps(list(r)) for r in rows)
+    else:
+        lines = (",".join(map(repr, r)) for r in rows)
+    path.write_text("".join(line + "\n" for line in lines))
 
 
 class TestLoading:
@@ -96,16 +117,97 @@ class TestLoading:
         # float sum is not exactly 1.0 get divided by (1 +- 1e-16) on load.
         rng = np.random.default_rng(60)
         ds = make_dataset(rng.dirichlet(np.ones(6), size=500))
-        if fmt == "jsonl":
-            path = tmp_path / "roundtrip.jsonl"
-            lines = (json.dumps(v.values.tolist()) for v in ds.vectors)
-        else:
-            path = tmp_path / "roundtrip.csv"
-            lines = (",".join(map(repr, v.values.tolist())) for v in ds.vectors)
-        path.write_text("".join(line + "\n" for line in lines))
+        path = tmp_path / ("roundtrip.jsonl" if fmt == "jsonl" else "roundtrip.csv")
+        write_rows(path, ds.matrix.tolist(), fmt)
         back = load_dataset(path)
         assert back.matrix.shape == ds.matrix.shape
         np.testing.assert_allclose(back.matrix, ds.matrix, rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize(
+        "name, text, error, line, message",
+        [
+            ("parse.jsonl", '# header\n\n[0.5, 0.5]\n[0.5, "x"]\n', ParseError, 4,
+             'expected numbers, got "x"'),
+            ("ragged.csv", "# header\n0.5,0.5\n\n0.2,0.3,0.5\n", RaggedRows, 4,
+             "rows have differing lengths"),
+            ("negative.csv", "0.5,0.5\n\n  # note\n0.5,-0.5\n", NegativeEntry, 4,
+             "negative entries in array([ 0.5, -0.5])"),
+            ("nan.csv", "\n0.5,0.5\nnan,1\n", NonFiniteEntry, 3,
+             "entries must be finite with a finite sum, got array([nan,  1.])"),
+            ("huge.jsonl", "[0.5, 0.5]\n\n[1" + "0" * 400 + ", 1]\n", NonFiniteEntry, 3,
+             "entries must be finite; an integer overflows a float"),
+            ("zero.csv", "# header\n0,0\n", ZeroMass, 2, "entries sum to zero"),
+            ("single.csv", "\n\n1.0\n", DimensionMismatch, 3,
+             "need a 1-D vector with at least 2 entries, got shape (1,)"),
+            # Precedence: a parse error on any line, then ragged rows, then
+            # the first row that is not a probability vector.
+            ("late.jsonl", '[0.5, 0.5]\n[0.5, -1]\n[0.5, 0.5]\n[0.5, 0.5]\n[0.5, "x"]\n',
+             ParseError, 5, 'expected numbers, got "x"'),
+            ("over.csv", "0.5,0.5\n0.5,-0.5\n0.2,0.3,0.5\n", RaggedRows, 3,
+             "rows have differing lengths"),
+            ("first.jsonl", "[0.5, 0.5]\n[1" + "0" * 400 + ", 1]\n[0.5, -0.5]\n", NonFiniteEntry,
+             2, "entries must be finite; an integer overflows a float"),
+            ("later.jsonl", "[0.5, -0.5]\n[1" + "0" * 400 + ", 1]\n", NegativeEntry, 1,
+             "negative entries in array([ 0.5, -0.5])"),
+        ],
+        ids=["parse", "ragged", "negative", "nan", "huge-int", "zero-mass", "one-entry",
+             "parse-error-over-bad-row", "ragged-over-negative", "huge-int-over-later-negative",
+             "negative-over-later-huge-int"],
+    )
+    def test_refusal_names_the_file_line(self, tmp_path, name, text, error, line, message):
+        # Parse errors used to count data rows only, not file lines, and
+        # ragged rows and refused vectors named no line at all.
+        path = tmp_path / name
+        path.write_text(text)
+        with pytest.raises(error) as info:
+            load_dataset(path)
+        assert type(info.value) is error
+        assert str(info.value) == f"{path}:{line}: {message}"
+
+    def test_load_peaks_near_one_matrix(self, tmp_path):
+        # numpy reports its buffers to tracemalloc. The file text, its lines,
+        # a float list and a ProbVector per row, and the stacked matrix used
+        # to peak at 10.9 times the matrix's bytes.
+        path = tmp_path / "big.jsonl"
+        write_rows(path, np.random.default_rng(66).dirichlet(np.full(500, 0.05), 2000).tolist(),
+                   "jsonl")
+        tracemalloc.start()
+        try:
+            ds = load_dataset(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ds.matrix.shape == (2000, 500)
+        assert peak <= 2.5 * ds.matrix.nbytes
+
+
+# Entries as JSON gives them: ints, also past 2**53, and floats, zeros among both.
+_ENTRY = st.one_of(
+    st.integers(0, 2**60),
+    st.floats(0.0, 1e6, allow_nan=False, allow_infinity=False),
+    st.just(0),
+)
+_DATASETS = st.integers(2, 8).flatmap(
+    lambda k: st.lists(
+        st.one_of(
+            st.lists(_ENTRY, min_size=k, max_size=k).filter(lambda r: sum(r) > 0),
+            # Rows that sum to exactly 1.0.
+            st.permutations([0.5, 0.5] + [0] * (k - 2)),
+            st.permutations([1] + [0] * (k - 1)),
+        ),
+        min_size=1,
+        max_size=6,
+    )
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(rows=_DATASETS, fmt=st.sampled_from(["jsonl", "csv"]))
+def test_loaded_bits_equal_probvectors(tmp_path_factory, rows, fmt):
+    path = tmp_path_factory.mktemp("rows") / f"rows.{fmt}"
+    write_rows(path, rows, fmt)
+    expected = np.stack([ProbVector(r, normalize=True).values for r in rows])
+    assert np.array_equal(load_dataset(path).matrix.view(np.int64), expected.view(np.int64))
 
 
 class TestTopMassCurve:
@@ -204,11 +306,36 @@ class TestTailDiagnostics:
 class TestDatasetType:
     def test_rejects_mixed_dimensions(self):
         with pytest.raises(RaggedRows):
-            VectorDataset((ProbVector([0.5, 0.5]), ProbVector([1, 0, 0])))
+            VectorDataset([[0.5, 0.5], [1.0, 0.0, 0.0]])
 
     def test_rejects_empty(self):
         with pytest.raises(ParseError):
             VectorDataset(())
+        with pytest.raises(ParseError):
+            VectorDataset(np.empty((0, 3)))
+
+    def test_rows_must_be_probability_vectors(self):
+        with pytest.raises(NegativeEntry):
+            VectorDataset([[0.5, 0.5], [1.5, -0.5]])
+        with pytest.raises(NotNormalized):
+            VectorDataset([[0.5, 0.6]])
+        with pytest.raises(DimensionMismatch):
+            VectorDataset([0.5, 0.5])
+
+    def test_holds_a_read_only_matrix_and_views_its_rows(self, tmp_path):
+        rows = np.array([[0.25, 0.75], [0.5, 0.5]])
+        ds = VectorDataset(rows, "label")
+        rows[0] = [1.0, 0.0]  # a writable matrix is copied
+        assert ds.matrix.tolist() == [[0.25, 0.75], [0.5, 0.5]]
+        assert not ds.matrix.flags.writeable
+        assert VectorDataset(ds.matrix).matrix is ds.matrix
+        assert len(ds) == 2 and ds.k == 2 and ds.source_label == "label"
+        path = tmp_path / "rows.csv"
+        path.write_text("1,3\n0.2,0.2\n")
+        loaded = load_dataset(path)
+        for ds in (ds, loaded):
+            assert all(np.shares_memory(v.values, ds.matrix) for v in ds.vectors)
+            assert [v.values.tolist() for v in ds.vectors] == ds.matrix.tolist()
 
 
 class TestBudgetIntegration:
