@@ -24,13 +24,7 @@ import numpy as np
 from .budget import BudgetFn, Scheme
 from .channel import ChannelFamily, ChannelSpec, db_to_linear
 from .errors import LatdistError, NoFeasibleN
-from .ingest import (
-    data_lines,
-    load_dataset,
-    recommend_ktop,
-    tail_violation_fraction,
-    top_mass_curve,
-)
+from .ingest import data_lines, load_dataset, top_mass_curve
 from .optimizer import sweep_beta_s, sweep_beta_t
 from .simulator import ErrorModel, SimConfig, simulate_end_to_end
 
@@ -224,7 +218,10 @@ def cmd_dequantize(cfg: dict) -> str:
                 data = bytes.fromhex(line)
             except ValueError as exc:
                 raise UsageError(f"{path}:{lineno}: invalid payload line {line!r}: {exc}") from exc
-            vectors.append([float(x) for x in coder.from_bytes(data).values])
+            try:
+                vectors.append(coder.from_bytes(data).values.tolist())
+            except LatdistError as exc:
+                raise UsageError(f"{path}:{lineno}: {exc}") from exc
     header = tuple(f"p{i}" for i in range(cfg["k"]))
     return _document(cfg, header, vectors, {"vectors": vectors})
 
@@ -237,10 +234,14 @@ def cmd_simulate(cfg: dict) -> str:
 
 def cmd_stats(cfg: dict) -> str:
     ds = load_dataset(cfg.pop("input"))
-    k_tops = [cfg["k_top"]] if cfg["k_top"] is not None else None
-    curve = top_mass_curve(ds, k_tops)
-    rec = recommend_ktop(ds, cfg["delta_target"])
-    violation = tail_violation_fraction(ds, rec.k_top, cfg["delta_target"])
+    k_tops = range(1, ds.k + 1)
+    if cfg["k_top"] is not None:
+        if cfg["k_top"] not in k_tops:
+            raise UsageError(f"k_top values must lie in [1, {ds.k}]")
+        k_tops = [cfg["k_top"]]
+    curve = top_mass_curve(ds)
+    rec = curve.recommend(cfg["delta_target"])
+    violation = curve.violation_fraction(rec.k_top, cfg["delta_target"])
     cfg.update(dataset_label=ds.source_label, k=ds.k, n_vectors=len(ds))
     summary = {
         "recommended_k_top": rec.k_top,
@@ -248,10 +249,11 @@ def cmd_stats(cfg: dict) -> str:
         "satisfied": rec.satisfied,
         "tail_violation_fraction": violation,
     }
+    at = np.subtract(k_tops, 1)  # the curve's row of each reported k_top
     curves = {
-        "k_top": list(curve.k_top_values),
-        "avg_top_mass": [float(x) for x in curve.avg_top_mass],
-        "delta_avg": [float(x) for x in curve.delta_avg],
+        "k_top": list(k_tops),
+        "avg_top_mass": curve.avg_top_mass[at].tolist(),
+        "delta_avg": curve.delta_avg[at].tolist(),
     }
     rows = list(zip(curves["k_top"], curves["delta_avg"]))
     # In CSV the summary follows the rows as comment lines.
@@ -275,6 +277,11 @@ def _add_coder(sub: argparse.ArgumentParser, *, scheme: bool = True):
     sub.add_argument("--k-top", type=int, help="entries kept by the sparse coder")
     sub.add_argument("--delta", type=float, default=1e-5,
                      help="assumed discarded tail mass (default 1e-5)")
+
+
+def _add_coder_settings(sub: argparse.ArgumentParser):
+    sub.add_argument("--ell", type=int, help="lattice denominator override")
+    sub.add_argument("--bits-per-entry", type=int, help="uniform coder width override")
 
 
 def _add_channel(sub: argparse.ArgumentParser):
@@ -335,8 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         _add_coder(p)
         p.add_argument("--beta-s", type=float, help="design source distortion")
-        p.add_argument("--ell", type=int, help="lattice denominator override")
-        p.add_argument("--bits-per-entry", type=int, help="uniform coder width override")
+        _add_coder_settings(p)
         p.add_argument("--input", default=_REQUIRED,
                        help="vectors (quantize) or payload hex lines (dequantize)")
         _add_common(p)
@@ -346,8 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_coder(p)
     p.add_argument("--beta-s", type=float, default=_REQUIRED, help="design source distortion")
     p.add_argument("--eps-target", type=float, default=_REQUIRED, help="decoding error probability")
-    p.add_argument("--ell", type=int, help="lattice denominator override")
-    p.add_argument("--bits-per-entry", type=int)
+    _add_coder_settings(p)
     p.add_argument("--trials", type=int, default=10000, help="number of trials (default 10000)")
     p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     p.add_argument("--error-model", choices=[m.value for m in ErrorModel], default="uniform")

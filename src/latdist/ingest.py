@@ -13,7 +13,7 @@ from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -145,66 +145,58 @@ def load_dataset(path: str | Path) -> VectorDataset:
     return VectorDataset(matrix, path.name)
 
 
-class TopMassCurve(NamedTuple):
-    """Average retained and discarded mass as the retention size grows."""
-
-    k_top_values: tuple[int, ...]
-    avg_top_mass: np.ndarray
-    delta_avg: np.ndarray
-
-
-def top_mass_curve(ds: VectorDataset, k_top_values: Sequence[int] | None = None) -> TopMassCurve:
-    """Average mass of the k_top largest entries, for each requested k_top.
-
-    The discarded mass is computed directly from the smallest entries, so
-    it is exactly zero at k_top = k.
-    """
-    k = ds.k
-    if k_top_values is None:
-        k_top_values = range(1, k + 1)
-    k_tops = tuple(int(kt) for kt in k_top_values)
-    if any(kt < 1 or kt > k for kt in k_tops):
-        raise DomainError(f"k_top values must lie in [1, {k}]")
-    # The one sorted copy, transposed, so that after the in-place sum row j
-    # holds each vector's j+1 smallest entries summed, and its mean sums one
-    # contiguous row, as that column of tail masses alone would be summed.
-    tail_cum = ds.matrix.T.copy()
-    tail_cum.sort(axis=0)
-    np.cumsum(tail_cum, axis=0, out=tail_cum)
-    discarded = k - np.array(k_tops, dtype=int)
-    # k_top = k discards nothing: its tail mass is the constant 0.
-    delta = np.where(discarded > 0, tail_cum.mean(axis=1)[discarded - 1], 0.0)
-    return TopMassCurve(k_tops, 1.0 - delta, delta)
-
-
 class KtopRecommendation(NamedTuple):
     k_top: int
     delta_avg: float
     satisfied: bool  # False when only keeping every entry meets the target
 
 
+class TopMassCurve(NamedTuple):
+    """Average retained and discarded mass at k_top = 1, ..., k, from each vector's tails."""
+
+    avg_top_mass: np.ndarray
+    delta_avg: np.ndarray
+    tail_cum: np.ndarray
+
+    def tails(self, k_top: int) -> np.ndarray:
+        """Each vector's mass outside its k_top largest entries."""
+        k = len(self.delta_avg)
+        if not 1 <= k_top <= k:
+            raise DomainError(f"need 1 <= k_top <= {k}, got {k_top}")
+        if k_top == k:  # every entry kept
+            return np.zeros(self.tail_cum.shape[1])
+        return self.tail_cum[k - k_top - 1]
+
+    def violation_fraction(self, k_top: int, delta: float) -> float:
+        """Share of vectors whose own tail at k_top exceeds ``delta``.
+
+        The sparse budget assumes that none does, and the average can hide them.
+        """
+        return float(np.mean(self.tails(k_top) > delta))
+
+    def recommend(self, delta_target: float) -> KtopRecommendation:
+        """Smallest k_top whose average discarded mass is below ``delta_target``."""
+        if not 0.0 < delta_target < 1.0:
+            raise DomainError(f"delta target must be in (0, 1), got {delta_target}")
+        k = len(self.delta_avg)
+        below = np.flatnonzero(self.delta_avg < delta_target)
+        kt = int(below[0]) + 1 if below.size else k  # k_top = k keeps everything
+        return KtopRecommendation(kt, float(self.delta_avg[kt - 1]), kt < k)
+
+
+def top_mass_curve(ds: VectorDataset) -> TopMassCurve:
+    """The curve of a dataset, with its discarded mass summed from the smallest entries up."""
+    # The one sorted copy, transposed, so that after the in-place sum row j
+    # holds each vector's j+1 smallest entries summed, and its mean sums one
+    # contiguous row, as that column of tail masses alone would be summed.
+    tail_cum = ds.matrix.T.copy()
+    tail_cum.sort(axis=0)
+    np.cumsum(tail_cum, axis=0, out=tail_cum)
+    # delta[i] is the mean tail at k_top = i + 1; k_top = k discards exactly zero.
+    delta = np.append(tail_cum.mean(axis=1)[-2::-1], 0.0)
+    return TopMassCurve(1.0 - delta, delta, tail_cum)
+
+
 def recommend_ktop(ds: VectorDataset, delta_target: float) -> KtopRecommendation:
     """Smallest k_top whose average discarded mass is below ``delta_target``."""
-    if not 0.0 < delta_target < 1.0:
-        raise DomainError(f"delta target must be in (0, 1), got {delta_target}")
-    delta = top_mass_curve(ds).delta_avg  # k_top = 1, ..., k
-    below = np.flatnonzero(delta < delta_target)
-    kt = int(below[0]) + 1 if below.size else ds.k  # k_top = k keeps everything
-    return KtopRecommendation(kt, float(delta[kt - 1]), kt < ds.k)
-
-
-def tail_masses(ds: VectorDataset, k_top: int) -> np.ndarray:
-    """Per-vector mass of the k - k_top smallest entries."""
-    if not 1 <= k_top <= ds.k:
-        raise DomainError(f"need 1 <= k_top <= {ds.k}, got {k_top}")
-    ascending = np.sort(ds.matrix, axis=1)
-    return ascending[:, : ds.k - k_top].sum(axis=1)
-
-
-def tail_violation_fraction(ds: VectorDataset, k_top: int, delta: float) -> float:
-    """Fraction of vectors whose own tail mass exceeds ``delta``.
-
-    The sparse budget assumes a per-vector tail bound; dataset averages can
-    hide vectors that break it, so this is reported alongside.
-    """
-    return float(np.mean(tail_masses(ds, k_top) > delta))
+    return top_mass_curve(ds).recommend(delta_target)

@@ -10,6 +10,7 @@ import pytest
 
 import latdist
 from latdist.cli import main, parse_value_list
+from latdist.ingest import top_mass_curve
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -383,15 +384,20 @@ class TestCodecCommands:
 
     def test_uniform_nonzero_padding_is_usage_error(self, tmp_path, capsys):
         # ffff used to decode exactly as ff80: the 7 padding bits were dropped.
+        # A payload the coder refuses used to be reported without its line.
         payloads = tmp_path / "p.csv"
-        payloads.write_text("ffff\n")
-        code, out, err = run(
-            ["dequantize", "--scheme", "uq", "-k", "3", "--bits-per-entry", "3",
-             "--input", str(payloads)],
-            capsys,
-        )
-        assert code == 2 and out == ""
-        assert "padding bits must be zero" in err
+        for text, line, message in [
+            ("ffff\n", 1, "the 7 padding bits must be zero"),
+            ("ff80\n# note\nff8000\n", 3, "expected 2 payload bytes, got 3"),
+        ]:
+            payloads.write_text(text)
+            code, out, err = run(
+                ["dequantize", "--scheme", "uq", "-k", "3", "--bits-per-entry", "3",
+                 "--input", str(payloads)],
+                capsys,
+            )
+            assert code == 2 and out == ""
+            assert err == f"error: {payloads}:{line}: {message}\n"
 
     def test_dequantize_skips_indented_comments(self, tmp_path, capsys):
         # "  # note" was refused as an invalid payload line, while the
@@ -693,6 +699,30 @@ class TestStatsCommand:
         assert code == 2 and out == ""
         assert err == f"error: {path}:2: expected numbers, got true\n"
 
+    @pytest.mark.parametrize("k_top", ["0", "101"])
+    def test_k_top_out_of_range_is_usage_error(self, capsys, k_top):
+        path = DATA_DIR / "vectors_k100.jsonl"
+        code, out, err = run(["stats", "--input", str(path), "--k-top", k_top], capsys)
+        assert code == 2 and out == ""
+        assert err == "error: k_top values must lie in [1, 100]\n"
+
+    @pytest.mark.parametrize("k_top", [[], ["--k-top", "5"]], ids=["curve", "k-top"])
+    def test_one_curve_per_run(self, monkeypatch, capsys, k_top):
+        # The curve, the recommendation and the tail check each used to sort
+        # the dataset, in three calls that built two curves.
+        built = []
+
+        def spy(ds):
+            built.append(ds)
+            return top_mass_curve(ds)
+
+        monkeypatch.setattr("latdist.cli.top_mass_curve", spy)
+        monkeypatch.setattr("latdist.ingest.top_mass_curve", spy)
+        code, out, err = run(["stats", "--input", str(DATA_DIR / "vectors_k100.jsonl"), *k_top],
+                             capsys)
+        assert code == 0 and err == ""
+        assert len(built) == 1
+
 
 class TestConfigFile:
     def test_flags_override_file(self, tmp_path, capsys):
@@ -848,6 +878,10 @@ WIRE_RUNS = {
     # The top-mass curve and k_top recommendation of a k=100 dataset.
     "stats_k100.csv": ["stats", "--input", "vectors_k100.jsonl"],
     "stats_k100.json": ["stats", "--input", "vectors_k100.jsonl", "--format", "json"],
+    # One row of that curve, picked by --k-top, and the same summary.
+    "stats_k100_ktop5.csv": ["stats", "--input", "vectors_k100.jsonl", "--k-top", "5"],
+    "stats_k100_ktop5.json": ["stats", "--input", "vectors_k100.jsonl", "--k-top", "5",
+                              "--format", "json"],
     # The fading families' normal approximations, 25 feasible budgets each.
     "hull_fading_csi.csv": ["hull", "--scheme", "lq", "-k", "100", "--channel", "fading-csi",
                             "--coherence", "20", "--gamma0-db", "10", "--b-hz", "320000",

@@ -1,3 +1,4 @@
+import itertools
 import json
 import tracemalloc
 
@@ -20,8 +21,6 @@ from latdist.ingest import (
     VectorDataset,
     load_dataset,
     recommend_ktop,
-    tail_masses,
-    tail_violation_fraction,
     top_mass_curve,
 )
 from latdist.prob import ProbVector
@@ -242,17 +241,19 @@ class TestTopMassCurve:
         ds = make_dataset(np.random.default_rng(rows).dirichlet(np.full(k, 0.5), size=rows))
         ascending = np.sort(ds.matrix, axis=1)
         tail_cum = np.concatenate([np.zeros((rows, 1)), np.cumsum(ascending, axis=1)], axis=1)
+        curve = top_mass_curve(ds)
         for k_tops in (range(1, k + 1), [k, 3, 1, 3]):
-            curve = top_mass_curve(ds, k_tops)
+            at = np.subtract(k_tops, 1)
             expected = np.array([tail_cum[:, k - kt].mean() for kt in k_tops])
-            assert np.array_equal(curve.delta_avg, expected)
-            assert np.array_equal(curve.avg_top_mass, 1.0 - expected)
+            assert np.array_equal(curve.delta_avg[at], expected)
+            assert np.array_equal(curve.avg_top_mass[at], 1.0 - expected)
 
     def test_subset_of_k_tops(self):
         ds = make_dataset([[0.7, 0.2, 0.1]])
-        curve = top_mass_curve(ds, [2])
-        assert curve.k_top_values == (2,)
-        assert curve.delta_avg[0] == pytest.approx(0.1)
+        curve = top_mass_curve(ds)
+        assert len(curve.delta_avg) == 3
+        assert curve.delta_avg[1] == pytest.approx(0.1)
+        assert curve.tails(2).tolist() == [curve.delta_avg[1]]
 
 
 class TestRecommendation:
@@ -289,18 +290,65 @@ class TestRecommendation:
 
 class TestTailDiagnostics:
     def test_violation_fraction(self):
-        ds = make_dataset([[0.9, 0.05, 0.05], [0.98, 0.01, 0.01]])
-        assert tail_violation_fraction(ds, 1, 0.05) == 0.5
-        assert tail_violation_fraction(ds, 1, 0.001) == 1.0
+        curve = top_mass_curve(make_dataset([[0.9, 0.05, 0.05], [0.98, 0.01, 0.01]]))
+        assert curve.violation_fraction(1, 0.05) == 0.5
+        assert curve.violation_fraction(1, 0.001) == 1.0
 
     def test_tail_masses_match_curve(self):
         rng = np.random.default_rng(64)
         ds = make_dataset(rng.dirichlet(np.ones(9), size=40))
         curve = top_mass_curve(ds)
         for kt in (1, 4, 9):
-            assert tail_masses(ds, kt).mean() == pytest.approx(
+            assert curve.tails(kt).mean() == pytest.approx(
                 curve.delta_avg[kt - 1], abs=1e-12
             )
+
+    def test_full_retention_has_no_tail(self):
+        curve = top_mass_curve(make_dataset([[0.9, 0.05, 0.05], [0.98, 0.01, 0.01]]))
+        assert curve.tails(3).tolist() == [0.0, 0.0]
+        assert curve.violation_fraction(3, 0.0) == 0.0
+
+    @pytest.mark.parametrize("k_top", [0, 4])
+    def test_k_top_out_of_range(self, k_top):
+        curve = top_mass_curve(make_dataset([[0.9, 0.05, 0.05]]))
+        with pytest.raises(DomainError, match=f"need 1 <= k_top <= 3, got {k_top}"):
+            curve.tails(k_top)
+
+
+# Datasets of 1 to 12 vectors of dimension 2 to 9, zeros and exact ties among the entries.
+_CURVE_DATASETS = st.integers(2, 9).flatmap(
+    lambda k: st.lists(
+        st.lists(st.sampled_from([0.0, 1e-9, 0.01, 0.25, 1.0, 3.0]) | st.floats(0.0, 1.0),
+                 min_size=k, max_size=k).filter(lambda r: sum(r) > 0),
+        min_size=1,
+        max_size=12,
+    )
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=_CURVE_DATASETS, data=st.data())
+def test_curve_answers_match_brute_force(rows, data):
+    ds = make_dataset(rows)
+    k = ds.k
+    # Each vector's tail at each k_top, summed smallest first, one entry at a time.
+    tails = {
+        kt: np.array([([0.0] + list(itertools.accumulate(sorted(r))))[k - kt] for r in ds.matrix])
+        for kt in range(1, k + 1)
+    }
+    means = [float(tails[kt].mean()) for kt in range(1, k + 1)]
+    curve = top_mass_curve(ds)
+    assert all(np.array_equal(curve.tails(kt), tails[kt]) for kt in tails)
+    # Targets off the curve, and on it, where < and <= part ways.
+    target = data.draw(
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+        | st.sampled_from([m for m in means if 0.0 < m < 1.0] or [0.5])
+    )
+    expected_kt = next((kt for kt in range(1, k + 1) if means[kt - 1] < target), k)
+    assert curve.recommend(target) == (expected_kt, means[expected_kt - 1], expected_kt < k)
+    kt = data.draw(st.integers(1, k))
+    delta = data.draw(st.floats(0.0, 1.0) | st.sampled_from(tails[kt].tolist()))
+    assert curve.violation_fraction(kt, delta) == sum(t > delta for t in tails[kt]) / len(ds)
 
 
 class TestDatasetType:
@@ -355,7 +403,9 @@ class TestBudgetIntegration:
         delta = rec.delta_avg
         beta_s = 0.1
         ell, _ = budget_slq(ds.k, rec.k_top, delta, beta_s)
-        tails = tail_masses(ds, rec.k_top)
+        curve = top_mass_curve(ds)
+        assert curve.recommend(0.02) == rec
+        tails = curve.tails(rec.k_top)
         respected = 0
         for vec, tail in zip(ds.vectors, tails):
             if tail > delta:
@@ -364,6 +414,6 @@ class TestBudgetIntegration:
             q = slq_decode(slq_encode(vec, rec.k_top, ell))
             assert tv_distance(vec, q) <= beta_s + 1e-12
         assert respected > 0
-        assert tail_violation_fraction(ds, rec.k_top, delta) == pytest.approx(
+        assert curve.violation_fraction(rec.k_top, delta) == pytest.approx(
             1 - respected / len(ds)
         )
