@@ -23,7 +23,9 @@ Q(x) = erfc(x / sqrt(2)) / 2 from libm, and Q^-1 from Wichura's AS241,
 which ``statistics`` implements with libm's log and sqrt. Arrays and
 scalars thus round alike, the rule ``elementwise`` states, and latdist
 needs no scipy. ``_z`` gives the argument of Q alone: the solver's refine
-compares it with Q^-1 of the target and never evaluates Q.
+compares it with Q^-1 of the target and never evaluates Q. The refine
+takes the AWGN log2(n) from numpy first, through ``_z_by``, and asks ``_z``
+only about near-ties.
 """
 
 from __future__ import annotations
@@ -208,6 +210,17 @@ def _z(family: ChannelFamily, n, gamma: float, j_bits, coherence: int | None = N
     Blocklengths too large for floats to count exactly come as Python ints
     in an object array. Their products turn into floats only at the
     division, each rounded once, as in the scalar form.
+    """
+    return _z_by(log2, family, n, gamma, j_bits, coherence)
+
+
+def _z_by(log2, family: ChannelFamily, n, gamma: float, j_bits, coherence: int | None = None):
+    """``_z`` with the AWGN model's log2(n) taken by ``log2``.
+
+    ``_z`` passes libm's, one element at a time. The solver's refine passes
+    numpy's, which can round the last bit otherwise; it decides by that z
+    only outside a guard band (see ``optimizer._refine``). Every other
+    operation is the same, so the two z differ only through the logarithm.
     """
     if np.any(n < 1):
         raise DomainError(f"blocklength must be >= 1, got {brief(n)}")

@@ -5,11 +5,17 @@ do not round like math.log2 and math.log1p: numpy's log2 can differ in the
 last bit (on some builds, at integers such as 1621), which moves
 blocklengths and the golden hull, and its log1p can differ from build to
 build, which would move the fading moments. numpy has no log-gamma, and a
-port of one onto numpy's SIMD functions would round by the CPU. So the
-array forms call the math functions once per element, as ``channel`` does
-for Q and its inverse. Callers whose arguments repeat deduplicate them
-first: ``codec.log2_comb`` evaluates its log-gamma terms once per run of
-equal lattice sizes.
+port of one onto numpy's SIMD functions would round by the CPU. So every
+value that reaches an output comes from these array forms, which call the
+math functions once per element, as ``channel`` does for Q and its
+inverse. Callers whose arguments repeat deduplicate them first:
+``codec.log2_comb`` evaluates its log-gamma terms once per run of equal
+lattice sizes.
+
+A comparison whose answer is all that leaves may use numpy outside a guard
+band that bounds the rounding, and take the exact form inside it:
+``codec._ceil_log2_comb`` does so with log-gamma, and the solver's refine
+(``optimizer._refine``) with log2.
 """
 
 from __future__ import annotations

@@ -20,12 +20,15 @@ exceptions, and all of them go to ``solve_blocklength`` at once. The solver
 then makes one numpy pass: Q^-1 of the whole eps column, the root and the
 guarded ceiling. With ``refine`` on AWGN it then seeds each point near its
 exact answer, the closed form with the (1/2)log2(n) term put back, and walks
-the whole array from there. Each pass evaluates the AWGN model's argument of
-Q from ``channel`` once, at m and m - 1 of every live point, and compares it
-with the Q^-1 the closed form already took; most points stop on the first
-pass. The walk assumes, as a bisection would, that the exact error falls as
-n grows; under it the result is the smallest n whose exact error
-meets the target. An argmin per row picks each budget's best split. Points
+the whole array from there. Each pass asks, at m and m - 1 of every live
+point, whether the AWGN model's argument of Q from ``channel`` reaches the
+Q^-1 the closed form already took. numpy's log2 answers for every point in
+one call; the exact, per-element libm form answers again only for the
+points within a guard band of a tie, so every answer is the exact one. Most
+points stop on the first pass. The walk assumes, as a bisection would, that
+the exact error falls as n grows; under it the result is the smallest n
+whose exact error meets the target. An argmin per row picks each budget's
+best split. Points
 outside the mask stay infeasible. Inputs that no grid point can satisfy,
 such as beta_t > 1, an empty grid or a non-positive eps cap, raise as they
 do for a single point.
@@ -44,7 +47,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .budget import BudgetFn
-from .channel import ChannelFamily, ChannelSpec, _model_row, _z, q_inv
+from .channel import ChannelFamily, ChannelSpec, _model_row, _z, _z_by, q_inv
 from .elementwise import brief, to_int
 from .errors import DomainError, EpsilonOutOfRange, NoFeasibleN
 
@@ -59,6 +62,14 @@ _CAP_SLACK = 1e-9
 # 2**53. From here on it walks over Python ints instead, as the scalar
 # error models see them.
 _FLOAT_INT_LIMIT = 2.0**52
+
+# The refine's guard band on |z - q| * sqrt(mV), relative to the sum S of
+# the magnitudes of the AWGN margin's terms: the 3 * 2**-52 * S that numpy's
+# log2, one ulp off libm's, and the roundings can move z by, and 2**20 such
+# ulps to spare (see ``_refine``).
+_BAND = (2**20 + 3) * 2.0**-52
+# Each refine pass decides m and m - 1 of a point: one row each.
+_PAIR = np.array([[0], [1]])
 
 
 def decoding_error_target(beta_t: float, beta_s: float) -> float:
@@ -100,22 +111,62 @@ def _n_root(rate, r, payload):
     return root * root
 
 
-def _refine(gamma, rate, n, q, j_bits, r) -> np.ndarray:
+def _meets(gamma, rate, v, m, j_bits, q) -> np.ndarray:
+    """Whether z(m) >= q and z(m - 1) >= q per point: the rows of a (2, points) array.
+
+    m - 1 stops at 1. numpy's log2 decides each comparison outside the guard
+    band; the exact ``_z`` decides those inside it (see ``_refine``). Past
+    2**52, where blocklengths are Python ints, the band spans many
+    blocklengths, so ``_z`` decides them all.
+    """
+    pair = np.maximum(m - _PAIR, 1)
+    if pair.dtype == object:
+        return _z(ChannelFamily.AWGN, pair, gamma, j_bits) >= q
+    z = _z_by(np.log2, ChannelFamily.AWGN, pair, gamma, j_bits)
+    # The terms' magnitudes over sqrt(mV); (1/2)log2(m) < 26 below 2**52.
+    band = _BAND * ((pair * rate + j_bits + 26.0) / np.sqrt(pair * v) + np.abs(q))
+    near = np.abs(z - q) <= band
+    ok = z >= q
+    if near.any():
+        j_near, q_near = (np.broadcast_to(x, pair.shape)[near] for x in (j_bits, q))
+        ok[near] = _z(ChannelFamily.AWGN, pair[near], gamma, j_near) >= q_near
+    return ok
+
+
+def _refine(gamma, rate, v, n, q, j_bits, r) -> np.ndarray:
     """Smallest m in [1, n] whose exact AWGN error stays within target, per point.
 
     q is Q^-1 of each target and r = sqrt(V) * q. Q falls, so the exact
-    error Q(z(m)) meets its target where z(m) >= q: each pass compares the
-    argument ``channel._z`` with q and never evaluates Q. Only float ties
-    within a few ulps could decide otherwise. The seed is two fixed-point
-    steps of the closed form with payload J - log2(x)/2, from the
-    closed-form n. Each pass evaluates z at m and m - 1 of every live point
-    in one call; a point steps up where z(m) < q, down where z(m - 1) >= q,
-    and stops where neither holds. Steps double while a point keeps its
-    direction but stay inside its bracket of candidates left, halving it
-    once both ends are probed, so every pass shrinks the bracket and a far
-    seed costs a search, not a walk. Where the error falls as n grows (it
-    does for positive payloads), the result is what a bisection over [1, n]
-    gives.
+    error Q(z(m)) meets its target where z(m) >= q, with z from
+    ``channel._z``: the refine compares z with q and never evaluates Q. The
+    seed is two fixed-point steps of the closed form with payload
+    J - log2(x)/2, from the closed-form n. Each pass decides z >= q at m and
+    m - 1 of every live point (``_meets``); a point steps up where z(m) < q,
+    down where z(m - 1) >= q, and stops where neither holds. Steps double
+    while a point keeps its direction but stay inside its bracket of
+    candidates left, halving it once both ends are probed, so every pass
+    shrinks the bracket and a far seed costs a search, not a walk. The first
+    pass decides on the whole arrays; only the points that move enter the
+    walk. The result meets its target and m - 1 does not. Where the error
+    falls as n grows, it is the smallest such m, what a bisection over
+    [1, n] gives. It falls for every n >= 1 unless
+    2J + 3/ln 2 < log2(1/(2C ln 2)): payloads of a bit or so at -20 dB,
+    where a bisection can miss the smallest m.
+
+    Each pass takes z from numpy's log2 first. It and the exact z share
+    every operation but the logarithm. Let s = sqrt(mV) and
+    S = m*C + J + (1/2)log2(m) + |q|*s, the magnitudes of the margin's
+    terms. If numpy's log2 is within k ulps of libm's, the margins differ by
+    at most (k + 1) * 2**-52 * S, and the division's rounding near z = q adds
+    2**-52 * |q| * s; so numpy's z and the exact z fall on the same side of q
+    wherever numpy's lies farther than (k + 2) * 2**-52 * S / s from it. The
+    band is (2**20 + 3) * 2**-52 * S / s, with (1/2)log2(m) taken as 26, its
+    bound below 2**52: numpy's log2 strays from libm's by one ulp at most on
+    the integers 1 to 2,000,000 (on 100 of them), so the band leaves 2**20
+    ulps of S to spare, and it holds for any k up to 2**20 + 1. Points
+    outside it keep numpy's answer; points inside it get the exact one from
+    ``channel._z``. Every decision, and so every n, is the exact z's. On the
+    planner's 1000-point sweeps the band holds no point at all.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         x = n
@@ -125,23 +176,23 @@ def _refine(gamma, rate, n, q, j_bits, r) -> np.ndarray:
         m = np.fmin(np.fmax(np.ceil(x), 1.0), n)
     # Also taken for NaN, which int() refuses as math.ceil does.
     if not np.max(n, initial=0.0) < _FLOAT_INT_LIMIT:
-        n, m = (np.array([int(v) for v in a.tolist()], dtype=object) for a in (n, m))
+        n, m = (np.array([int(e) for e in a.tolist()], dtype=object) for a in (n, m))
     lo, hi, step = np.ones_like(n), n.copy(), np.ones_like(n)
-    live = np.arange(n.size)
+    ok = _meets(gamma, rate, v, m, j_bits, q)
+    up, down = ~ok[0] & (m < n), ok[1] & (m > 1)
+    live = np.flatnonzero(up | down)
+    up, down = up[live], down[live]
     while live.size:
-        a, bottom, top = m[live], lo[live], hi[live]
-        below = np.where(a > 1, a - 1, a)
-        z = _z(ChannelFamily.AWGN, np.concatenate([a, below]), gamma, np.tile(j_bits[live], 2))
-        ok = z >= np.tile(q[live], 2)
-        up = ~ok[: a.size] & (a < top)
-        down = ok[a.size :] & (a > bottom)
+        a, bottom, top, d = m[live], lo[live], hi[live], step[live]
         lo[live] = bottom = np.where(up, a + 1, bottom)
         hi[live] = top = np.where(down, a - 1, top)
         mid = (bottom + top + 1) // 2
-        d = step[live]
-        m[live] = np.where(up, np.minimum(a + d, mid), np.where(down, np.maximum(a - d, mid), a))
-        step[live] = d + d
-        live = live[up | down]
+        a = np.where(up, np.minimum(a + d, mid), np.where(down, np.maximum(a - d, mid), a))
+        m[live], step[live] = a, d + d
+        ok = _meets(gamma, rate, v, a, j_bits[live], q[live])
+        up, down = ~ok[0] & (a < top), ok[1] & (a > bottom)
+        moved = up | down
+        live, up, down = live[moved], up[moved], down[moved]
     return m
 
 
@@ -193,7 +244,7 @@ def solve_blocklength(
         n = np.maximum(1.0, np.ceil(n_real - 1e-12 * np.maximum(1.0, n_real)))
     if refine and spec.family is ChannelFamily.AWGN:
         args = np.broadcast_arrays(*map(np.atleast_1d, (n, q, j_bits, r)))
-        n = _refine(spec.gamma, rate, *args).reshape(np.shape(n))
+        n = _refine(spec.gamma, rate, v, *args).reshape(np.shape(n))
     if not np.ndim(n_real):
         n_real = float(n_real)
     return BlocklengthSolution(to_int(n), n_real, eps)
@@ -275,6 +326,13 @@ def beta_s_grid(
     raise DomainError(f"unknown grid mode {grid_mode!r}")
 
 
+def _check_beta_t(beta_t):
+    """Refuse total budgets outside (0, 1], NaN included, and an empty list of them."""
+    budgets = np.asarray(beta_t, dtype=float)
+    if not budgets.size or not np.all((0.0 < budgets) & (budgets <= 1.0)):
+        raise DomainError(f"beta_t must lie in (0, 1], got {beta_t}")
+
+
 def _solve_grid(beta_t, budget, spec, grid_points, grid_mode, eps_cap, refine):
     """Every point of the beta_s grids below beta_t, solved in one pass.
 
@@ -321,8 +379,10 @@ def sweep_beta_s(
 
     Infeasible points are retained with their flag so curves show the
     feasibility boundary. Raises NoFeasibleN when nothing on the grid is
-    feasible.
+    feasible. A budget outside (0, 1], NaN included, is a DomainError, as
+    in ``sweep_beta_t``.
     """
+    _check_beta_t(beta_t)
     columns, best = _solve_grid(beta_t, budget, spec, grid_points, grid_mode, eps_cap, refine)
     return TradeoffCurve(*columns, np.zeros_like(columns[-1]), int(best))
 
@@ -379,8 +439,7 @@ def sweep_beta_t(
     infeasible rows.
     """
     values = [float(bt) for bt in beta_ts]
-    if not values or not all(0.0 < bt <= 1.0 for bt in values):
-        raise DomainError(f"beta_t must lie in (0, 1], got {values}")
+    _check_beta_t(values)
     values = np.sort(values)
     try:
         columns, best = _solve_grid(values, budget, spec, grid_points, grid_mode, eps_cap, refine)

@@ -206,6 +206,24 @@ class TestTradeoffCommand:
         assert code == 2 and out == ""
         assert "error:" in err
 
+    @pytest.mark.parametrize("beta_t", ["inf", "nan", "1.5", "0", "-0.1"])
+    def test_budget_outside_unit_interval_is_usage_error(self, beta_t):
+        # A fresh process with warnings as errors. tradeoff used to lay its
+        # grid below the budget first: inf raised numpy's RuntimeWarning, and
+        # inf, NaN and 1.5 were refused for a beta_s grid the user never gave.
+        env = {
+            **os.environ,
+            "PYTHONPATH": str(Path(latdist.__file__).resolve().parents[1]),
+            "PYTHONWARNINGS": "error",
+        }
+        done = subprocess.run(
+            [sys.executable, "-m", "latdist.cli", "tradeoff", "--scheme", "lq", "-k", "10",
+             "--gamma0-db", "5", "--b-hz", "1e5", "--beta-t", beta_t],
+            env=env, capture_output=True, text=True,
+        )
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr == f"error: beta_t must lie in (0, 1], got {float(beta_t)}\n"
+
     def test_json_contains_best_and_latency_seconds(self, capsys):
         code, out, _ = run(
             [
@@ -893,6 +911,11 @@ WIRE_RUNS = {
     # The refined AWGN blocklengths of 25 budgets, 1000 grid points each.
     "hull_refined.csv": ["hull", "--scheme", "lq", "-k", "100", "--gamma0-db", "5",
                          "--b-hz", "320000", "--beta-t", "lin:0.02:0.5:25", "--refine"],
+    # A few bits at an SNR of 1/100: 119 of 200 refine seeds are NaN and start
+    # from 1, and the walk takes 20 passes.
+    "tradeoff_lq_k3_refined.csv": ["tradeoff", "--scheme", "lq", "-k", "3", "--gamma0-db", "0",
+                                   "--b-hz", "1000000", "--beta-t", "0.4", "--grid-points", "200",
+                                   "--refine"],
     # The README simulate run at 20,000 trials: the per-(seed, trial) streams.
     "simulate_lq_k8.json": ["simulate", "--scheme", "lq", "-k", "8", "--beta-s", "0.1",
                             "--eps-target", "0.2", "--trials", "20000", "--seed", "42"],

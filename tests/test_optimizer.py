@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latdist.budget import BudgetFn, Scheme
 from latdist.channel import (
@@ -170,11 +172,12 @@ def test_refined_sweep_is_minimal_under_the_family_model(family):
     assert checked > 300
 
 
-def bisect_refine(gamma, n, eps, j_bits):
+def bisect_refine(n, meets):
     """Reference refine: a bisection over [1, n] per point.
 
     n is the closed-form blocklength as floats; from 2**52 on the bisection
-    runs over Python ints.
+    runs over Python ints. ``meets(m, live)`` says whether the points at
+    indices ``live`` meet their targets at blocklengths m.
     """
     hi = n.copy()
     if not np.max(hi, initial=0.0) < 2.0**52:
@@ -184,7 +187,7 @@ def bisect_refine(gamma, n, eps, j_bits):
     while live.size:
         a, b = lo[live], hi[live]
         mid = (a + b) // 2
-        ok = epsilon_awgn(mid, gamma, j_bits[live]) <= eps[live]
+        ok = meets(mid, live)
         hi[live] = np.where(ok, mid, b)
         lo[live] = np.where(ok, a, mid + 1)
         live = live[lo[live] < hi[live]]
@@ -192,13 +195,43 @@ def bisect_refine(gamma, n, eps, j_bits):
 
 
 def refine_against_bisection(gamma, eps, j_bits, beta_s=0.01):
-    """The refined n and the bisection's n of the same closed-form solution."""
+    """The refined n and the bisection's n of the same closed-form solution.
+
+    The bisection compares the exact error Q(z) itself with each target.
+    """
     spec = spec_at(ChannelFamily.AWGN, gamma)
     beta_t = beta_s + eps * (1.0 - beta_s)
     plain = solve_blocklength(spec, beta_t, beta_s, j_bits)
     refined = solve_blocklength(spec, beta_t, beta_s, j_bits, refine=True)
-    oracle = bisect_refine(gamma, np.array(plain.n, dtype=float), plain.eps_target, j_bits)
+    oracle = bisect_refine(
+        np.array(plain.n, dtype=float),
+        lambda m, live: epsilon_awgn(m, gamma, j_bits[live]) <= plain.eps_target[live],
+    )
     return refined.n, oracle
+
+
+def count_passes(monkeypatch):
+    """A list that the refine's decision step appends its points to, once per pass."""
+    passes, meets = [], optimizer._meets
+
+    def counting(gamma, rate, v, m, j_bits, q):
+        passes.append(np.size(m))
+        return meets(gamma, rate, v, m, j_bits, q)
+
+    monkeypatch.setattr(optimizer, "_meets", counting)
+    return passes
+
+
+def count_exact_points(monkeypatch):
+    """A list of the (n, J) pairs that reach the exact, per-element ``_z``."""
+    points = []
+
+    def counting(family, n, gamma, j_bits):
+        points.extend(zip(n.tolist(), j_bits.tolist()))
+        return channel._z(family, n, gamma, j_bits)
+
+    monkeypatch.setattr(optimizer, "_z", counting)
+    return points
 
 
 class TestRefineMatchesBisectionOracle:
@@ -208,8 +241,7 @@ class TestRefineMatchesBisectionOracle:
         eps = 10 ** rng.uniform(-12.0, math.log10(0.5), 400)
         j_bits = 10 ** rng.uniform(0.0, 7.0, 400)
         beta_s = rng.uniform(0.0, 0.5, 400)
-        passes = []
-        monkeypatch.setattr(optimizer, "_z", lambda *args: passes.append(1) or channel._z(*args))
+        passes = count_passes(monkeypatch)
         n, oracle = refine_against_bisection(db_to_linear(snr_db), eps, j_bits, beta_s)
         assert n.dtype == np.int64
         assert n.tolist() == oracle.tolist()
@@ -246,26 +278,106 @@ class TestRefineMatchesBisectionOracle:
         assert n.tolist() == oracle.tolist()
 
 
+def error_falls_with_n(gamma, j_bits):
+    """Whether the exact AWGN error falls as n grows, over every real n >= 1.
+
+    dz/dn has the sign of h(n) = 2nC + 2J + 2/ln 2 - log2(n), whose least
+    value, at n* = 1/(2C ln 2), is 2J + 3/ln 2 - log2(n*).
+    """
+    least = 1.0 / (2.0 * channel.awgn_coeffs(gamma)[0] * math.log(2.0))
+    return least <= 1.0 or 2.0 * j_bits + 3.0 / math.log(2.0) >= math.log2(least)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    snr_db=st.floats(-20.0, 30.0),
+    eps=st.floats(-12.0, math.log10(0.5)).map(lambda e: 10.0**e),
+    j_bits=st.floats(0.0, 7.0).map(lambda e: 10.0**e),
+)
+def test_refine_matches_bisection_oracle_property(snr_db, eps, j_bits):
+    gamma = db_to_linear(snr_db)
+    n, oracle = refine_against_bisection(gamma, np.array([eps]), np.array([j_bits]))
+    # The refined n meets the target, and the one below it does not.
+    target = decoding_error_target(0.01 + eps * 0.99, 0.01)
+    assert epsilon_awgn(int(n[0]), gamma, j_bits) <= target
+    assert n[0] == 1 or epsilon_awgn(int(n[0]) - 1, gamma, j_bits) > target
+    # Below about 1.2 bits at -20 dB the error rises with n between a low
+    # and a high n, and a bisection over [1, n] can miss the smallest n.
+    if error_falls_with_n(gamma, j_bits):
+        assert n.tolist() == oracle.tolist()
+
+
+def test_tiny_payloads_at_low_snr_make_the_error_rise_with_n():
+    # The point where the bisection misses: n = 55 meets the target, and
+    # between 55 and the closed-form n there are blocklengths that do not.
+    gamma, eps = db_to_linear(-19.15625), 10.0**-1.671875
+    assert not error_falls_with_n(gamma, 1.0)
+    n, oracle = refine_against_bisection(gamma, np.array([eps]), np.array([1.0]))
+    assert n.tolist() == [55] and oracle.tolist() == [129]
+    m = np.arange(1, 200)
+    meets = epsilon_awgn(m, gamma, np.ones(m.size)) <= decoding_error_target(0.01 + eps * 0.99, 0.01)
+    assert m[meets][0] == 55 and not meets[55:128].all()
+
+
+def nudge(x, ulps):
+    """x moved by ``ulps`` steps between adjacent floats, up or down."""
+    for _ in range(abs(ulps)):
+        x = np.nextafter(x, math.copysign(math.inf, ulps))
+    return x
+
+
+def test_near_ties_and_only_they_reach_the_exact_z(monkeypatch):
+    # Targets q on the exact z at a chosen m, or 1 or 4 ulps off it, so that
+    # numpy's log2 alone could decide either way. Half the m are integers
+    # whose numpy log2 differs from libm's on this build, if any, with
+    # J = m * C: the margin is then (1/2)log2(m) alone, and the last bit of
+    # the logarithm moves z.
+    rng = np.random.default_rng(420)
+    gamma = db_to_linear(5.0)
+    spec = spec_at(ChannelFamily.AWGN, gamma)
+    grid = np.arange(1.0, 200_001.0)
+    differing = grid[np.log2(grid) != np.array([math.log2(x) for x in grid.tolist()])][:20]
+    ms = np.concatenate([differing, rng.integers(2, 100_000, 20)]).astype(float)
+    share = np.concatenate([np.ones(differing.size), rng.uniform(0.5, 0.9, 20)])
+    offsets = np.array([-4, -1, 0, 1, 4])
+    m = np.repeat(ms, offsets.size)
+    ulps = np.tile(offsets, ms.size)
+    j_bits = m * channel.awgn_coeffs(gamma)[0] * np.repeat(share, offsets.size)
+    exact = channel._z(ChannelFamily.AWGN, m, gamma, j_bits)
+    q = np.array([nudge(x, k) for x, k in zip(exact.tolist(), ulps.tolist())])
+    # Points whose targets lie nowhere near a tie.
+    controls = 50
+    q = np.append(q, rng.uniform(0.1, 4.0, controls))
+    j_bits = np.append(j_bits, 10 ** rng.uniform(1.0, 5.0, controls))
+    monkeypatch.setattr(optimizer, "q_inv", lambda eps: q)
+    beta_s = np.full(q.size, 0.1)
+    plain = solve_blocklength(spec, 0.2, beta_s, j_bits)
+    points = count_exact_points(monkeypatch)
+    n = solve_blocklength(spec, 0.2, beta_s, j_bits, refine=True).n
+    oracle = bisect_refine(
+        np.array(plain.n, dtype=float),
+        lambda mid, live: channel._z(ChannelFamily.AWGN, mid, gamma, j_bits[live]) >= q[live],
+    )
+    assert n.tolist() == oracle.tolist()
+    # A target above z(m) by a few ulps is met one step later.
+    assert n[: m.size].tolist() == (m + (ulps > 0)).astype(int).tolist()
+    assert set(points) == set(zip(m.tolist(), j_bits[: m.size].tolist()))
+
+
 @pytest.mark.parametrize("refine", [False, True], ids=["closed", "refined"])
 @pytest.mark.parametrize("j_bits", [math.inf, np.array([100.0, math.inf])], ids=["scalar", "array"])
 def test_infinite_payload_raises_before_any_step(monkeypatch, refine, j_bits):
-    calls = []
-    monkeypatch.setattr(optimizer, "_z", lambda *args: calls.append(args))
+    passes = count_passes(monkeypatch)
     with pytest.raises(ValueError, match="cannot convert float NaN to integer"):
         solve_blocklength(WIDEBAND_SPEC, 0.1, 0.05, j_bits, refine=refine)
-    assert calls == []
+    assert passes == []
 
 
 def test_refine_takes_few_passes_on_workload_grid(monkeypatch):
     # Sweeps as the planner benchmark runs them: three coders, 0-20 dB,
     # 1000 grid points. A bisection takes 10-25 passes per sweep.
-    calls = []
-
-    def counting(family, n, gamma, j_bits):
-        calls.append(np.size(n))
-        return channel._z(family, n, gamma, j_bits)
-
-    monkeypatch.setattr(optimizer, "_z", counting)
+    calls = count_passes(monkeypatch)
+    exact = count_exact_points(monkeypatch)
     budgets = [
         BudgetFn(Scheme.UQ, 100), BudgetFn(Scheme.LQ, 100), BudgetFn(Scheme.SLQ, 1000, 10, 1e-5)
     ]
@@ -276,9 +388,11 @@ def test_refine_takes_few_passes_on_workload_grid(monkeypatch):
             calls.clear()
             sweep_beta_s(float(beta_t), budget, spec, refine=True)
             passes.append(len(calls))
-            # Every pass evaluates m and m - 1 of each live point.
-            assert calls[0] == 2 * 1000
+            # The first pass decides every point.
+            assert calls[0] == 1000
     assert max(passes) <= 3
+    # numpy's log2 decides them all: no point comes near a tie.
+    assert exact == []
 
 
 @pytest.mark.parametrize(
@@ -362,6 +476,7 @@ def test_unusable_eps_cap_is_domain_error(eps_cap):
         sweep_beta_t([0.05, 0.1], budget, WIDEBAND_SPEC, grid_points=20, eps_cap=eps_cap)
 
 
+@pytest.mark.filterwarnings("error")
 def test_empty_grid_and_budget_outside_unit_interval_are_domain_errors():
     budget = BudgetFn(Scheme.LQ, 10)
     with pytest.raises(DomainError, match="at least one point"):
@@ -371,6 +486,10 @@ def test_empty_grid_and_budget_outside_unit_interval_are_domain_errors():
     for bad in (math.nan, math.inf, 1.2, 0.0, -0.1):
         with pytest.raises(DomainError, match=r"must lie in \(0, 1\]"):
             sweep_beta_t([0.1, bad], budget, WIDEBAND_SPEC, grid_points=20)
+        # sweep_beta_s used to lay its grid below the budget first, and
+        # refuse that grid instead (after a RuntimeWarning, for inf).
+        with pytest.raises(DomainError, match=rf"^beta_t must lie in \(0, 1\], got {bad}$"):
+            sweep_beta_s(bad, budget, WIDEBAND_SPEC, grid_points=20)
     with pytest.raises(DomainError, match=r"must lie in \(0, 1\], got \[\]"):
         sweep_beta_t([], budget, WIDEBAND_SPEC, grid_points=20)
 
@@ -384,11 +503,19 @@ def sweep_digest(curve):
     return h.hexdigest()
 
 
-PIN_SPECS = {"awgn": WIDEBAND_SPEC, "fading-csi": CSI_SPEC, "fading-nocsi": NOCSI_SPEC}
+PIN_SPECS = {
+    "awgn": WIDEBAND_SPEC,
+    "fading-csi": CSI_SPEC,
+    "fading-nocsi": NOCSI_SPEC,
+    # An operational SNR of 1/3200, where the refine walks for many passes.
+    "awgn-low": ChannelSpec(ChannelFamily.AWGN, db_to_linear(-20), 10_000, 320_000),
+}
 PIN_CODERS = {
     "uq": BudgetFn(Scheme.UQ, 100),
     "lq": BudgetFn(Scheme.LQ, 100),
     "slq": BudgetFn(Scheme.SLQ, 1000, 10, 1e-5),
+    # A few bits: at the low SNR many refine seeds are NaN and start from 1.
+    "lq3": BudgetFn(Scheme.LQ, 3),
 }
 # Digests of two 500-point sweeps (beta_t 0.05, and 0.6 whose small beta_s
 # are infeasible), computed with the per-point solver that the array sweep
@@ -398,7 +525,8 @@ PIN_CODERS = {
 # best beta_s stayed the same, and only n_real moved, by at most 2e-14 relative.
 # All were re-pinned when Q^-1 moved from scipy's ndtri to the standard
 # library's AS241: again only n_real moved, on 1,452 of 14,994 points, by at
-# most 8.1e-16 relative.
+# most 8.1e-16 relative. The low-SNR refined digests were taken before the
+# refine moved to numpy's log2 with the exact z at near-ties; 4 to 34 passes.
 PINNED_SWEEPS = {
     ("awgn", "uq", False): "227671e3e1c5b8fbcf893c87af261e7c",
     ("awgn", "uq", True): "bdc00710d214c9ca2c0a22a8ad9ce50a",
@@ -418,6 +546,10 @@ PINNED_SWEEPS = {
     ("fading-nocsi", "lq", True): "f7f99158976cffc168e15bb673f45a94",
     ("fading-nocsi", "slq", False): "8b2c5a0aa4116dd5e07eb7d14b3945fe",
     ("fading-nocsi", "slq", True): "8b2c5a0aa4116dd5e07eb7d14b3945fe",
+    ("awgn-low", "uq", True): "268f59615d9cb3d33c7cd996394dc1f3",
+    ("awgn-low", "lq", True): "e493584f4eb9b0f91e7bd752f7af0069",
+    ("awgn-low", "slq", True): "9e9f7c6ce2f7dbde565757465afee85a",
+    ("awgn-low", "lq3", True): "d68281edd0130fb6c4e7b1d6b454ffa7",
 }
 
 
