@@ -22,10 +22,10 @@ Q and its inverse come from the standard library, one element at a time:
 Q(x) = erfc(x / sqrt(2)) / 2 from libm, and Q^-1 from Wichura's AS241,
 which ``statistics`` implements with libm's log and sqrt. Arrays and
 scalars thus round alike, the rule ``elementwise`` states, and latdist
-needs no scipy. ``_z`` gives the argument of Q alone: the solver's refine
-compares it with Q^-1 of the target and never evaluates Q. The refine
-takes the AWGN log2(n) from numpy first, through ``_z_by``, and asks ``_z``
-only about near-ties.
+needs no scipy. ``_z`` gives the argument of Q alone, on a row that
+``_model_row`` has built and checked: the solver's refine builds its row
+once, compares z with Q^-1 of the target and never evaluates Q. It passes
+numpy's log2 for the AWGN term first and libm's only at near-ties.
 """
 
 from __future__ import annotations
@@ -59,6 +59,10 @@ _NODES = np.array([math.exp(t - math.exp(-t)) for t in _T])
 _WEIGHTS = np.array(
     [_H * z * (1.0 + math.exp(-t)) * math.exp(-z) for t, z in zip(_T, _NODES.tolist())]
 )
+
+# Distinct (SNR, coherence) entries kept per fading-coefficient cache: the
+# keys are floats, so an unbounded cache grows with every SNR ever asked.
+_COEFF_CACHE = 256
 
 
 class ChannelFamily(Enum):
@@ -136,14 +140,14 @@ def q_inv(p: float) -> float:
 
 def awgn_coeffs(gamma: float) -> tuple[float, float]:
     """Capacity (1/2)log2(1+g) and dispersion g(g+2)/(2(g+1)^2) * log2(e)^2."""
-    if gamma <= 0:
-        raise DomainError(f"SNR must be positive, got {gamma}")
+    if not 0.0 < gamma < math.inf:  # also NaN
+        raise DomainError(f"SNR must be finite and positive, got {gamma}")
     capacity = 0.5 * math.log2(1.0 + gamma)
     dispersion = gamma * (gamma + 2.0) / (2.0 * (gamma + 1.0) ** 2) * LOG2_E**2
     return capacity, dispersion
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_COEFF_CACHE)
 def fading_csi_coeffs(gamma: float, coherence: int) -> tuple[float, float]:
     """Moments of log(1+gamma*Z), Z exponential, for the receiver-CSI model.
 
@@ -152,8 +156,8 @@ def fading_csi_coeffs(gamma: float, coherence: int) -> tuple[float, float]:
     adaptive quadrature. Closed forms via the exponential integral exist and
     are used as cross-checks in the tests.
     """
-    if gamma <= 0:
-        raise DomainError(f"SNR must be positive, got {gamma}")
+    if not 0.0 < gamma < math.inf:  # also NaN
+        raise DomainError(f"SNR must be finite and positive, got {gamma}")
     if coherence < 1:
         raise DomainError(f"coherence interval must be >= 1, got {coherence}")
     log = log1p(gamma * _NODES)
@@ -165,7 +169,7 @@ def fading_csi_coeffs(gamma: float, coherence: int) -> tuple[float, float]:
     return mean, dispersion
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_COEFF_CACHE)
 def fading_nocsi_coeffs(gamma: float, coherence: int) -> tuple[float, float]:
     """High-SNR information and dispersion per block for the no-CSI model.
 
@@ -173,8 +177,8 @@ def fading_nocsi_coeffs(gamma: float, coherence: int) -> tuple[float, float]:
     + F/(5*gamma), the last term a correction that vanishes as gamma grows;
     block_dispersion = (F-1)^2 * pi^2/6 + (F-1). Only meaningful at high SNR.
     """
-    if gamma <= 0:
-        raise DomainError(f"SNR must be positive, got {gamma}")
+    if not 0.0 < gamma < math.inf:  # also NaN
+        raise DomainError(f"SNR must be finite and positive, got {gamma}")
     if coherence <= 2:
         raise DomainError(f"coherence interval must exceed 2, got {coherence}")
     block_info = (
@@ -190,9 +194,9 @@ def fading_nocsi_coeffs(gamma: float, coherence: int) -> tuple[float, float]:
 def _model_row(family: ChannelFamily, gamma: float, j_bits, coherence: int | None = None):
     """The family's row of the module's table: rate, F, v and the payload in the rate's unit.
 
-    Elementwise over an array of j_bits, which must be positive.
+    Elementwise over an array of j_bits, which must be positive: ``_z`` trusts the row.
     """
-    if np.any(j_bits <= 0):
+    if not np.all(j_bits > 0):  # also NaN
         raise DomainError(f"payload must be positive, got {brief(j_bits)}")
     if family is ChannelFamily.AWGN:
         c, v = awgn_coeffs(gamma)
@@ -204,27 +208,18 @@ def _model_row(family: ChannelFamily, gamma: float, j_bits, coherence: int | Non
     return info, coherence, disp, j_bits * coherence * LN_2
 
 
-def _z(family: ChannelFamily, n, gamma: float, j_bits, coherence: int | None = None):
-    """The family's normal-approximation argument z, with eps = Q(z); elementwise over n and j_bits.
+def _z(family: ChannelFamily, n, row, log2=log2):
+    """The normal-approximation argument z on the family's row, with eps = Q(z).
 
-    Blocklengths too large for floats to count exactly come as Python ints
-    in an object array. Their products turn into floats only at the
-    division, each rounded once, as in the scalar form.
+    Elementwise over n >= 1 and the payload of a row ``_model_row`` built and
+    checked. The AWGN log2(n) is taken by ``log2``: libm's, per element, by
+    default; the refine passes numpy's, which can round the last bit
+    otherwise (see ``optimizer._refine``). Blocklengths too large for floats
+    to count exactly come as Python ints in an object array; their products
+    turn into floats only at the division, each rounded once, as in the
+    scalar form.
     """
-    return _z_by(log2, family, n, gamma, j_bits, coherence)
-
-
-def _z_by(log2, family: ChannelFamily, n, gamma: float, j_bits, coherence: int | None = None):
-    """``_z`` with the AWGN model's log2(n) taken by ``log2``.
-
-    ``_z`` passes libm's, one element at a time. The solver's refine passes
-    numpy's, which can round the last bit otherwise; it decides by that z
-    only outside a guard band (see ``optimizer._refine``). Every other
-    operation is the same, so the two z differ only through the logarithm.
-    """
-    if np.any(n < 1):
-        raise DomainError(f"blocklength must be >= 1, got {brief(n)}")
-    rate, f, v, payload = _model_row(family, gamma, j_bits, coherence)
+    rate, f, v, payload = row
     margin, scale = n * rate - payload, n * f * v
     if family is ChannelFamily.AWGN:
         margin = margin + 0.5 * log2(n)
@@ -235,7 +230,9 @@ def _z_by(log2, family: ChannelFamily, n, gamma: float, j_bits, coherence: int |
 
 def _epsilon(family: ChannelFamily, n, gamma: float, j_bits, coherence: int | None = None):
     """The family's block error probability Q(z); elementwise over n and j_bits."""
-    return q_func(_z(family, n, gamma, j_bits, coherence))
+    if not np.all((1 <= n) & (n < math.inf)):  # also NaN
+        raise DomainError(f"blocklength must be >= 1, got {brief(n)}")
+    return q_func(_z(family, n, _model_row(family, gamma, j_bits, coherence)))
 
 
 def epsilon_awgn(n: int, gamma: float, j_bits: float) -> float:

@@ -19,19 +19,18 @@ admits and whose payload is positive are masked, in place of per-point
 exceptions, and all of them go to ``solve_blocklength`` at once. The solver
 then makes one numpy pass: Q^-1 of the whole eps column, the root and the
 guarded ceiling. With ``refine`` on AWGN it then seeds each point near its
-exact answer, the closed form with the (1/2)log2(n) term put back, and walks
-the whole array from there. Each pass asks, at m and m - 1 of every live
-point, whether the AWGN model's argument of Q from ``channel`` reaches the
-Q^-1 the closed form already took. numpy's log2 answers for every point in
-one call; the exact, per-element libm form answers again only for the
-points within a guard band of a tie, so every answer is the exact one. Most
-points stop on the first pass. The walk assumes, as a bisection would, that
-the exact error falls as n grows; under it the result is the smallest n
-whose exact error meets the target. An argmin per row picks each budget's
-best split. Points
-outside the mask stay infeasible. Inputs that no grid point can satisfy,
-such as beta_t > 1, an empty grid or a non-positive eps cap, raise as they
-do for a single point.
+exact answer, the closed form with the (1/2)log2(n) term put back, and
+walks the whole array from there. Each pass asks, at m and m - 1 of every
+live point, whether ``channel._z`` on the row the solve built once reaches
+the Q^-1 the closed form already took: with numpy's log2 for every point in
+one call, and again with libm's, per element, only for the points within a
+guard band of a tie, so every answer is the exact one. Most points stop on
+the first pass. The walk assumes, as a bisection would, that the exact
+error falls as n grows; under it the result is the smallest n whose exact
+error meets the target. An argmin per row picks each budget's best split.
+Points outside the mask stay infeasible. Inputs that no grid point can
+satisfy, such as beta_t > 1, an empty grid or a non-positive eps cap, raise
+as they do for a single point.
 
 A ``TradeoffCurve`` holds its points as numpy columns; the per-point
 ``TradeoffPoint`` objects are built only when read.
@@ -47,7 +46,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .budget import BudgetFn
-from .channel import ChannelFamily, ChannelSpec, _model_row, _z, _z_by, q_inv
+from .channel import ChannelFamily, ChannelSpec, _model_row, _z, q_inv
 from .elementwise import brief, to_int
 from .errors import DomainError, EpsilonOutOfRange, NoFeasibleN
 
@@ -111,34 +110,35 @@ def _n_root(rate, r, payload):
     return root * root
 
 
-def _meets(gamma, rate, v, m, j_bits, q) -> np.ndarray:
+def _meets(rate, v, m, j_bits, q) -> np.ndarray:
     """Whether z(m) >= q and z(m - 1) >= q per point: the rows of a (2, points) array.
 
-    m - 1 stops at 1. numpy's log2 decides each comparison outside the guard
-    band; the exact ``_z`` decides those inside it (see ``_refine``). Past
-    2**52, where blocklengths are Python ints, the band spans many
-    blocklengths, so ``_z`` decides them all.
+    z is ``channel._z`` on the AWGN row (rate, 1, v, j_bits); m - 1 stops at 1.
+    numpy's log2 decides each comparison outside the guard band, libm's
+    those inside it (see ``_refine``). Past 2**52, where blocklengths are
+    Python ints, the band spans many blocklengths, so libm's decides them all.
     """
     pair = np.maximum(m - _PAIR, 1)
+    row = (rate, 1, v, j_bits)
     if pair.dtype == object:
-        return _z(ChannelFamily.AWGN, pair, gamma, j_bits) >= q
-    z = _z_by(np.log2, ChannelFamily.AWGN, pair, gamma, j_bits)
+        return _z(ChannelFamily.AWGN, pair, row) >= q
+    z = _z(ChannelFamily.AWGN, pair, row, np.log2)
     # The terms' magnitudes over sqrt(mV); (1/2)log2(m) < 26 below 2**52.
     band = _BAND * ((pair * rate + j_bits + 26.0) / np.sqrt(pair * v) + np.abs(q))
     near = np.abs(z - q) <= band
     ok = z >= q
     if near.any():
         j_near, q_near = (np.broadcast_to(x, pair.shape)[near] for x in (j_bits, q))
-        ok[near] = _z(ChannelFamily.AWGN, pair[near], gamma, j_near) >= q_near
+        ok[near] = _z(ChannelFamily.AWGN, pair[near], (rate, 1, v, j_near)) >= q_near
     return ok
 
 
-def _refine(gamma, rate, v, n, q, j_bits, r) -> np.ndarray:
+def _refine(rate, v, n, q, j_bits, r) -> np.ndarray:
     """Smallest m in [1, n] whose exact AWGN error stays within target, per point.
 
-    q is Q^-1 of each target and r = sqrt(V) * q. Q falls, so the exact
-    error Q(z(m)) meets its target where z(m) >= q, with z from
-    ``channel._z``: the refine compares z with q and never evaluates Q. The
+    rate, v and j_bits are the solve's AWGN row, q is Q^-1 of each target and
+    r = sqrt(V) * q. Q falls, so the exact error Q(z(m)) meets its target where
+    z(m) >= q, with z from ``channel._z``: the refine never evaluates Q. The
     seed is two fixed-point steps of the closed form with payload
     J - log2(x)/2, from the closed-form n. Each pass decides z >= q at m and
     m - 1 of every live point (``_meets``); a point steps up where z(m) < q,
@@ -178,7 +178,7 @@ def _refine(gamma, rate, v, n, q, j_bits, r) -> np.ndarray:
     if not np.max(n, initial=0.0) < _FLOAT_INT_LIMIT:
         n, m = (np.array([int(e) for e in a.tolist()], dtype=object) for a in (n, m))
     lo, hi, step = np.ones_like(n), n.copy(), np.ones_like(n)
-    ok = _meets(gamma, rate, v, m, j_bits, q)
+    ok = _meets(rate, v, m, j_bits, q)
     up, down = ~ok[0] & (m < n), ok[1] & (m > 1)
     live = np.flatnonzero(up | down)
     up, down = up[live], down[live]
@@ -189,7 +189,7 @@ def _refine(gamma, rate, v, n, q, j_bits, r) -> np.ndarray:
         mid = (bottom + top + 1) // 2
         a = np.where(up, np.minimum(a + d, mid), np.where(down, np.maximum(a - d, mid), a))
         m[live], step[live] = a, d + d
-        ok = _meets(gamma, rate, v, a, j_bits[live], q[live])
+        ok = _meets(rate, v, a, j_bits[live], q[live])
         up, down = ~ok[0] & (a < top), ok[1] & (a > bottom)
         moved = up | down
         live, up, down = live[moved], up[moved], down[moved]
@@ -244,7 +244,7 @@ def solve_blocklength(
         n = np.maximum(1.0, np.ceil(n_real - 1e-12 * np.maximum(1.0, n_real)))
     if refine and spec.family is ChannelFamily.AWGN:
         args = np.broadcast_arrays(*map(np.atleast_1d, (n, q, j_bits, r)))
-        n = _refine(spec.gamma, rate, v, *args).reshape(np.shape(n))
+        n = _refine(rate, v, *args).reshape(np.shape(n))
     if not np.ndim(n_real):
         n_real = float(n_real)
     return BlocklengthSolution(to_int(n), n_real, eps)

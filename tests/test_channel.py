@@ -11,6 +11,7 @@ from scipy import integrate
 from scipy.special import exp1, ndtr, ndtri
 
 import latdist
+from latdist import channel
 from latdist.channel import (
     ChannelFamily,
     ChannelSpec,
@@ -149,6 +150,60 @@ def test_epsilon_elementwise_on_arrays(family):
     assert type(model(5, 10.0)) is float
     with pytest.raises(DomainError):
         model(np.array([3.0, 0.0]), np.array([10.0, 10.0]))
+
+
+EPSILON_MODELS = {
+    "awgn": lambda n, gamma, j: epsilon_awgn(n, gamma, j),
+    "fading-csi": lambda n, gamma, j: epsilon_fading_csi(n, gamma, j, 5),
+    "fading-nocsi": lambda n, gamma, j: epsilon_fading_nocsi(n, gamma, j, 5),
+}
+
+
+@pytest.mark.parametrize("model", list(EPSILON_MODELS.values()), ids=list(EPSILON_MODELS))
+@pytest.mark.parametrize(
+    "n, gamma, j_bits, message",
+    [
+        (math.nan, 10.0, 10.0, "blocklength must be >= 1"),
+        (math.inf, 10.0, 10.0, "blocklength must be >= 1"),
+        (np.array([100.0, math.nan]), 10.0, 10.0, "blocklength must be >= 1"),
+        (100, math.nan, 10.0, "SNR must be finite and positive"),
+        (100, math.inf, 10.0, "SNR must be finite and positive"),
+        (100, 10.0, math.nan, "payload must be positive"),
+        (100, 10.0, np.array([10.0, math.nan]), "payload must be positive"),
+    ],
+    ids=["nan-n", "inf-n", "nan-n-array", "nan-snr", "inf-snr", "nan-payload", "nan-payload-array"],
+)
+def test_error_models_refuse_nan_and_infinity(model, n, gamma, j_bits, message):
+    with pytest.raises(DomainError, match=message):
+        model(n, gamma, j_bits)
+
+
+COEFFICIENTS = {
+    "awgn": awgn_coeffs,
+    "fading-csi": lambda gamma: fading_csi_coeffs(gamma, 5),
+    "fading-nocsi": lambda gamma: fading_nocsi_coeffs(gamma, 5),
+}
+
+
+@pytest.mark.parametrize("coeffs", list(COEFFICIENTS.values()), ids=list(COEFFICIENTS))
+@pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_coefficients_refuse_snr_outside_open_half_line(coeffs, gamma):
+    with pytest.raises(DomainError, match="SNR must be finite and positive"):
+        coeffs(gamma)
+
+
+@pytest.mark.parametrize("coeffs", [fading_csi_coeffs, fading_nocsi_coeffs])
+def test_fading_coefficient_caches_are_bounded(coeffs):
+    coeffs.cache_clear()
+    for gamma in np.geomspace(1.0, 1e3, channel._COEFF_CACHE + 50).tolist():
+        coeffs(gamma, 5)
+    assert coeffs.cache_info().currsize == channel._COEFF_CACHE
+    # NaN never equals itself, but a refused SNR leaves no entry behind.
+    coeffs.cache_clear()
+    for _ in range(100):
+        with pytest.raises(DomainError):
+            coeffs(math.nan, 5)
+    assert coeffs.cache_info().currsize == 0
 
 
 class TestAwgn:

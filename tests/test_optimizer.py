@@ -16,7 +16,7 @@ from latdist.channel import (
     epsilon_fading_csi,
     epsilon_fading_nocsi,
 )
-from latdist import channel, cli, optimizer
+from latdist import channel, cli, elementwise, optimizer
 from latdist.errors import DomainError, EpsilonOutOfRange, NoFeasibleN
 from latdist.optimizer import (
     TradeoffPoint,
@@ -214,21 +214,22 @@ def count_passes(monkeypatch):
     """A list that the refine's decision step appends its points to, once per pass."""
     passes, meets = [], optimizer._meets
 
-    def counting(gamma, rate, v, m, j_bits, q):
+    def counting(rate, v, m, j_bits, q):
         passes.append(np.size(m))
-        return meets(gamma, rate, v, m, j_bits, q)
+        return meets(rate, v, m, j_bits, q)
 
     monkeypatch.setattr(optimizer, "_meets", counting)
     return passes
 
 
 def count_exact_points(monkeypatch):
-    """A list of the (n, J) pairs that reach the exact, per-element ``_z``."""
+    """A list of the (n, J) pairs that reach ``_z`` with the exact, per-element log2."""
     points = []
 
-    def counting(family, n, gamma, j_bits):
-        points.extend(zip(n.tolist(), j_bits.tolist()))
-        return channel._z(family, n, gamma, j_bits)
+    def counting(family, n, row, log2=elementwise.log2):
+        if log2 is elementwise.log2:
+            points.extend(zip(n.tolist(), row[3].tolist()))
+        return channel._z(family, n, row, log2)
 
     monkeypatch.setattr(optimizer, "_z", counting)
     return points
@@ -343,7 +344,11 @@ def test_near_ties_and_only_they_reach_the_exact_z(monkeypatch):
     m = np.repeat(ms, offsets.size)
     ulps = np.tile(offsets, ms.size)
     j_bits = m * channel.awgn_coeffs(gamma)[0] * np.repeat(share, offsets.size)
-    exact = channel._z(ChannelFamily.AWGN, m, gamma, j_bits)
+
+    def exact_z(n, j):
+        return channel._z(ChannelFamily.AWGN, n, channel._model_row(ChannelFamily.AWGN, gamma, j))
+
+    exact = exact_z(m, j_bits)
     q = np.array([nudge(x, k) for x, k in zip(exact.tolist(), ulps.tolist())])
     # Points whose targets lie nowhere near a tie.
     controls = 50
@@ -356,7 +361,7 @@ def test_near_ties_and_only_they_reach_the_exact_z(monkeypatch):
     n = solve_blocklength(spec, 0.2, beta_s, j_bits, refine=True).n
     oracle = bisect_refine(
         np.array(plain.n, dtype=float),
-        lambda mid, live: channel._z(ChannelFamily.AWGN, mid, gamma, j_bits[live]) >= q[live],
+        lambda mid, live: exact_z(mid, j_bits[live]) >= q[live],
     )
     assert n.tolist() == oracle.tolist()
     # A target above z(m) by a few ulps is met one step later.
@@ -371,6 +376,26 @@ def test_infinite_payload_raises_before_any_step(monkeypatch, refine, j_bits):
     with pytest.raises(ValueError, match="cannot convert float NaN to integer"):
         solve_blocklength(WIDEBAND_SPEC, 0.1, 0.05, j_bits, refine=refine)
     assert passes == []
+
+
+def test_refined_solve_builds_its_row_once(monkeypatch):
+    # Seeds far from the answer, as at -20 dB in the oracle test, take
+    # several passes; none of them rebuilds the row.
+    rng = np.random.default_rng(380)
+    eps = 10 ** rng.uniform(-12.0, math.log10(0.5), 100)
+    j_bits = 10 ** rng.uniform(0.0, 3.0, 100)
+    passes = count_passes(monkeypatch)
+    calls, coeffs = [], channel.awgn_coeffs
+
+    def counting(gamma):
+        calls.append(gamma)
+        return coeffs(gamma)
+
+    monkeypatch.setattr(channel, "awgn_coeffs", counting)
+    spec = spec_at(ChannelFamily.AWGN, db_to_linear(-20.0))
+    solve_blocklength(spec, 0.01 + eps * 0.99, 0.01, j_bits, refine=True)
+    assert len(passes) >= 3
+    assert calls == [spec.gamma]
 
 
 def test_refine_takes_few_passes_on_workload_grid(monkeypatch):
