@@ -47,7 +47,8 @@ class BudgetFn:
     """Budget J(beta_s) for a fixed scheme and dimension.
 
     ``bits_real`` is the smooth bound used by the optimizer; ``bits_int``
-    is what the codec actually sends. ``k_top`` and ``delta`` (the assumed
+    is the sum of the exact widths of the fields the coder sends, before the
+    wire pads them to whole bytes. ``k_top`` and ``delta`` (the assumed
     mass of the discarded entries) matter only to the sparse scheme, which
     is only defined for beta_s > delta.
     """

@@ -143,8 +143,13 @@ def awgn_coeffs(gamma: float) -> tuple[float, float]:
     if not 0.0 < gamma < math.inf:  # also NaN
         raise DomainError(f"SNR must be finite and positive, got {gamma}")
     capacity = 0.5 * math.log2(1.0 + gamma)
-    dispersion = gamma * (gamma + 2.0) / (2.0 * (gamma + 1.0) ** 2) * LOG2_E**2
-    return capacity, dispersion
+    try:
+        denominator = 2.0 * (gamma + 1.0) ** 2
+    except OverflowError:  # the square, from about 1.34e154
+        denominator = math.inf
+    if denominator == math.inf:  # from about 9.5e153, where g(g+2)/(g+1)^2 is 1
+        return capacity, 0.5 * LOG2_E**2
+    return capacity, gamma * (gamma + 2.0) / denominator * LOG2_E**2
 
 
 @lru_cache(maxsize=_COEFF_CACHE)

@@ -79,13 +79,6 @@ import numpy as np
 from .elementwise import brief, lgamma
 from .errors import IndexOutOfRange, InvalidSubset, SumMismatch
 
-# Fractional distance from an integer below which the log-gamma bit count
-# falls back to exact big-integer arithmetic.
-_BOUNDARY_GUARD = 1e-9
-# The estimate subtracts terms up to lgamma(n + 1) < n * log(n + 1); their
-# rounding, some hundreds of ulps per bit of that bound, widens the band.
-_LGAMMA_GUARD = 1e-13
-
 # Binomials below this bound fit a machine word, where math.comb is as cheap
 # as one multiply/divide step.
 _WORD = 1 << 64
@@ -158,15 +151,23 @@ class LexIndex:
 
     def __post_init__(self):
         if self.value < 0:
-            raise IndexOutOfRange(f"index cannot be negative: {self.value}")
+            raise IndexOutOfRange(f"index cannot be negative: {_decimal(self.value)}")
         if self.value.bit_length() > self.bit_width:
             raise IndexOutOfRange(
-                f"value {self.value} does not fit in {self.bit_width} bits"
+                f"value {_decimal(self.value)} does not fit in {self.bit_width} bits"
             )
 
     def to_bytes(self) -> bytes:
         """Big-endian bytes, sized by the bit width. No header; framing is the caller's job."""
         return self.value.to_bytes((self.bit_width + 7) // 8, "big")
+
+
+def _decimal(value: int) -> str:
+    """``value`` in decimal, or its bit length past the digits Python converts to text."""
+    try:
+        return str(value)
+    except ValueError:
+        return f"<{value.bit_length()}-bit integer>"
 
 
 def _trusted(cls, first, second):
@@ -187,31 +188,6 @@ def _trusted(cls, first, second):
 def composition_count(k: int, total: int) -> int:
     """Number of compositions of ``total`` into ``k`` nonnegative parts."""
     return math.comb(total + k - 1, k - 1)
-
-
-def _ceil_log2(value: int) -> int:
-    """Exact ceil(log2(value)) for a positive integer."""
-    return (value - 1).bit_length()
-
-
-def _ceil_log2_comb(n: int, r: int) -> int:
-    """ceil(log2(C(n, r))) via log-gamma, resolved exactly near integer boundaries.
-
-    The log-gamma estimate avoids building the big integer; its error is a
-    few ulps of the result plus a few ulps of lgamma(n + 1), so only results
-    within that guard band of an integer need the exact computation. From
-    n near 2**40 the band spans whole bits, and every count is exact.
-    """
-    if r < 0 or r > n:
-        raise ValueError(f"C({n}, {r}) undefined")
-    if r == 0 or r == n:
-        return 0
-    lg = log2_comb(n, r)
-    nearest = round(lg)
-    guard = _BOUNDARY_GUARD * max(1.0, abs(lg)) + _LGAMMA_GUARD * n * math.log2(n + 1)
-    if abs(lg - nearest) <= guard:
-        return _ceil_log2(math.comb(n, r))
-    return math.ceil(lg)
 
 
 def log2_comb(n: int, r: int) -> float:
@@ -237,7 +213,8 @@ def log2_comb(n: int, r: int) -> float:
 @lru_cache(maxsize=_WIDTH_CACHE)
 def composition_count_bits(k: int, total: int) -> int:
     """Bits needed for a fixed-length index over compositions of ``total`` into ``k`` parts."""
-    return _ceil_log2_comb(_slots(k, total), k - 1)
+    _slots(k, total)  # refuses an empty space
+    return (composition_count(k, total) - 1).bit_length()
 
 
 def _slots(k: int, total: int) -> int:
@@ -252,7 +229,7 @@ def subset_count_bits(k: int, size: int) -> int:
     """Bits needed for a fixed-length index over ``size``-subsets of ``{0..k-1}``."""
     if size < 0 or size > k:
         raise ValueError(f"need 0 <= size <= k, got size={size}, k={k}")
-    return _ceil_log2_comb(k, size)
+    return (math.comb(k, size) - 1).bit_length()
 
 
 def rank_composition(pt: LatticePoint) -> LexIndex:
@@ -271,7 +248,7 @@ def unrank_composition(value: int, k: int, total: int) -> LatticePoint:
     slots = _slots(k, total)
     top = composition_count(k, total)
     if value < 0 or value >= top:
-        raise IndexOutOfRange(f"index {value} outside [0, {top})")
+        raise IndexOutOfRange(f"index {_decimal(value)} outside [0, {_decimal(top)})")
     # Each count is the gap between neighbouring bars, from the sentinel N down to -1.
     counts, hi = [], slots
     for lo in reversed(_unrank_subset(top - 1 - value, slots, k - 1, top)):
@@ -292,7 +269,7 @@ def unrank_subset(value: int, k: int, size: int) -> PositionSet:
     value, k, size = operator.index(value), operator.index(k), operator.index(size)
     cardinality = math.comb(k, size)
     if value < 0 or value >= cardinality:
-        raise IndexOutOfRange(f"index {value} outside [0, {cardinality})")
+        raise IndexOutOfRange(f"index {_decimal(value)} outside [0, {_decimal(cardinality)})")
     return _trusted(PositionSet, tuple(_unrank_subset(value, k, size, cardinality)), k)
 
 

@@ -13,9 +13,9 @@ inverse. Callers whose arguments repeat deduplicate them first:
 lattice sizes.
 
 A comparison whose answer is all that leaves may use numpy outside a guard
-band that bounds the rounding, and take the exact form inside it:
-``codec._ceil_log2_comb`` does so with log-gamma, and the solver's refine
-with the log2 it passes to ``channel._z`` (``optimizer._refine``).
+band that bounds the rounding, and take the exact form inside it, as the
+solver's refine does with the log2 it passes to ``channel._z``
+(``optimizer._refine``).
 """
 
 from __future__ import annotations

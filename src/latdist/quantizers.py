@@ -122,7 +122,8 @@ def round_to_lattice(values: np.ndarray, denominator: int) -> np.ndarray:
     """
     _check_denominator(denominator)
     scaled = np.asarray(values, dtype=float) * denominator
-    rounded = np.floor(scaled + 0.5)
+    # From 2**52 on every float is an integer, and adding 1/2 would round to even.
+    rounded = np.where(scaled < 2.0**52, np.floor(scaled + 0.5), scaled)
     counts = rounded.astype(np.int64)
     deficit = denominator - counts.sum(axis=-1)
     if not np.count_nonzero(deficit):

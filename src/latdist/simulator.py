@@ -31,7 +31,8 @@ from .errors import DomainError
 from .prob import tv_distance
 
 # Trials are quantized, corrupted and measured this many rows at a time, so
-# memory stays O(_BLOCK * k) whatever the number of trials.
+# the working arrays stay O(_BLOCK * k) whatever the number of trials; the
+# distortions keep one float per trial.
 _BLOCK = 256
 
 # The constants of numpy's SeedSequence (a pool of four 32-bit words) and of

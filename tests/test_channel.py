@@ -217,6 +217,19 @@ class TestAwgn:
         _, v = awgn_coeffs(1e9)
         assert v == pytest.approx(0.5 * math.log2(math.e) ** 2, rel=1e-6)
 
+    @pytest.mark.parametrize("gamma", [1.2e154, 1e200, 1.7e308])
+    def test_dispersion_limit_where_the_square_overflows(self, gamma):
+        # 2 (g + 1)^2 is inf from about 9.5e153, which made the dispersion 0.0,
+        # and the square raised OverflowError from about 1.34e154.
+        c, v = awgn_coeffs(gamma)
+        assert c == 0.5 * math.log2(1.0 + gamma)
+        assert v == 0.5 * math.log2(math.e) ** 2
+
+    def test_dispersion_below_the_overflow_unchanged(self):
+        for gamma in (1e-3, 1.0, 1e9, 1e150, 9.4e153):
+            expected = gamma * (gamma + 2.0) / (2.0 * (gamma + 1.0) ** 2) * math.log2(math.e) ** 2
+            assert awgn_coeffs(gamma)[1] == expected
+
     def test_epsilon_at_capacity_point(self):
         # n = 1 with n*C = J leaves only the vanishing log term.
         c, _ = awgn_coeffs(3.0)

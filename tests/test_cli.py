@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -278,6 +279,18 @@ class TestHullCommand:
         assert code == 2 and out == ""
         assert "4000.0 dB overflows" in err
 
+    def test_snr_past_the_dispersion_square_is_planned(self, capsys):
+        # At 2000 dB the AWGN dispersion's (g + 1)^2 overflows; this used to
+        # print an OverflowError traceback (exit 1).
+        code, out, err = run(
+            ["hull", "--scheme", "lq", "-k", "10", "--gamma0-db", "2000",
+             "--b-hz", "1e4", "--beta-t", "0.1"],
+            capsys,
+        )
+        assert code == 0 and err == ""
+        row = out.splitlines()[-1].split(",")
+        assert row[0] == "0.1" and row[4] == "1" and row[-2:] == ["true", "true"]
+
     @pytest.mark.parametrize(
         "tail",
         [
@@ -508,6 +521,24 @@ class TestCodecCommands:
             )
             assert done.returncode == 2 and done.stdout == ""
             assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+
+    def test_dequantize_index_past_a_huge_space_names_its_line(self, tmp_path, capsys):
+        # The space has more than Python's 4300 printable digits: the refusal
+        # used to fail formatting its own message, with no path or line.
+        k, ell = 1352, 759025
+        width = (math.comb(ell + k - 1, k - 1) - 1).bit_length()
+        payloads = tmp_path / "payloads.csv"
+        payloads.write_text("payload_hex\n" + "ff" * ((width + 7) // 8) + "\n")
+        code, out, err = run(
+            ["dequantize", "--scheme", "lq", "-k", str(k), "--ell", str(ell),
+             "--input", str(payloads)],
+            capsys,
+        )
+        assert code == 2 and out == ""
+        assert err == (
+            f"error: {payloads}:2: index <{8 * ((width + 7) // 8)}-bit integer> "
+            f"outside [0, <{width}-bit integer>)\n"
+        )
 
     def test_dequantize_width_past_its_limit_is_usage_error(self, tmp_path, capsys):
         # Three 63-bit fields fill 24 bytes.

@@ -184,6 +184,15 @@ class TestCompositionRanking:
         with pytest.raises(IndexOutOfRange):
             unrank_composition(-1, 2, 2)
 
+    def test_index_out_of_range_past_printable_digits(self):
+        # The count has more than Python's 4300 printable digits: the refusal
+        # used to raise ValueError while formatting its message.
+        top = composition_count(1352, 759025)
+        with pytest.raises(IndexOutOfRange, match=r"^index <14285-bit integer> outside \[0, <14285-bit"):
+            unrank_composition(top, 1352, 759025)
+        with pytest.raises(IndexOutOfRange, match="^value <16001-bit integer> does not fit in 16000"):
+            LexIndex(1 << 16000, 16000)
+
     def test_large_space_spot_roundtrip(self):
         rng = np.random.default_rng(11)
         k, total = 40, 100
@@ -258,6 +267,9 @@ class TestSubsetRanking:
     def test_index_out_of_range(self):
         with pytest.raises(IndexOutOfRange):
             unrank_subset(10, 5, 2)
+        cardinality = math.comb(20000, 10000)
+        with pytest.raises(IndexOutOfRange, match=r"outside \[0, <19993-bit integer>\)$"):
+            unrank_subset(cardinality, 20000, 10000)
 
     def test_large_space_spot_roundtrip(self):
         rng = np.random.default_rng(12)
@@ -329,8 +341,8 @@ class TestBitWidths:
         (100, 14369778015276), (1000, 4378044529112),
     ])
     def test_large_totals_match_exact(self, k, total):
-        # The log-gamma estimate subtracts terms near total * log(total), whose
-        # rounding these widths used to miss by a bit (5 at 2**53: 185 for 208).
+        # A width estimated from log-gamma terms near total * log(total) lost
+        # bits to their rounding here (5 at 2**53: 185 for 208); the count is exact.
         exact = (composition_count(k, total) - 1).bit_length()
         assert composition_count_bits(k, total) == exact
 

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from latdist.budget import BudgetFn, Scheme, budget_slq
 from latdist.codec import (
@@ -14,10 +16,14 @@ from latdist.codec import (
     composition_count,
     composition_count_bits,
     subset_count_bits,
+    unrank_composition,
+    unrank_subset,
 )
 from latdist.errors import DimensionMismatch, DomainError, IndexOutOfRange
 from latdist.prob import ProbVector, tv_distance
 from latdist.quantizers import (
+    LQCoder,
+    SLQCoder,
     SLQEncoding,
     UQEncoding,
     lq_decode,
@@ -311,6 +317,14 @@ class TestLattice:
             enc = slq_encode(p, k_top, 2**53)
             assert SLQEncoding.from_bytes(enc.to_bytes(), p.k, k_top, 2**53) == enc
 
+    def test_scaled_entries_from_2_52_keep_their_sum(self):
+        # From 2**52 every float is an integer, and floor(x + 1/2) rounded an
+        # odd x up to even: these counts summed to 2**53 + 1. The SLQ property
+        # test below keeps the vector that showed it as an example.
+        kept = np.array([0.4615548663895384, 0.5384451336104618])
+        for rows in (kept, kept[None]):
+            assert round_to_lattice(rows, 2**53).sum() == 2**53
+
     @pytest.mark.parametrize("ell", [2**53 + 1, 2_500_000_000_000_000_000, 2**63, 2**70])
     def test_denominator_beyond_float_limit_refused(self, ell):
         # At 2.5e18, BudgetFn("lq", 100).ell(1e-17), the first k=100 vector's
@@ -571,3 +585,73 @@ class TestDecodedVectorsMatchPublicConstructor:
             decoded = slq_decode(enc)
             assert np.array_equal(decoded.values, ProbVector(values).values)
             assert not decoded.values.flags.writeable
+
+
+def _assert_index_space(count, width, unrank, last):
+    """``width`` is the least number of bits that holds every index below ``count``;
+    the last index unranks to ``last`` and ``count`` itself is refused."""
+    assert count <= 1 << width and (width == 0 or count > 1 << (width - 1))
+    assert unrank(count - 1) == last
+    with pytest.raises(IndexOutOfRange):
+        unrank(count)
+
+
+def _assert_wire_round_trip(coder, p):
+    """The payload decodes to the block decode's row, as a probability vector."""
+    payload = coder.to_bytes(p)
+    expected = ProbVector(coder.decode_rows(p.values[None])[0]).values
+    assert np.array_equal(coder.from_bytes(payload).values, expected)
+    return payload
+
+
+def _source(seed, k):
+    # Cubed exponentials: a spread of large and tiny entries, and ties at 0 in the lattice.
+    drawn = np.random.default_rng(seed).standard_exponential(k) ** 3
+    return ProbVector(drawn, normalize=True)
+
+
+_SEEDS = st.integers(0, 2**32 - 1)
+# Log-uniform denominators: as many examples near 2**53 as near 1.
+_ELLS = st.integers(0, 53).flatmap(lambda b: st.integers(1 << b, (2 << b) - 1)).map(
+    lambda ell: min(ell, 2**53)
+)
+
+
+@settings(max_examples=10, deadline=None)
+@given(k=st.integers(2, 2000), ell=_ELLS, seed=_SEEDS)
+@example(k=2, ell=2**53, seed=0)
+@example(k=500, ell=2**53, seed=0)
+@example(k=2000, ell=1, seed=0)
+def test_lq_coder_at_large_k_and_ell(k, ell, seed):
+    payload = _assert_wire_round_trip(LQCoder(k, ell), _source(seed, k))
+    width = composition_count_bits(k, ell)
+    assert len(payload) == (width + 7) // 8
+    _assert_index_space(
+        composition_count(k, ell), width,
+        lambda i: unrank_composition(i, k, ell).counts, (ell,) + (0,) * (k - 1),
+    )
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    space=st.integers(2, 2000).flatmap(lambda k: st.tuples(st.just(k), st.integers(1, k))),
+    ell=_ELLS,
+    seed=_SEEDS,
+)
+@example(space=(2000, 12), ell=2**53, seed=0)
+@example(space=(99, 2), ell=2**53, seed=11689)
+@example(space=(2000, 1000), ell=1, seed=0)
+def test_slq_coder_at_large_k_and_ell(space, ell, seed):
+    k, k_top = space
+    payload = _assert_wire_round_trip(SLQCoder(k, k_top, ell), _source(seed, k))
+    subset_width = subset_count_bits(k, k_top)
+    lattice_width = composition_count_bits(k_top, ell)
+    assert len(payload) == (subset_width + 7) // 8 + (lattice_width + 7) // 8
+    _assert_index_space(
+        math.comb(k, k_top), subset_width,
+        lambda i: unrank_subset(i, k, k_top).indices, tuple(range(k - k_top, k)),
+    )
+    _assert_index_space(
+        composition_count(k_top, ell), lattice_width,
+        lambda i: unrank_composition(i, k_top, ell).counts, (ell,) + (0,) * (k_top - 1),
+    )
