@@ -16,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .codec import composition_count_bits, log2_comb, subset_count_bits
+from .codec import composition_count_bits, log2_comb, log2_composition_count, subset_count_bits
 from .elementwise import brief, log2, to_int
 from .errors import BetaNotAboveDelta, DomainError
 from .quantizers import LQCoder, SLQCoder, UQCoder
@@ -33,13 +33,12 @@ class Scheme(Enum):
 
 
 def _guarded_ceil(x):
-    """Ceiling that snaps values a few ulps above an integer down to it.
+    """Ceiling of x >= 1 that snaps values a few ulps above an integer down to it.
 
-    Elementwise on an array, giving integers as ``elementwise.to_int`` does.
+    Elementwise on an array, as integer-valued floats; a scalar gives a 0-d array.
     """
     nearest = np.rint(x)
-    snap = np.abs(x - nearest) <= _CEIL_GUARD * np.maximum(1.0, np.abs(x))
-    return to_int(np.where(snap, nearest, np.ceil(x)))
+    return np.where(np.abs(x - nearest) <= _CEIL_GUARD * x, nearest, np.ceil(x))
 
 
 @dataclass(frozen=True)
@@ -99,6 +98,10 @@ class BudgetFn:
         if self.scheme is Scheme.UQ:
             return None
         self._admit(beta_s)
+        return to_int(self._ell(beta_s))
+
+    def _ell(self, beta_s):
+        """``ell`` as integer-valued floats, of a beta_s already admitted."""
         # ceil(parts / (4*slack)) keeps the lattice distortion under the slack beta_s - delta.
         return _guarded_ceil(np.maximum(1.0, self._parts / (4.0 * (beta_s - self.lower_edge))))
 
@@ -123,7 +126,8 @@ class BudgetFn:
 
     def bits_int(self, beta_s: float) -> int:
         if self.scheme is Scheme.UQ:
-            return self.k * _guarded_ceil(self.bits_real(beta_s) / self.k)
+            # bits_real / k = 2 log2(k / beta_s) > 2.
+            return self.k * to_int(_guarded_ceil(self.bits_real(beta_s) / self.k))
         bits = composition_count_bits(self._parts, self.ell(beta_s))
         if self.scheme is Scheme.SLQ:
             bits += subset_count_bits(self.k, self.k_top)
@@ -131,11 +135,14 @@ class BudgetFn:
 
     def bits_real(self, beta_s: float) -> float:
         """Smooth bit bound at beta_s; elementwise over an array of beta_s."""
+        self._admit(beta_s)
         if self.scheme is Scheme.UQ:
-            self._admit(beta_s)
             return 2.0 * self.k * log2(self.k / beta_s)
-        parts = self._parts
-        lattice = log2_comb(self.ell(beta_s) + parts - 1, parts - 1)
+        ell = self._ell(beta_s)
+        # A subnormal slack gives an infinite ell, which fails here as in ``ell``.
+        if np.any(np.isinf(ell)):
+            raise OverflowError("cannot convert float infinity to integer")
+        lattice = log2_composition_count(self._parts, ell)
         if self.scheme is Scheme.LQ:
             return lattice
         return log2_comb(self.k, self.k_top) + lattice

@@ -180,7 +180,9 @@ def fading_nocsi_coeffs(gamma: float, coherence: int) -> tuple[float, float]:
 
     block_info = (F-1)log(F*gamma) - log Gamma(F) - (F-1)(1+euler_gamma)
     + F/(5*gamma), the last term a correction that vanishes as gamma grows;
-    block_dispersion = (F-1)^2 * pi^2/6 + (F-1). Only meaningful at high SNR.
+    block_dispersion = (F-1)^2 * pi^2/6 + (F-1). Only meaningful at high SNR:
+    below gamma = F/(5(F-1)) the correction makes block_info rise as gamma
+    falls, and the solver refuses such SNRs.
     """
     if not 0.0 < gamma < math.inf:  # also NaN
         raise DomainError(f"SNR must be finite and positive, got {gamma}")

@@ -79,6 +79,8 @@ import numpy as np
 from .elementwise import brief, lgamma
 from .errors import IndexOutOfRange, InvalidSubset, SumMismatch
 
+_LN_2 = math.log(2)
+
 # Binomials below this bound fit a machine word, where math.comb is as cheap
 # as one multiply/divide step.
 _WORD = 1 << 64
@@ -193,21 +195,36 @@ def composition_count(k: int, total: int) -> int:
 def log2_comb(n: int, r: int) -> float:
     """Real-valued log2(C(n, r)) from log-gamma, without big integers.
 
-    Elementwise over an integer array of n, evaluated once per run of equal
-    consecutive n: on a budget grid n is a lattice size, monotone along each
-    grid row, so every distinct size is one run, and no sort is needed.
+    Elementwise over an integer array of n, as ``log2_composition_count``:
+    C(n, r) counts the compositions of n - r into r + 1 parts.
     """
     if r < 0 or np.any(r > n):
         raise ValueError(f"C({brief(n)}, {r}) undefined")
-    distinct, runs = n, None
-    if isinstance(n, np.ndarray):
-        flat = n.ravel()
-        starts = np.ones(flat.size, bool)
-        starts[1:] = flat[1:] != flat[:-1]
-        distinct = flat[starts]
-        runs = np.diff(np.flatnonzero(np.append(starts, True)))
-    bits = (lgamma(distinct + 1) - lgamma(r + 1) - lgamma(distinct - r + 1)) / math.log(2)
-    return bits if runs is None else np.repeat(bits, runs).reshape(n.shape)
+    return log2_composition_count(r + 1, n - r)
+
+
+def log2_composition_count(k: int, total: float) -> float:
+    """log2 of ``composition_count(k, total)``, C(total + k - 1, k - 1), from log-gamma.
+
+    Elementwise over an array of totals, evaluated once per run of equal
+    consecutive totals: on a budget grid the total is a lattice size,
+    monotone along each grid row, so every distinct size is one run, and no
+    sort is needed. Totals may be integer-valued floats: each log-gamma
+    argument, total + k and total + 1, is one rounding from the exact
+    integer, as it is from an int total.
+    """
+
+    def bits(t):
+        return (lgamma(t + k) - lgamma(k) - lgamma(t + 1)) / _LN_2
+
+    if not np.ndim(total):
+        return bits(total)
+    flat = total.ravel()
+    # The runs' bounds: 0, each element unequal to the one before, and the end.
+    edge = np.ones(flat.size + 1, bool)
+    np.not_equal(flat[1:], flat[:-1], out=edge[1:-1])
+    bounds = np.flatnonzero(edge)
+    return np.repeat(bits(flat[bounds[:-1]]), bounds[1:] - bounds[:-1]).reshape(total.shape)
 
 
 @lru_cache(maxsize=_WIDTH_CACHE)

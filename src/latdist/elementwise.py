@@ -9,8 +9,9 @@ port of one onto numpy's SIMD functions would round by the CPU. So every
 value that reaches an output comes from these array forms, which call the
 math functions once per element, as ``channel`` does for Q and its
 inverse. Callers whose arguments repeat deduplicate them first:
-``codec.log2_comb`` evaluates its log-gamma terms once per run of equal
-lattice sizes.
+``codec.log2_composition_count``, and ``codec.log2_comb`` through it,
+evaluate their log-gamma terms once per run of equal consecutive
+arguments, such as the lattice sizes along a budget grid.
 
 A comparison whose answer is all that leaves may use numpy outside a guard
 band that bounds the rounding, and take the exact form inside it, as the

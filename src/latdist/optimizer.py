@@ -14,9 +14,11 @@ that minimizes latency n / (2B).
 The solver works on arrays. ``sweep_beta_s`` lays one beta_s grid below its
 beta_t; ``sweep_beta_t`` lays one grid row below each of its budgets, a 2-D
 (beta_t x beta_s) grid. Either way the error target and the bit budget J of
-the whole grid come from one call each, the points whose target the solver
-admits and whose payload is positive are masked, in place of per-point
-exceptions, and all of them go to ``solve_blocklength`` at once. The solver
+the whole grid come from one pass each, and the points whose target the
+solver admits and whose payload is positive are masked, in place of
+per-point exceptions. A grid with every point admitted, as on the planner's
+sweeps, goes to the public ``solve_blocklength`` whole, which checks it
+once; otherwise only the admitted points go, in one call. The solver
 then makes one numpy pass: Q^-1 of the whole eps column, the root and the
 guarded ceiling. With ``refine`` on AWGN it then seeds each point near its
 exact answer, the closed form with the (1/2)log2(n) term put back, and
@@ -220,6 +222,10 @@ def solve_blocklength(
     Elementwise over arrays of beta_t, beta_s and j_bits, in one numpy pass;
     each check must then hold for every element. n comes back as ints, as
     ``elementwise.to_int`` gives them.
+
+    The no-CSI model is refused below the SNR F/(5(F - 1)), -5.2 dB at F=3
+    and -7.0 dB at F=200: there its high-SNR expansion claims more
+    information than a receiver with CSI gets.
     """
     eps = decoding_error_target(beta_t, beta_s)
     if not np.all(_admitted(spec.family, eps, eps_cap)):
@@ -234,6 +240,13 @@ def solve_blocklength(
         else:  # log2(1 + SNR) rounds to 0 below an SNR of ~1e-16, the CSI moments below ~1e-323
             name, why = "capacity", "the SNR is too low to resolve in floats"
         raise NoFeasibleN(f"{name} {rate} is not positive at SNR {spec.gamma}; {why}")
+    # Below F/(5(F - 1)) the no-CSI correction F/(5 gamma) makes the block
+    # information rise as the SNR falls, past the receiver-CSI capacity.
+    if spec.family is ChannelFamily.FADING_NOCSI and spec.gamma < f / (5.0 * (f - 1)):
+        raise NoFeasibleN(
+            f"SNR {spec.gamma} is below {f / (5.0 * (f - 1))}, where the block information "
+            "stops rising with the SNR; the high-SNR model does not apply"
+        )
     q = q_inv(eps)
     r = math.sqrt(f * v) * q
     # An infinite or NaN n fails when it becomes an int, as math.ceil does.
@@ -243,7 +256,7 @@ def solve_blocklength(
         # ulps), so exact-integer solutions do not get bumped up a step.
         n = np.maximum(1.0, np.ceil(n_real - 1e-12 * np.maximum(1.0, n_real)))
     if refine and spec.family is ChannelFamily.AWGN:
-        args = np.broadcast_arrays(*map(np.atleast_1d, (n, q, j_bits, r)))
+        args = map(np.ravel, np.broadcast_arrays(n, q, j_bits, r))
         n = _refine(rate, v, *args).reshape(np.shape(n))
     if not np.ndim(n_real):
         n_real = float(n_real)
@@ -320,7 +333,9 @@ def beta_s_grid(
             f"beta_t={np.min(beta_t)} leaves no admissible source distortion above {lower}"
         )
     if grid_mode == "uniform":
-        return np.linspace(lower, beta_t, grid_points, endpoint=False, axis=-1)
+        # np.linspace's own arithmetic, without its Python-level set-up.
+        width = (np.expand_dims(beta_t, -1) if np.ndim(beta_t) else beta_t) - lower
+        return np.arange(grid_points) * (width / grid_points) + lower
     if grid_mode == "log":
         return np.geomspace(lower, beta_t, grid_points, endpoint=False, axis=-1)
     raise DomainError(f"unknown grid mode {grid_mode!r}")
@@ -338,31 +353,41 @@ def _solve_grid(beta_t, budget, spec, grid_points, grid_mode, eps_cap, refine):
 
     beta_t is one budget or a 1-D array of them, one grid row each. Returns
     the ``TradeoffPoint`` columns but ``hull_member``, shaped as the grid,
-    and the best point of each row: the first of least latency, ties to the
-    smaller beta_s. Points the solver does not admit stay infeasible.
+    and the best point of each row: the first of least latency, which is
+    the one of smaller beta_s, since the rows ascend. Points the solver does
+    not admit stay infeasible.
     """
     grid = beta_s_grid(beta_t, budget, grid_points, grid_mode)
     column = np.expand_dims(beta_t, -1) if np.ndim(beta_t) else beta_t
-    eps = decoding_error_target(column, grid)
+    # _check_beta_t keeps 0 < beta_t <= 1 and beta_s_grid 0 < beta_s, but a
+    # budget a few ulps above the grid's lower edge rounds its grid up to
+    # itself. The error target refuses such a grid, as it refuses one point.
+    if not (grid < column).all():
+        decoding_error_target(column, grid)
+    eps = (column - grid) / (1.0 - grid)
     j_bits = budget.bits_real(grid)
     ok = _admitted(spec.family, eps, eps_cap) & (j_bits > 0.0)
     if not ok.any():
         raise NoFeasibleN(f"no feasible operating point for beta_t={beta_t}")
-    budgets = np.broadcast_to(column, grid.shape)
-    sol = solve_blocklength(
-        spec, budgets[ok], grid[ok], j_bits[ok], eps_cap=eps_cap, refine=refine
-    )
-    n = np.zeros(grid.shape, dtype=sol.n.dtype)
-    n[ok] = sol.n
-    n_real = np.full(grid.shape, math.nan)
-    n_real[ok] = sol.n_real
-    eps[~ok] = math.nan
-    j_bits[~ok] = math.nan
-    latency = np.full(grid.shape, math.inf)
-    latency[ok] = sol.n / (2.0 * spec.bandwidth_hz)
-    fastest = latency == latency.min(axis=-1, keepdims=True)
-    best = np.where(fastest, grid, math.inf).argmin(axis=-1)
-    return (budgets.copy(), grid, eps, j_bits, n, n_real, latency, ok), best
+    budgets = np.empty_like(grid)
+    budgets[...] = column
+    if ok.all():
+        n, n_real, _ = solve_blocklength(
+            spec, column, grid, j_bits, eps_cap=eps_cap, refine=refine
+        )
+    else:
+        sol = solve_blocklength(
+            spec, budgets[ok], grid[ok], j_bits[ok], eps_cap=eps_cap, refine=refine
+        )
+        n = np.zeros(grid.shape, dtype=sol.n.dtype)
+        n[ok] = sol.n
+        n_real = np.full(grid.shape, math.nan)
+        n_real[ok] = sol.n_real
+        eps[~ok] = j_bits[~ok] = math.nan
+    # Blocklengths past 2**62 are Python ints, and their latencies Python floats.
+    latency = (n / (2.0 * spec.bandwidth_hz)).astype(float, copy=False)
+    latency[~ok] = math.inf
+    return (budgets, grid, eps, j_bits, n, n_real, latency, ok), latency.argmin(axis=-1)
 
 
 def sweep_beta_s(

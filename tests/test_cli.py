@@ -16,6 +16,10 @@ from latdist.ingest import top_mass_curve
 DATA_DIR = Path(__file__).parent / "data"
 
 
+# The start of a command line that plans LQ at k=10.
+LQ_K10 = ["tradeoff", "--scheme", "lq", "-k", "10"]
+
+
 def run(args, capsys):
     code = main(args)
     out = capsys.readouterr()
@@ -157,27 +161,31 @@ class TestTradeoffCommand:
         assert code == 2
 
     @pytest.mark.parametrize(
-        "channel, message",
+        "command, message",
         [
-            (["--gamma0-db", "-400"], "capacity 0.0 is not positive"),
-            (["--channel", "fading-csi", "--coherence", "20", "--gamma0-db", "-3225"],
+            ([*LQ_K10, "--gamma0-db", "-400"], "capacity 0.0 is not positive"),
+            ([*LQ_K10, "--channel", "fading-csi", "--coherence", "20", "--gamma0-db", "-3225"],
              "capacity 0.0 is not positive"),
-            (["--channel", "fading-nocsi", "--coherence", "20", "--gamma0-db", "-7"],
+            ([*LQ_K10, "--channel", "fading-nocsi", "--coherence", "20", "--gamma0-db", "-7"],
              "the high-SNR model does not apply"),
+            ([*LQ_K10, "--channel", "fading-nocsi", "--coherence", "20", "--gamma0-db", "-15"],
+             "the high-SNR model does not apply"),
+            (["hull", "--scheme", "slq", "-k", "1000", "--k-top", "10", "--channel",
+              "fading-nocsi", "--coherence", "20", "--gamma0-db", "-15"],
+             "no feasible operating point for any requested beta_t"),
         ],
-        ids=["awgn", "fading-csi", "fading-nocsi"],
+        ids=["awgn", "fading-csi", "fading-nocsi", "fading-nocsi-below-floor", "hull-below-floor"],
     )
-    def test_non_positive_rate_is_infeasible(self, capsys, channel, message):
+    def test_non_positive_rate_is_infeasible(self, capsys, command, message):
         # AWGN and receiver-CSI capacities that rounded to 0 used to be blamed
-        # on the high-SNR model, which only the no-CSI family has.
-        code, out, err = run(
-            ["tradeoff", "--scheme", "lq", "-k", "10", *channel, "--b-hz", "10000",
-             "--beta-t", "0.1"],
-            capsys,
-        )
+        # on the high-SNR model, which only the no-CSI family has. Below its
+        # SNR floor, -7.0 dB at F=20, the no-CSI information is positive
+        # again but wrong: at -15 dB the hull used to plan n=60, 46 times the
+        # AWGN capacity, with exit 0.
+        code, out, err = run([*command, "--b-hz", "10000", "--beta-t", "0.1"], capsys)
         assert code == 3 and out == ""
         assert err.startswith("infeasible: ") and message in err
-        assert ("high-SNR" in err) == ("fading-nocsi" in channel)
+        assert ("high-SNR" in err) == ("high-SNR" in message)
 
     def test_undefined_budget_is_usage_error(self, capsys):
         # UQ needs k >= 2; this used to report every grid point infeasible (exit 3).

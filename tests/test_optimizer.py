@@ -398,6 +398,36 @@ def test_refined_solve_builds_its_row_once(monkeypatch):
     assert calls == [spec.gamma]
 
 
+@pytest.mark.parametrize("beta_t, eps_cap", [(0.2, 0.5), (0.6, 0.5)], ids=["whole", "masked"])
+def test_one_sweep_checks_its_points_once(monkeypatch, beta_t, eps_cap):
+    # One sweep, of one budget or of several, takes its error targets, admits
+    # its beta_s and builds its channel row once for the whole grid, whether
+    # the solver admits every point or some are masked out.
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        optimizer, "decoding_error_target", counting("target", optimizer.decoding_error_target)
+    )
+    monkeypatch.setattr(BudgetFn, "_admit", counting("admit", BudgetFn._admit))
+    monkeypatch.setattr(channel, "awgn_coeffs", counting("coeffs", channel.awgn_coeffs))
+    budgets = [
+        BudgetFn(Scheme.UQ, 100), BudgetFn(Scheme.LQ, 100), BudgetFn(Scheme.SLQ, 1000, 10, 1e-5)
+    ]
+    for budget in budgets:
+        for refine in (False, True):
+            for sweep, totals in ((sweep_beta_s, beta_t), (sweep_beta_t, [0.05, beta_t])):
+                calls.clear()
+                sweep(totals, budget, WIDEBAND_SPEC, eps_cap=eps_cap, refine=refine)
+                assert sorted(calls) == ["admit", "coeffs", "target"]
+
+
 def test_refine_takes_few_passes_on_workload_grid(monkeypatch):
     # Sweeps as the planner benchmark runs them: three coders, 0-20 dB,
     # 1000 grid points. A bisection takes 10-25 passes per sweep.
@@ -502,6 +532,17 @@ def test_unusable_eps_cap_is_domain_error(eps_cap):
 
 
 @pytest.mark.filterwarnings("error")
+def test_budget_ulps_above_the_lower_edge_is_domain_error():
+    # Its uniform grid rounds up to the budget itself, which leaves no error
+    # target: every sweep refuses it as the target refuses such a point.
+    lower = 1e-6
+    for ulps in (1, 2, 7):
+        beta_t = lower + ulps * math.ulp(lower)
+        for sweep, budgets in ((sweep_beta_s, beta_t), (sweep_beta_t, [beta_t, 0.1])):
+            with pytest.raises(DomainError, match="need 0 <= beta_s < beta_t"):
+                sweep(budgets, BudgetFn(Scheme.LQ, 10), WIDEBAND_SPEC)
+
+
 def test_empty_grid_and_budget_outside_unit_interval_are_domain_errors():
     budget = BudgetFn(Scheme.LQ, 10)
     with pytest.raises(DomainError, match="at least one point"):
@@ -651,6 +692,30 @@ class TestFadingSolvers:
         # The high-SNR information term goes negative at moderate SNR.
         with pytest.raises(NoFeasibleN):
             solve_blocklength(spec_at(ChannelFamily.FADING_NOCSI, 0.2, 20), 0.1, 0.02, 100.0)
+
+    @pytest.mark.parametrize("coherence", [3, 5, 10, 20, 50, 200])
+    def test_nocsi_never_beats_the_csi_capacity(self, coherence):
+        # A receiver without CSI cannot carry more than one with it. Below
+        # the floor F/(5(F - 1)), -5.2 dB at F=3 and -7.0 dB at F=200, the
+        # high-SNR correction F/(5 gamma) makes the no-CSI information rise
+        # as the SNR falls, to 46 times the AWGN capacity at -15 dB and F=20.
+        from latdist.channel import fading_csi_coeffs, fading_nocsi_coeffs
+
+        accepted = refused_positive = 0
+        for snr_db in np.linspace(-40.0, 60.0, 2001).tolist():
+            gamma = db_to_linear(snr_db)
+            info, _ = fading_nocsi_coeffs(gamma, coherence)
+            spec = spec_at(ChannelFamily.FADING_NOCSI, gamma, coherence)
+            try:
+                solve_blocklength(spec, 0.1, 0.05, 100.0)
+            except NoFeasibleN:
+                refused_positive += info > 0
+                continue
+            assert info / coherence <= fading_csi_coeffs(gamma, coherence)[0], snr_db
+            accepted += 1
+        # The floor refuses some SNRs with positive information; the model
+        # still answers from a few dB above it.
+        assert refused_positive > 0 and accepted > 1000
 
     def test_nocsi_conservative_on_random_grid(self):
         rng = np.random.default_rng(34)
@@ -828,13 +893,27 @@ def row_by_row(beta_ts, budget, spec, **kwargs):
     return rows, [feasible[j] for j in hull], best
 
 
+def every_point_admitted(beta_ts, budget, spec, *, grid_points, grid_mode, eps_cap, refine):
+    """Whether the solver admits every point of the 2-D grid below the budgets."""
+    budgets = np.sort(beta_ts)
+    grid = beta_s_grid(budgets, budget, grid_points, grid_mode)
+    eps = decoding_error_target(budgets[:, None], grid)
+    admitted = optimizer._admitted(spec.family, eps, eps_cap) & (budget.bits_real(grid) > 0)
+    return bool(admitted.all())
+
+
 def test_grid_sweep_matches_one_sweep_per_budget():
     rng = np.random.default_rng(43)
     families = list(ChannelFamily)
     schemes = list(Scheme)
-    outcomes = {"solved": 0, "infeasible rows": 0, "none feasible": 0}
-    for draw in range(90):
-        family = families[draw % 3]
+    outcomes = {
+        "solved": 0, "infeasible rows": 0, "none feasible": 0, "refined, every point admitted": 0
+    }
+    for draw in range(105):
+        # The last draws are refined AWGN grids of several budgets, all at
+        # most the cap, so that the solver takes each 2-D grid whole.
+        whole = draw >= 90
+        family = ChannelFamily.AWGN if whole else families[draw % 3]
         lo, hi = ORACLE_SNR[family]
         f = None if family is ChannelFamily.AWGN else int(rng.choice([5, 10, 20, 50]))
         spec = spec_at(family, 10 ** rng.uniform(lo, hi), f)
@@ -846,12 +925,13 @@ def test_grid_sweep_matches_one_sweep_per_budget():
         else:
             delta = 0.0
             budget = BudgetFn(scheme, k)
-        beta_ts = rng.uniform(delta + 0.005, 1.0, int(rng.integers(1, 9))).tolist()
+        top, count = (0.5, int(rng.integers(2, 9))) if whole else (1.0, int(rng.integers(1, 9)))
+        beta_ts = rng.uniform(delta + 0.005, top, count).tolist()
         kwargs = dict(
             grid_points=int(rng.integers(1, 120)),
             grid_mode=["uniform", "log"][draw % 2],
-            eps_cap=float(rng.choice([0.5, 0.05, 0.005])),
-            refine=bool(draw % 4 < 2),
+            eps_cap=0.5 if whole else float(rng.choice([0.5, 0.05, 0.005])),
+            refine=whole or bool(draw % 4 < 2),
         )
         try:
             rows, hull, best = row_by_row(beta_ts, budget, spec, **kwargs)
@@ -868,6 +948,10 @@ def test_grid_sweep_matches_one_sweep_per_budget():
         assert curve.best_index == best
         outcomes["solved"] += 1
         outcomes["infeasible rows"] += not all(pt.feasible for pt in rows)
+        outcomes["refined, every point admitted"] += (
+            kwargs["refine"] and family is ChannelFamily.AWGN and len(beta_ts) > 1
+            and every_point_admitted(beta_ts, budget, spec, **kwargs)
+        )
     assert min(outcomes.values()) >= 5, outcomes
 
 
