@@ -103,7 +103,17 @@ class BudgetFn:
     def _ell(self, beta_s):
         """``ell`` as integer-valued floats, of a beta_s already admitted."""
         # ceil(parts / (4*slack)) keeps the lattice distortion under the slack beta_s - delta.
-        return _guarded_ceil(np.maximum(1.0, self._parts / (4.0 * (beta_s - self.lower_edge))))
+        ell = self._parts / (4.0 * (beta_s - self.lower_edge))
+        self._refuse_infinite(ell, beta_s, "lattice denominator")
+        return _guarded_ceil(np.maximum(1.0, ell))
+
+    def _refuse_infinite(self, value, beta_s, what: str):
+        """A beta_s so close to the lower edge that ``what`` overflows is out of the domain."""
+        if np.any(np.isinf(value)):
+            raise DomainError(
+                f"source distortion {brief(beta_s)} is too close to the lower edge "
+                f"{self.lower_edge}: its {what} is infinite"
+            )
 
     def coder(self, beta_s: float | None, given: int | None = None):
         """The scheme's coder: a ``UQCoder``, ``LQCoder`` or ``SLQCoder``.
@@ -127,7 +137,9 @@ class BudgetFn:
     def bits_int(self, beta_s: float) -> int:
         if self.scheme is Scheme.UQ:
             # bits_real / k = 2 log2(k / beta_s) > 2.
-            return self.k * to_int(_guarded_ceil(self.bits_real(beta_s) / self.k))
+            width = self.bits_real(beta_s) / self.k
+            self._refuse_infinite(width, beta_s, "width in bits per entry")
+            return self.k * to_int(_guarded_ceil(width))
         bits = composition_count_bits(self._parts, self.ell(beta_s))
         if self.scheme is Scheme.SLQ:
             bits += subset_count_bits(self.k, self.k_top)
@@ -138,11 +150,7 @@ class BudgetFn:
         self._admit(beta_s)
         if self.scheme is Scheme.UQ:
             return 2.0 * self.k * log2(self.k / beta_s)
-        ell = self._ell(beta_s)
-        # A subnormal slack gives an infinite ell, which fails here as in ``ell``.
-        if np.any(np.isinf(ell)):
-            raise OverflowError("cannot convert float infinity to integer")
-        lattice = log2_composition_count(self._parts, ell)
+        lattice = log2_composition_count(self._parts, self._ell(beta_s))
         if self.scheme is Scheme.LQ:
             return lattice
         return log2_comb(self.k, self.k_top) + lattice

@@ -198,6 +198,11 @@ def fading_nocsi_coeffs(gamma: float, coherence: int) -> tuple[float, float]:
     return block_info, block_dispersion
 
 
+def _nocsi_snr_floor(coherence: int) -> float:
+    """The SNR F/(5(F-1)) below which the no-CSI block information rises as the SNR falls."""
+    return coherence / (5.0 * (coherence - 1))
+
+
 def _model_row(family: ChannelFamily, gamma: float, j_bits, coherence: int | None = None):
     """The family's row of the module's table: rate, F, v and the payload in the rate's unit.
 
@@ -236,10 +241,19 @@ def _z(family: ChannelFamily, n, row, log2=log2):
 
 
 def _epsilon(family: ChannelFamily, n, gamma: float, j_bits, coherence: int | None = None):
-    """The family's block error probability Q(z); elementwise over n and j_bits."""
+    """The family's block error probability Q(z); elementwise over n and j_bits.
+
+    The no-CSI model is refused below its SNR floor, as the solver refuses it.
+    """
     if not np.all((1 <= n) & (n < math.inf)):  # also NaN
         raise DomainError(f"blocklength must be >= 1, got {brief(n)}")
-    return q_func(_z(family, n, _model_row(family, gamma, j_bits, coherence)))
+    row = _model_row(family, gamma, j_bits, coherence)
+    if family is ChannelFamily.FADING_NOCSI and gamma < _nocsi_snr_floor(coherence):
+        raise DomainError(
+            f"SNR {gamma} is below {_nocsi_snr_floor(coherence)}, where the no-CSI block "
+            "information stops rising with the SNR; the high-SNR model does not apply"
+        )
+    return q_func(_z(family, n, row))
 
 
 def epsilon_awgn(n: int, gamma: float, j_bits: float) -> float:
@@ -260,6 +274,8 @@ def epsilon_fading_csi(n: int, gamma: float, j_bits: float, coherence: int) -> f
 
 def epsilon_fading_nocsi(n: int, gamma: float, j_bits: float, coherence: int) -> float:
     """Block error probability without CSI; the model is valid only where it lands in (0, 1/2).
+
+    SNRs below F/(5(F-1)), where the high-SNR model does not apply, raise DomainError.
 
     Elementwise over arrays of n and j_bits.
     """

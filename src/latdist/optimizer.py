@@ -48,7 +48,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .budget import BudgetFn
-from .channel import ChannelFamily, ChannelSpec, _model_row, _z, q_inv
+from .channel import ChannelFamily, ChannelSpec, _model_row, _nocsi_snr_floor, _z, q_inv
 from .elementwise import brief, to_int
 from .errors import DomainError, EpsilonOutOfRange, NoFeasibleN
 
@@ -242,9 +242,9 @@ def solve_blocklength(
         raise NoFeasibleN(f"{name} {rate} is not positive at SNR {spec.gamma}; {why}")
     # Below F/(5(F - 1)) the no-CSI correction F/(5 gamma) makes the block
     # information rise as the SNR falls, past the receiver-CSI capacity.
-    if spec.family is ChannelFamily.FADING_NOCSI and spec.gamma < f / (5.0 * (f - 1)):
+    if spec.family is ChannelFamily.FADING_NOCSI and spec.gamma < _nocsi_snr_floor(f):
         raise NoFeasibleN(
-            f"SNR {spec.gamma} is below {f / (5.0 * (f - 1))}, where the block information "
+            f"SNR {spec.gamma} is below {_nocsi_snr_floor(f)}, where the block information "
             "stops rising with the SNR; the high-SNR model does not apply"
         )
     q = q_inv(eps)

@@ -31,7 +31,8 @@ from .codec import (
     unrank_composition,
     unrank_subset,
 )
-from .errors import DimensionMismatch, DomainError, IndexOutOfRange
+from .elementwise import brief
+from .errors import DimensionMismatch, DomainError, IndexOutOfRange, SumMismatch
 from .prob import ProbVector
 
 
@@ -118,7 +119,9 @@ def round_to_lattice(values: np.ndarray, denominator: int) -> np.ndarray:
     surplus entries with the largest residuals count - denominator*value are
     decremented; if they undersum, those with the smallest residuals are
     incremented. Residual ties break toward the lower index. A matrix is
-    rounded row by row, each row exactly as it would be on its own.
+    rounded row by row, each row exactly as it would be on its own. Values
+    so far from a unit sum that one move per entry cannot reach the
+    denominator raise SumMismatch; a count driven negative, DomainError.
     """
     _check_denominator(denominator)
     scaled = np.asarray(values, dtype=float) * denominator
@@ -128,16 +131,27 @@ def round_to_lattice(values: np.ndarray, denominator: int) -> np.ndarray:
     deficit = denominator - counts.sum(axis=-1)
     if not np.count_nonzero(deficit):
         return counts
+    # The correction moves each entry at most once, so a row more than k
+    # counts off cannot reach the denominator.
+    moves = np.abs(deficit)
+    if np.count_nonzero(moves > counts.shape[-1]):
+        raise SumMismatch(
+            f"values must sum to 1: their rounded counts miss the denominator {denominator} "
+            f"by {brief(deficit)}, more than one per entry"
+        )
     residuals = rounded - scaled
     # A stable sort by the residuals, negated where the counts oversum, puts
     # first the |deficit| entries that move one count toward the target,
     # ties at the lower index. Each row is sorted on its own.
     step = np.sign(deficit)[..., None]
     order = (residuals * step).argsort(axis=-1, kind="stable")
-    counts += step * (order.argsort(axis=-1) < np.abs(deficit)[..., None])
+    counts += step * (order.argsort(axis=-1) < moves[..., None])
     # Entries picked for decrement always started positive: a positive
     # total residual forces at least -deficit entries above their target.
-    assert counts.min() >= 0, "lattice rounding drove a count negative"
+    if counts.min() < 0:
+        raise DomainError(
+            "values must be nonnegative and sum to 1: lattice rounding drove a count negative"
+        )
     return counts
 
 

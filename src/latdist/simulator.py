@@ -8,11 +8,12 @@ most total variation 1.
 Reproducibility contract: every random number of trial i comes from its own
 stream, exactly that of ``numpy.random.default_rng([seed, i])``, so a report
 depends on its config alone. The streams are seeded a block of trials at a
-time: ``_trial_states`` restates numpy's seeding on arrays, and one generator
-is set to each trial's state in turn. A trial only draws, into the block's
-arrays; sources are built, quantized and measured a block at a time, and the
-report bytes depend neither on the block size nor on the trials' order in a
-block. One coder, from ``BudgetFn.coder``, codes and garbles every block.
+time: ``_trial_words`` restates numpy's SeedSequence on arrays, one lane per
+trial, and each trial's generator is numpy's own PCG64 seeded with its row of
+words. A trial only draws, into the block's arrays; sources are built,
+quantized and measured a block at a time, and the report bytes depend
+neither on the block size nor on the trials' order in a block. One coder,
+from ``BudgetFn.coder``, codes and garbles every block.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import math
 import operator
 from dataclasses import asdict, dataclass, fields
 from enum import Enum
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -35,16 +36,14 @@ from .prob import tv_distance
 # distortions keep one float per trial.
 _BLOCK = 256
 
-# The constants of numpy's SeedSequence (a pool of four 32-bit words) and of
-# PCG64's seeding, which _trial_states restates on arrays.
+# The constants of numpy's SeedSequence (a pool of four 32-bit words), which
+# _trial_words restates on arrays.
 _MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
 _POOL = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _XSHIFT = np.uint32(16)
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 class ErrorModel(Enum):
@@ -161,10 +160,26 @@ def _hash_constants(init: int, mult: int, calls: int) -> tuple[np.ndarray, np.nd
     return table[:-1], table[1:]
 
 
-# The pool is filled by 4 hashes and mixed by 12; the output takes 8 more.
+def _mix_columns(xors: np.ndarray, mults: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per word of the pool, the constants that hash it into each other word, by row.
+
+    The word's own row takes any constant, since that row is put back after
+    the mix.
+    """
+    columns = []
+    for src in range(_POOL):
+        calls = list(range(_POOL + 3 * src, _POOL + 3 * src + 3))
+        calls.insert(src, 0)
+        columns.append((xors[calls], mults[calls]))
+    return columns
+
+
+# The pool is filled by 4 hashes and mixed by 12; words past the pool take
+# 4 more each, and the output 8.
 _FILL_AND_MIX = _hash_constants(_INIT_A, _MULT_A, _POOL * _POOL)
+_FILL = _FILL_AND_MIX[0][:_POOL], _FILL_AND_MIX[1][:_POOL]
+_MIX = _mix_columns(*_FILL_AND_MIX)
 _OUTPUT = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL)
-_OTHERS = [[dst for dst in range(_POOL) if dst != src] for src in range(_POOL)]
 
 
 def _hashmix(values: np.ndarray, xors: np.ndarray, mults: np.ndarray) -> np.ndarray:
@@ -177,23 +192,26 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return mixed ^ (mixed >> _XSHIFT)
 
 
-def _trial_states(seed: int, start: int, stop: int) -> list[dict]:
-    """``default_rng([seed, i]).bit_generator.state`` for each trial i in [start, stop).
+def _trial_words(seed: int, start: int, stop: int) -> np.ndarray:
+    """``SeedSequence([seed, i]).generate_state(4, np.uint64)`` for each trial i in [start, stop).
 
     numpy's seeding, one uint32 lane per trial: a SeedSequence hashes the
-    32-bit words of seed and then of i into its pool and draws four 64-bit
-    words, and PCG64 is seeded with them. Trials whose index has the same
-    number of words share one pass; indices must stay below 2**64.
+    32-bit words of seed and then of i into its pool and draws eight 32-bit
+    words, paired little-endian into four 64-bit ones. Trials whose index has
+    the same number of words share one pass; indices must stay below 2**64.
+    The rows come as one C-contiguous (trials, 4) uint64 array, since PCG64
+    reads a seed's words from their memory.
     """
     seed_words = _words(operator.index(seed))
-    states = []
+    blocks = []
     while start < stop:
         width = len(_words(start))
         end = min(stop, 1 << (32 * width))
         trials = np.arange(start, end, dtype=np.uint64)
-        states += _pcg64_states(_seed_sequence_words(seed_words, trials, width))
+        blocks.append(_seed_sequence_words(seed_words, trials, width))
         start = end
-    return states
+    words = np.ascontiguousarray(np.concatenate(blocks, axis=1).T).astype("<u4", copy=False)
+    return words.view("<u8").astype(np.uint64, copy=False)
 
 
 def _seed_sequence_words(seed_words: list[int], trials: np.ndarray, width: int) -> np.ndarray:
@@ -202,39 +220,50 @@ def _seed_sequence_words(seed_words: list[int], trials: np.ndarray, width: int) 
     entropy[: len(seed_words)] = np.array(seed_words, dtype=np.uint32)[:, None]
     for j in range(width):
         entropy[len(seed_words) + j] = trials >> np.uint64(32 * j)  # keeps the low 32 bits
-    extra = len(entropy) - _POOL
-    xors, mults = _FILL_AND_MIX
-    if extra > 0:
-        xors, mults = _hash_constants(_INIT_A, _MULT_A, _POOL * _POOL + _POOL * extra)
     # The first four words, zero-padded, fill the pool; every word then mixes
     # into every other, in order; each further word mixes into all four.
     pool = np.zeros((_POOL, trials.size), dtype=np.uint32)
     pool[: len(entropy)] = entropy[:_POOL]
-    pool = _hashmix(pool, xors[:_POOL], mults[:_POOL])
-    call = _POOL
-    for src, dst in enumerate(_OTHERS):
-        hashed = _hashmix(pool[src], xors[call : call + 3], mults[call : call + 3])
-        pool[dst] = _mix(pool[dst], hashed)
-        call += 3
-    for word in entropy[_POOL:]:
-        pool = _mix(pool, _hashmix(word, xors[call : call + _POOL], mults[call : call + _POOL]))
-        call += _POOL
+    pool = _hashmix(pool, *_FILL)
+    for src, (xors, mults) in enumerate(_MIX):
+        mixed = _mix(pool, _hashmix(pool[src], xors, mults))
+        mixed[src] = pool[src]
+        pool = mixed
+    if len(entropy) > _POOL:
+        xors, mults = _hash_constants(_INIT_A, _MULT_A, _POOL * len(entropy))
+        for j in range(_POOL, len(entropy)):
+            calls = slice(_POOL * j, _POOL * (j + 1))
+            pool = _mix(pool, _hashmix(entropy[j], xors[calls], mults[calls]))
     return _hashmix(np.concatenate((pool, pool)), *_OUTPUT)
 
 
-def _pcg64_states(words: np.ndarray) -> list[dict]:
-    """The state of PCG64 seeded with each column of generate_state words."""
-    wide = words.astype(np.uint64)
-    # Little-endian pairs: (high, low) 64-bit halves of the state, then of the stream.
-    halves = wide[0::2] | (wide[1::2] << np.uint64(32))
-    states = []
-    for state_hi, state_lo, seq_hi, seq_lo in halves.T.tolist():
-        inc = ((seq_hi << 65) | (seq_lo << 1) | 1) & _MASK128
-        # From state 0, one step gives inc; add the initial state and step again.
-        state = ((((state_hi << 64) | state_lo) + inc) * _PCG_MULT + inc) & _MASK128
-        states.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                       "has_uint32": 0, "uinteger": 0})
-    return states
+@cache
+def _trial_seed_type() -> type:
+    """The seed that hands PCG64 one trial's words; built on first use, so that
+    importing latdist does not load numpy.random."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class TrialSeed(ISeedSequence):
+        """One row of ``_trial_words``, as the only state it generates."""
+
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+            if n_words != 4 or np.dtype(dtype) != np.uint64:
+                raise ValueError(
+                    f"a trial seed holds 4 uint64 words, asked for {n_words} of {np.dtype(dtype)}"
+                )
+            return self.words
+
+    return TrialSeed
+
+
+def _trial_generators(seed: int, start: int, stop: int):
+    """A generator for each trial i in [start, stop), seeded as ``default_rng([seed, i])``."""
+    trial_seed = _trial_seed_type()
+    for words in _trial_words(seed, start, stop):
+        yield np.random.Generator(np.random.PCG64(trial_seed(words)))
 
 
 def simulate_end_to_end(cfg: SimConfig) -> SimReport:
@@ -251,10 +280,6 @@ def simulate_end_to_end(cfg: SimConfig) -> SimReport:
     """
     garble = cfg.error_model is ErrorModel.UNIFORM_INDEX
     distortions = np.empty(cfg.trials)
-    # One generator, set to each trial's state in turn; seeded explicitly so
-    # that building it reads no OS entropy.
-    bitgen = np.random.PCG64(0)
-    rng = np.random.Generator(bitgen)
     sparse = cfg.scheme is Scheme.SLQ
     top = cfg.k_top if sparse else cfg.k
     tail_bound, tail = cfg.tail_bound, 0.0
@@ -265,8 +290,7 @@ def simulate_end_to_end(cfg: SimConfig) -> SimReport:
             tails = np.empty(stop - start)
             perms = np.tile(np.arange(cfg.k), (stop - start, 1))
         failed, garbled = [], []
-        for row, state in enumerate(_trial_states(cfg.seed, start, stop)):
-            bitgen.state = state
+        for row, rng in enumerate(_trial_generators(cfg.seed, start, stop)):
             # random() draws what uniform() draws, and shuffling an arange what
             # permutation() does, without their argument handling.
             if sparse:

@@ -122,6 +122,29 @@ class TestBudgetFn:
         assert BudgetFn(Scheme.SLQ, 10, 3, 0.01).lower_edge == 0.01
 
     @pytest.mark.parametrize("scheme, extra", [
+        (Scheme.LQ, ()), (Scheme.SLQ, (5,)),
+    ], ids=["lq", "slq"])
+    def test_infinite_denominator_is_domain_error(self, scheme, extra):
+        # A subnormal slack above the lower edge overflows parts / (4 slack);
+        # this used to end in an OverflowError from the int conversion.
+        fn = BudgetFn(scheme, 50, *extra)
+        message = r"source distortion 1e-310 is too close to the lower edge 0.0: its lattice"
+        for method in (fn.ell, fn.bits_int, fn.bits_real, fn.coder):
+            with pytest.raises(DomainError, match=message):
+                method(1e-310)
+        with pytest.raises(DomainError, match="lattice denominator is infinite"):
+            with np.errstate(over="ignore"):
+                fn.bits_real(np.array([0.1, 1e-310]))
+        assert fn.ell(1e-300) > 10**299  # finite, however large
+
+    def test_infinite_uniform_width_is_domain_error(self):
+        fn = BudgetFn(Scheme.UQ, 50)
+        assert fn.bits_real(1e-310) == math.inf  # the smooth bound stays a bound
+        for method in (fn.bits_int, fn.coder):
+            with pytest.raises(DomainError, match="its width in bits per entry is infinite"):
+                method(1e-310)
+
+    @pytest.mark.parametrize("scheme, extra", [
         (Scheme.UQ, ()), (Scheme.LQ, ()), (Scheme.SLQ, (10, 1e-5)),
     ], ids=["uq", "lq", "slq"])
     def test_string_scheme_is_its_enum(self, scheme, extra):

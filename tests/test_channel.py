@@ -351,6 +351,18 @@ class TestFadingNoCsi:
         values = [epsilon_fading_nocsi(n, gamma, 600, 20) for n in range(105, 400, 20)]
         assert all(a > b for a, b in zip(values, values[1:]))
 
+    @pytest.mark.parametrize("f", [3, 20, 200])
+    def test_epsilon_refuses_snr_below_the_floor(self, f):
+        # The solver refuses these SNRs; at -15 dB and F=20 this model used to
+        # give 0.085 for 60 uses, a success no receiver gets there.
+        floor = f / (5.0 * (f - 1))
+        for gamma in (db_to_linear(-15), np.nextafter(floor, 0.0)):
+            with pytest.raises(DomainError, match=f"SNR {gamma} is below {floor}, "):
+                epsilon_fading_nocsi(60, gamma, 124.8, f)
+        with pytest.raises(DomainError, match="is below"):
+            epsilon_fading_nocsi(np.array([60.0, 120.0]), db_to_linear(-15), 124.8, f)
+        assert 0.0 <= epsilon_fading_nocsi(60, floor, 124.8, f) <= 1.0  # answered at the floor
+
 
 class TestEpsilonGridProperties:
     def test_decreasing_in_n_increasing_in_payload(self):

@@ -121,6 +121,18 @@ class TestBudgetCommand:
         assert code == 0
         assert [row.split(",")[3] for row in out.strip().splitlines()[2:]] == ["", ""]
 
+    @pytest.mark.parametrize("argv, message", [
+        (["budget", "-k", "50", "--k-top", "5", "--beta-s", "1e-310"], "lattice denominator"),
+        (["simulate", "--scheme", "uq", "-k", "50", "--beta-s", "1e-310", "--eps-target", "0.1"],
+         "width in bits per entry"),
+    ], ids=["budget-lattice", "simulate-uniform"])
+    def test_infinite_budget_is_usage_error(self, capsys, argv, message):
+        # A beta_s a subnormal above the lower edge used to end in an
+        # OverflowError traceback (exit 1).
+        code, out, err = run(argv, capsys)
+        assert code == 2 and out == ""
+        assert f"1e-310 is too close to the lower edge 0.0: its {message} is infinite" in err
+
     def test_json_format(self, capsys):
         code, out, _ = run(
             ["budget", "-k", "50", "--k-top", "5", "--beta-s", "0.05", "--format", "json"],

@@ -2,6 +2,9 @@ import hashlib
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import latdist
 from latdist.budget import BudgetFn, Scheme, budget_slq
 from latdist.codec import (
     LatticePoint,
@@ -19,7 +23,7 @@ from latdist.codec import (
     unrank_composition,
     unrank_subset,
 )
-from latdist.errors import DimensionMismatch, DomainError, IndexOutOfRange
+from latdist.errors import DimensionMismatch, DomainError, IndexOutOfRange, SumMismatch
 from latdist.prob import ProbVector, tv_distance
 from latdist.quantizers import (
     LQCoder,
@@ -207,6 +211,31 @@ class TestLattice:
         assert round_to_lattice(exact, 4).tolist() == [
             [0, 1, 3, 0], [2, 1, 1, 0], [1, 1, 2, 0], [0, 0, 0, 4],
         ]
+
+    @pytest.mark.parametrize("values, denominator, miss", [
+        ([0.25, 0.25], 100, "by 50"),
+        ([[0.5, 0.5], [0.0, 0.25]], 12, r"by \[0 9\]"),
+        ([0.0, 0.0, 0.001], 1000, "by 999"),
+    ])
+    def test_counts_that_cannot_reach_the_denominator_refused(self, values, denominator, miss):
+        # The correction moves each entry once: [0.25, 0.25] at 100 used to
+        # come back as [26 26], which sums to 52.
+        with pytest.raises(SumMismatch, match=f"miss the denominator {denominator} {miss}"):
+            round_to_lattice(np.array(values), denominator)
+
+    def test_negative_count_refused_also_without_asserts(self):
+        # Initial counts (3, 0, 0) oversum the denominator 1 by 2, within one
+        # move per entry, and the tie at residual 0 decrements the zero.
+        code = (
+            "import numpy as np; from latdist.quantizers import round_to_lattice; "
+            "round_to_lattice(np.array([3.0, 0.0, 0.0]), 1)"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(latdist.__file__).resolve().parents[1])}
+        for flags in ([], ["-O"]):
+            run = subprocess.run([sys.executable, *flags, "-c", code], env=env,
+                                 capture_output=True, text=True)
+            assert run.returncode == 1
+            assert "DomainError: values must be nonnegative and sum to 1" in run.stderr
 
     def test_lattice_point_is_fixed(self):
         p = ProbVector([0.2, 0.6, 0.2])

@@ -1,6 +1,10 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -358,6 +362,15 @@ class TestSimulation:
         report = simulate_end_to_end(cfg)
         assert report.violations == 0 and report.within_bound
 
+    @pytest.mark.parametrize("extra", [
+        dict(scheme=Scheme.LQ), dict(scheme=Scheme.SLQ, k_top=5, delta=0.0), dict(scheme=Scheme.UQ),
+    ], ids=["lq", "slq", "uq"])
+    def test_infinite_budget_fails_at_construction(self, extra):
+        # This used to be an OverflowError from the coder's width or denominator.
+        with pytest.raises(DomainError, match="1e-310 is too close to the lower edge 0.0"):
+            SimConfig(trials=10, seed=1, error_model=ErrorModel.UNIFORM_INDEX, k=50,
+                      beta_s=1e-310, eps_target=0.1, **extra)
+
     def test_negative_seed_fails_at_construction(self):
         # numpy's seeding refused it with a bare ValueError at the first trial.
         with pytest.raises(DomainError, match="seed must be >= 0, got -1"):
@@ -373,8 +386,21 @@ class TestSimulation:
             SimConfig(10, 1, ErrorModel.UNIFORM_INDEX, Scheme.LQ, 8, None, 0.1, ell=5)
 
 
-def default_states(seed, start, stop):
-    return [np.random.default_rng([seed, i]).bit_generator.state for i in range(start, stop)]
+def state_and_draws(rng):
+    """The state of a generator, then a few draws of each kind a trial makes."""
+    perm = np.arange(12)
+    rng_state = rng.bit_generator.state
+    uniform = rng.random(3).tolist()
+    rng.shuffle(perm)
+    return (rng_state, uniform, perm.tolist(), rng.standard_exponential(4).tolist(),
+            rng.integers(0, 10, size=3, dtype=np.uint32).tolist(), rng.random())
+
+
+def assert_equals_default_rng(seed, start, stop):
+    trials = list(simulator._trial_generators(seed, start, stop))
+    assert len(trials) == stop - start
+    for i, rng in zip(range(start, stop), trials):
+        assert state_and_draws(rng) == state_and_draws(np.random.default_rng([seed, i]))
 
 
 class TestTrialStates:
@@ -386,7 +412,7 @@ class TestTrialStates:
     @pytest.mark.parametrize("start, stop", [(0, 300), (1000, 1010)])
     @pytest.mark.parametrize("seed", SEEDS)
     def test_equals_default_rng(self, seed, start, stop):
-        assert simulator._trial_states(seed, start, stop) == default_states(seed, start, stop)
+        assert_equals_default_rng(seed, start, stop)
 
     @pytest.mark.parametrize("start, stop", [
         (2**32 - 3, 2**32 + 3),  # a trial index takes a second word
@@ -394,19 +420,40 @@ class TestTrialStates:
     ])
     @pytest.mark.parametrize("seed", [7, 2**130 + 9])
     def test_equals_default_rng_where_the_index_widens(self, seed, start, stop):
-        assert simulator._trial_states(seed, start, stop) == default_states(seed, start, stop)
+        assert_equals_default_rng(seed, start, stop)
 
-    def test_reused_generator_draws_each_stream(self):
-        # A 32-bit draw leaves half a word buffered; setting the state drops it.
-        rng = np.random.Generator(np.random.PCG64(0))
-        for i, state in enumerate(simulator._trial_states(2024, 0, 20)):
-            rng.integers(0, 10, dtype=np.uint32)
-            rng.bit_generator.state = state
-            fresh = np.random.default_rng([2024, i])
-            assert rng.integers(0, 10, size=3, dtype=np.uint32).tolist() == (
-                fresh.integers(0, 10, size=3, dtype=np.uint32).tolist()
-            )
-            assert rng.standard_exponential(5).tolist() == fresh.standard_exponential(5).tolist()
+    @pytest.mark.parametrize("n_words, dtype", [(4, np.uint32), (8, np.uint32), (2, np.uint64),
+                                                 (8, np.uint64), (4, np.int64), (4, np.float64)])
+    def test_trial_seed_refuses_other_requests(self, n_words, dtype):
+        trial_seed = simulator._trial_seed_type()(simulator._trial_words(5, 0, 1)[0])
+        with pytest.raises(ValueError, match="4 uint64 words"):
+            trial_seed.generate_state(n_words, dtype)
+        assert trial_seed.generate_state(4, np.uint64) is trial_seed.words
+
+    @pytest.mark.parametrize("start, stop", [(0, 300), (2**32 - 3, 2**32 + 3)])
+    def test_pcg64_gets_contiguous_uint64_rows(self, monkeypatch, start, stop):
+        # PCG64 reads its seed's words from their memory, so a strided row or
+        # another dtype would seed it silently wrong.
+        handed = []
+        pcg64 = np.random.PCG64
+
+        def recording(seed):
+            handed.append(seed.generate_state(4, np.uint64))
+            return pcg64(seed)
+
+        monkeypatch.setattr(np.random, "PCG64", recording)
+        list(simulator._trial_generators(2**64 + 3, start, stop))
+        assert len(handed) == stop - start
+        for words in handed:
+            assert words.dtype == np.uint64 and words.shape == (4,)
+            assert words.flags.c_contiguous
+
+
+def test_import_leaves_out_numpy_random():
+    # The trial seed subclasses numpy's ISeedSequence on first use only.
+    env = {**os.environ, "PYTHONPATH": str(Path(simulator.__file__).resolve().parents[1])}
+    code = "import latdist, sys; assert 'numpy.random' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def _renormalized(rows):
