@@ -136,10 +136,8 @@ class BudgetFn:
 
     def bits_int(self, beta_s: float) -> int:
         if self.scheme is Scheme.UQ:
-            # bits_real / k = 2 log2(k / beta_s) > 2.
-            width = self.bits_real(beta_s) / self.k
-            self._refuse_infinite(width, beta_s, "width in bits per entry")
-            return self.k * to_int(_guarded_ceil(width))
+            # bits_real / k = 2 log2(k / beta_s) > 2, finite as bits_real is.
+            return self.k * to_int(_guarded_ceil(self.bits_real(beta_s) / self.k))
         bits = composition_count_bits(self._parts, self.ell(beta_s))
         if self.scheme is Scheme.SLQ:
             bits += subset_count_bits(self.k, self.k_top)
@@ -149,7 +147,9 @@ class BudgetFn:
         """Smooth bit bound at beta_s; elementwise over an array of beta_s."""
         self._admit(beta_s)
         if self.scheme is Scheme.UQ:
-            return 2.0 * self.k * log2(self.k / beta_s)
+            bits = 2.0 * self.k * log2(self.k / beta_s)
+            self._refuse_infinite(bits, beta_s, "smooth bit bound")
+            return bits
         lattice = log2_composition_count(self._parts, self._ell(beta_s))
         if self.scheme is Scheme.LQ:
             return lattice

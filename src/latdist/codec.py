@@ -41,8 +41,8 @@ integer rather than fresh ``math.comb`` calls of up to ~4000 bits each.
   has every term fit one, and its sum is all fresh ``math.comb``.
 * ``_unrank_subset`` finds the position c_j of each size j from the top, the
   largest c below the position above it, n, with C(c, j) <= r for what is
-  left of the index, r. It steps once, to C(n - 1, j); if that is still above
-  r, it either
+  left of the index, r. It starts from C(n - 1, j) = C(n, j + 1) (j + 1) / n,
+  one step from the level above; if that is still above r, it either
   - scans down, one step C(c - 1, j) = C(c, j) (c - j) / c each, where the
     scan, at most about (bits(C(c, j) / r) + 1) c / j steps long, is within
     the price of a guess, ``_SCAN_STEPS`` + j / 4 steps (dense spaces and the
@@ -92,6 +92,13 @@ _SCAN_STEPS = 16
 # Distinct (k, total) entries kept per count cache. The planner never asks; the
 # integer budgets, rank/unrank and payload readers ask for the same few again and again.
 _WIDTH_CACHE = 4096
+
+# Integer totals below this bound take their log2 composition count from a
+# table of their k (128 KiB), one per part count: a planner sweep asks for
+# the same lattice sizes at every budget. Sizes past it are rare on a grid
+# and evaluated afresh. Tables of at most _TABLES part counts are kept.
+_TABLE_TOTALS = 1 << 14
+_TABLES = 16
 
 
 @dataclass(frozen=True)
@@ -206,25 +213,61 @@ def log2_comb(n: int, r: int) -> float:
 def log2_composition_count(k: int, total: float) -> float:
     """log2 of ``composition_count(k, total)``, C(total + k - 1, k - 1), from log-gamma.
 
-    Elementwise over an array of totals, evaluated once per run of equal
-    consecutive totals: on a budget grid the total is a lattice size,
-    monotone along each grid row, so every distinct size is one run, and no
-    sort is needed. Totals may be integer-valued floats: each log-gamma
-    argument, total + k and total + 1, is one rounding from the exact
-    integer, as it is from an int total.
+    Elementwise over an array of totals. Integer totals below
+    ``_TABLE_TOTALS`` in an int64 or float64 array come from a table of
+    this k, which evaluates each total once per process, the first time a
+    call asks for it: the lattice sizes of one budget grid recur on the
+    grids of other budgets. Other totals are evaluated once per run of
+    equal consecutive totals, as the sizes along a grid row are monotone.
+    Totals may be integer-valued floats: each log-gamma argument, total + k
+    and total + 1, is one rounding from the exact integer, as it is from an
+    int total, so the table gives the bits either would.
     """
-
-    def bits(t):
-        return (lgamma(t + k) - lgamma(k) - lgamma(t + 1)) / _LN_2
-
     if not np.ndim(total):
-        return bits(total)
+        return _log2_count(k, total)
     flat = total.ravel()
+    if flat.dtype == np.float64:
+        inside = (0 <= flat) & (flat < _TABLE_TOTALS) & (np.trunc(flat) == flat)
+    elif flat.dtype == np.int64:
+        inside = (0 <= flat) & (flat < _TABLE_TOTALS)
+    else:
+        return _log2_count_runs(k, flat).reshape(total.shape)
+    out = np.empty(flat.size)
+    if inside.any():
+        totals = flat[inside]
+        at = totals.astype(np.intp)
+        table = _log2_count_table(k)
+        values = table[at]
+        missing = np.isnan(values)
+        if missing.any():
+            # Sorted, each missing total is one run.
+            fill = np.sort(totals[missing])
+            table[fill.astype(np.intp)] = _log2_count_runs(k, fill)
+            values = table[at]
+        out[inside] = values
+    if not inside.all():
+        out[~inside] = _log2_count_runs(k, flat[~inside])
+    return out.reshape(total.shape)
+
+
+def _log2_count(k, total):
+    """log2 C(total + k - 1, k - 1) from three log-gamma terms; elementwise on an array."""
+    return (lgamma(total + k) - lgamma(k) - lgamma(total + 1)) / _LN_2
+
+
+def _log2_count_runs(k, flat):
+    """``_log2_count`` of a 1-D array, evaluated once per run of equal consecutive totals."""
     # The runs' bounds: 0, each element unequal to the one before, and the end.
     edge = np.ones(flat.size + 1, bool)
     np.not_equal(flat[1:], flat[:-1], out=edge[1:-1])
     bounds = np.flatnonzero(edge)
-    return np.repeat(bits(flat[bounds[:-1]]), bounds[1:] - bounds[:-1]).reshape(total.shape)
+    return np.repeat(_log2_count(k, flat[bounds[:-1]]), bounds[1:] - bounds[:-1])
+
+
+@lru_cache(maxsize=_TABLES)
+def _log2_count_table(k: int) -> np.ndarray:
+    """``log2_composition_count(k, t)`` at index t of [0, _TABLE_TOTALS); NaN until filled."""
+    return np.full(_TABLE_TOTALS, np.nan)
 
 
 @lru_cache(maxsize=_WIDTH_CACHE)
@@ -321,13 +364,15 @@ def _unrank_subset(value: int, n: int, size: int, block: int) -> list[int]:
     ``block`` is C(n, size).
     """
     positions = [0] * size
+    if size > 2:
+        b = block * (n - size) // n  # C(n - 1, size)
     for j in range(size, 2, -1):
-        # block = C(n, j): the subsets below position n. The position is the
+        # b = C(n - 1, j), where n is the position above. The position is the
         # largest c < n with C(c, j) <= value.
         if not value:  # the rest is the lowest subset
             positions[:j] = range(j)
             return positions
-        c, b = n - 1, block * (n - j) // n  # C(c, j)
+        c = n - 1
         # A step down divides C(c, j) by c / (c - j) > 2^(j / c), so a scan takes
         # at most (bits(b / value) + 1) c / j steps. Past the price of a guess, guess.
         if b > value and (b.bit_length() - value.bit_length() + 1) * c > (_SCAN_STEPS + j // 4) * j:
@@ -343,7 +388,7 @@ def _unrank_subset(value: int, n: int, size: int, block: int) -> list[int]:
             c -= 1
         positions[j - 1] = c
         value -= b
-        n, block = c, b * j // (c - j + 1)
+        n, b = c, b * j // c  # C(c - 1, j - 1) = C(c, j) j / c
     if size > 1:
         # C(c, 2) = c (c - 1) / 2 <= value, solved exactly.
         c = (math.isqrt(8 * value + 1) + 1) // 2

@@ -10,8 +10,10 @@ value that reaches an output comes from these array forms, which call the
 math functions once per element, as ``channel`` does for Q and its
 inverse. Callers whose arguments repeat deduplicate them first:
 ``codec.log2_composition_count``, and ``codec.log2_comb`` through it,
-evaluate their log-gamma terms once per run of equal consecutive
-arguments, such as the lattice sizes along a budget grid.
+keep a table per part count of the values these forms give for integer
+totals below a bound, such as the lattice sizes of budget grids, and
+evaluate each such total once per process; larger totals are evaluated
+once per run of equal consecutive totals.
 
 A comparison whose answer is all that leaves may use numpy outside a guard
 band that bounds the rounding, and take the exact form inside it, as the

@@ -138,11 +138,17 @@ class TestBudgetFn:
         assert fn.ell(1e-300) > 10**299  # finite, however large
 
     def test_infinite_uniform_width_is_domain_error(self):
+        # The smooth bound overflows at 4x the beta_s where the lattice
+        # denominator does.
         fn = BudgetFn(Scheme.UQ, 50)
-        assert fn.bits_real(1e-310) == math.inf  # the smooth bound stays a bound
-        for method in (fn.bits_int, fn.coder):
-            with pytest.raises(DomainError, match="its width in bits per entry is infinite"):
-                method(1e-310)
+        message = r"source distortion 1e-307 is too close to the lower edge 0.0: its smooth bit bound"
+        for method in (fn.bits_real, fn.bits_int, fn.coder):
+            with pytest.raises(DomainError, match=message):
+                method(1e-307)
+        with pytest.raises(DomainError, match="smooth bit bound is infinite"):
+            with np.errstate(over="ignore"):
+                fn.bits_real(np.array([0.1, 1e-307]))
+        assert fn.bits_real(4e-307) < math.inf
 
     @pytest.mark.parametrize("scheme, extra", [
         (Scheme.UQ, ()), (Scheme.LQ, ()), (Scheme.SLQ, (10, 1e-5)),

@@ -122,16 +122,24 @@ class TestBudgetCommand:
         assert [row.split(",")[3] for row in out.strip().splitlines()[2:]] == ["", ""]
 
     @pytest.mark.parametrize("argv, message", [
-        (["budget", "-k", "50", "--k-top", "5", "--beta-s", "1e-310"], "lattice denominator"),
+        # The uniform column comes first, and its bound overflows wherever
+        # the lattice denominator does.
+        (["budget", "-k", "50", "--k-top", "5", "--beta-s", "1e-310"],
+         "1e-310 is too close to the lower edge 0.0: its smooth bit bound"),
         (["simulate", "--scheme", "uq", "-k", "50", "--beta-s", "1e-310", "--eps-target", "0.1"],
-         "width in bits per entry"),
-    ], ids=["budget-lattice", "simulate-uniform"])
+         "1e-310 is too close to the lower edge 0.0: its smooth bit bound"),
+        (["simulate", "--scheme", "lq", "-k", "50", "--beta-s", "1e-310", "--eps-target", "0.1"],
+         "1e-310 is too close to the lower edge 0.0: its lattice denominator"),
+        # Only the uniform bound overflows here, and Infinity is not JSON.
+        (["budget", "-k", "50", "--k-top", "5", "--beta-s", "1e-307", "--format", "json"],
+         "1e-307 is too close to the lower edge 0.0: its smooth bit bound"),
+    ], ids=["budget-lattice", "simulate-uniform", "simulate-lattice", "budget-uniform"])
     def test_infinite_budget_is_usage_error(self, capsys, argv, message):
         # A beta_s a subnormal above the lower edge used to end in an
         # OverflowError traceback (exit 1).
         code, out, err = run(argv, capsys)
         assert code == 2 and out == ""
-        assert f"1e-310 is too close to the lower edge 0.0: its {message} is infinite" in err
+        assert f"{message} is infinite" in err
 
     def test_json_format(self, capsys):
         code, out, _ = run(

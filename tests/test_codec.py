@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from latdist import codec
 from latdist.budget import BudgetFn, Scheme
+from latdist.channel import ChannelFamily, ChannelSpec, db_to_linear
 from latdist.codec import (
     LatticePoint,
     LexIndex,
@@ -12,6 +14,7 @@ from latdist.codec import (
     composition_count,
     composition_count_bits,
     log2_comb,
+    log2_composition_count,
     rank_composition,
     rank_subset,
     subset_count_bits,
@@ -20,7 +23,7 @@ from latdist.codec import (
 )
 from latdist.elementwise import lgamma
 from latdist.errors import IndexOutOfRange, InvalidSubset, SumMismatch
-from latdist.optimizer import beta_s_grid
+from latdist.optimizer import beta_s_grid, sweep_beta_s, sweep_beta_t
 
 
 def enumerate_compositions(k, total):
@@ -373,6 +376,76 @@ class TestBitWidths:
         shuffled = np.random.default_rng(49).permutation(row)
         for n in (row, grid, shuffled, row[:0]):
             assert log2_comb(n, 99).tobytes() == by_unique(n, 99).tobytes()
+
+
+@pytest.fixture
+def cold_tables():
+    """Empty log2 count tables for the test, and for the tests after it."""
+    codec._log2_count_table.cache_clear()
+    yield
+    codec._log2_count_table.cache_clear()
+
+
+def per_element_log2_count(k, totals):
+    """The hex of the log-gamma formula for each total, in Python floats."""
+    ln2 = math.log(2)
+    return [
+        ((math.lgamma(t + k) - math.lgamma(k) - math.lgamma(t + 1)) / ln2).hex()
+        for t in np.ravel(totals).tolist()
+    ]
+
+
+class TestLog2CountTable:
+    def test_cold_and_warm_tables_give_the_per_element_bits(self, cold_tables):
+        rng = np.random.default_rng(50)
+        bound = codec._TABLE_TOTALS
+        ints = rng.integers(0, 300, size=(6, 250))  # unsorted, with repeats
+        straddle = rng.integers(bound - 40, bound + 40, size=(3, 70))
+        odd = np.array([0.5, 3.0, -0.5, 7.25, 3.0, -2.5, bound - 0.5, 1e20, math.nan])
+        inputs = [
+            ints, ints.astype(float), straddle, straddle.astype(float)[:, ::-1], odd,
+            np.array([], dtype=np.int64), np.empty((0, 3)),
+        ]
+        for k in (1, 2, 5, 100, 1000):
+            for _ in ("cold", "warm"):
+                for totals in inputs:
+                    got = log2_composition_count(k, totals)
+                    assert got.shape == totals.shape and got.dtype == float
+                    assert [v.hex() for v in got.ravel().tolist()] == per_element_log2_count(
+                        k, totals
+                    )
+                for total in (7, 7.0, np.array(7), np.array(7.5), bound + 3):
+                    got = log2_composition_count(k, total)
+                    assert [float(got).hex()] == per_element_log2_count(k, total)
+
+    def test_negative_integer_totals_are_refused_as_per_element(self, cold_tables):
+        for totals in (np.array([3, -1, 5]), np.array([3.0, -2.0]), -1):
+            with pytest.raises(ValueError, match="math domain error"):
+                per_element_log2_count(10, totals)
+            with pytest.raises(ValueError, match="math domain error"):
+                log2_composition_count(10, totals)
+
+    def test_sweeps_evaluate_each_table_total_once(self, cold_tables, monkeypatch):
+        # Each array evaluation takes log-gamma of total + k, then of total + 1.
+        arguments = []
+        monkeypatch.setattr(codec, "lgamma", lambda x: arguments.append(np.copy(x)) or lgamma(x))
+
+        def evaluated_in_table():
+            arrays = [x for x in arguments if np.ndim(x)]
+            arguments.clear()
+            totals = [int(x) - 1 for x in np.concatenate([np.empty(0), *arrays[1::2]])]
+            return sorted(t for t in totals if t < codec._TABLE_TOTALS)
+
+        budget = BudgetFn(Scheme.LQ, 100)
+        spec = ChannelSpec(ChannelFamily.AWGN, db_to_linear(5), 10_000, 320_000)
+        beta_t = np.array([0.05, 0.2, 0.5])
+        ell = budget.ell(beta_s_grid(beta_t, budget, 400))
+        sweep_beta_t(beta_t, budget, spec, grid_points=400)
+        assert evaluated_in_table() == sorted(set(ell[ell < codec._TABLE_TOTALS].tolist()))
+        sweep_beta_s(0.3, budget, spec)
+        assert evaluated_in_table()  # sizes the budgets above did not reach
+        sweep_beta_s(0.3, budget, spec)
+        assert arguments and evaluated_in_table() == []  # only sizes past the table
 
 
 class TestLexIndexSerialization:
